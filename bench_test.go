@@ -713,17 +713,17 @@ func (openAllVisitor) Leaf(*paratreet.Node[gravity.CentroidData], *paratreet.Buc
 // (node, active-bucket-list) frame but performs no particle work, so
 // engine bookkeeping dominates the profile.
 //
-// This benchmark motivated hoisting the engine's clock reads out of the
-// pump loop and dropping defers from the frame-stack pops: previously
-// pump() read time.Now twice per actor session and each resume paid a
-// third read inside the hot loop, while pop() paid a defer per frame.
-// Timing now accrues at task granularity in timedPump (see
-// internal/traverse). Interleaved A/B on the development machine
-// (alternating old/new binaries in one time window, -benchtime=4x,
-// Xeon @ 2.10GHz): Fig9 gravity iteration 278/291 ms/op before vs
-// 271/244 ms/op after; dual-tree gravity 355/342 ms/op before vs
-// 336/332 ms/op after — a consistent 3-15% end-to-end improvement with
-// identical requests/iter and MB/iter traffic.
+// openAllVisitor has only Open/Node/Leaf, so it runs through the per-pair
+// adapter: what is measured is the frame scheduler, the arena and the
+// adapter's loop. The per-bucket style is the scheduler's worst case (one
+// frame per node per bucket), the transposed style the adapter's (every
+// pair opens, and at a leaf the adapter still records each one). Alternated
+// parent/change binaries on the 2-core development host, -benchtime=5x,
+// before -> after the pumper-owned frame stack and the source-major call
+// (PR 13): per-bucket/bare 1088/1103 -> 675/700 ms/op, per-bucket/metrics
+// 1458/1436 -> 691/692 ms/op (counters are fed once per pump session now),
+// transposed/bare 52.4/57.1 -> 55.9/59.3 ms/op, transposed/metrics
+// 52.3/54.8 -> 58.2/59.4 ms/op.
 // Each style also runs with metrics counters and with counters+tracing:
 // the trace variant's regression budget is 5% over metrics-only — span
 // emission reuses the clock reads the runtime already takes at task

@@ -19,6 +19,13 @@ import (
 //     point), or
 //   - state whose writes are lock-guarded, atomic, or explicitly waived.
 //
+// The source-major form of a visitor — VisitSource(source, buckets, active,
+// opened, leaf), one call per frame — is held to the same contract in its
+// own terms: it may write the buckets (every bucket it is handed either
+// gets Node, or opens), but not one it reports as opened unless the write
+// sits under the leaf flag (that is Leaf), and never the active list, which
+// sibling frames share.
+//
 // Everything else is a data race waiting for a scheduler interleaving:
 // writes reachable from the source node (other traversals read it
 // concurrently), writes to the target from Open (Open runs on the
@@ -116,14 +123,17 @@ func runPureVisit(pass *Pass) error {
 	sort.Slice(tns, func(i, j int) bool { return tns[i].Pos() < tns[j].Pos() })
 	for _, tn := range tns {
 		ms := byType[tn]
+		if vs := ms["VisitSource"]; vs != nil && isSourceVisit(vs.Fn) {
+			checkSourceVisit(pass, info, vs, sums)
+		}
 		node, leaf := visitorCallback(ms["Node"], 0), visitorCallback(ms["Leaf"], 0)
 		if node == nil || leaf == nil {
 			continue
 		}
-		checkVisitorMethod(pass, info, node, sums, false)
-		checkVisitorMethod(pass, info, leaf, sums, false)
+		checkVisitorMethod(pass, info, node, sums, nil)
+		checkVisitorMethod(pass, info, leaf, sums, nil)
 		if open := visitorCallback(ms["Open"], 1); open != nil {
-			checkVisitorMethod(pass, info, open, sums, true)
+			checkVisitorMethod(pass, info, open, sums, openMayNotWrite(pass))
 		}
 	}
 	return nil
@@ -363,26 +373,26 @@ func collectWrites(info *types.Info, node *CGNode, sums map[*types.Func]*pvSumma
 	return sum
 }
 
-// checkVisitorMethod reports purity violations in one Open/Node/Leaf.
-func checkVisitorMethod(pass *Pass, info *types.Info, node *CGNode, sums map[*types.Func]*pvSummary, isOpen bool) {
+// checkVisitorMethod reports purity violations in one visitor callback.
+// Writes through the source, shared visitor state and package state are
+// findings in every callback; param (may be nil) judges the writes only
+// the callback's form can: it sees each report that does not touch the
+// source, and returns true when the report is settled.
+func checkVisitorMethod(pass *Pass, info *types.Info, node *CGNode, sums map[*types.Func]*pvSummary, param func(r pvReport, via string) bool) {
 	var reports []pvReport
 	collectWrites(info, node, sums, &reports)
 	name := node.Fn.Name()
-	const srcBit, tgtBit = uint64(1), uint64(2)
 	for _, r := range reports {
 		via := ""
 		if r.callee != "" {
 			via = " (via call to " + r.callee + ")"
 		}
 		switch {
-		case r.bits&srcBit != 0:
+		case r.bits&1 != 0: // parameter 0 is the source node in every form
 			pass.Reportf(r.pos,
 				"%s writes state reachable from the source node%s; concurrent traversals share tree nodes — make it atomic, lock-guarded, or waive with a reason",
 				name, via)
-		case isOpen && r.bits&tgtBit != 0:
-			pass.Reportf(r.pos,
-				"Open must not mutate the target bucket%s; only Node and Leaf own the bucket's visit",
-				via)
+		case param != nil && param(r, via):
 		case r.bits&pvRecvBit != 0:
 			pass.Reportf(r.pos,
 				"%s writes visitor state shared across concurrent buckets%s; use per-bucket state, an atomic, or a lock",
@@ -393,6 +403,161 @@ func checkVisitorMethod(pass *Pass, info *types.Info, node *CGNode, sums map[*ty
 				name, via)
 		}
 	}
+}
+
+// openMayNotWrite is Open's rule for its target (parameter 1).
+func openMayNotWrite(pass *Pass) func(pvReport, string) bool {
+	return func(r pvReport, via string) bool {
+		if r.bits&2 == 0 {
+			return false
+		}
+		pass.Reportf(r.pos,
+			"Open must not mutate the target bucket%s; only Node and Leaf own the bucket's visit",
+			via)
+		return true
+	}
+}
+
+// isSourceVisit reports whether fn has the source-major shape:
+// (source, buckets, active, opened, leaf bool) with one result.
+func isSourceVisit(fn *types.Func) bool {
+	sig := fn.Type().(*types.Signature)
+	if sig.Params().Len() != 5 || sig.Results().Len() != 1 {
+		return false
+	}
+	b, ok := sig.Params().At(4).Type().Underlying().(*types.Basic)
+	return ok && b.Kind() == types.Bool
+}
+
+// checkSourceVisit reports purity violations in one VisitSource(source,
+// buckets, active, opened, leaf).
+func checkSourceVisit(pass *Pass, info *types.Info, node *CGNode, sums map[*types.Func]*pvSummary) {
+	params := node.Fn.Type().(*types.Signature).Params()
+	opened, leaf := params.At(3), params.At(4)
+	body := node.Decl.Body
+
+	// Every `opened = append(opened, ...)`: the point where a bucket is
+	// reported as opened.
+	var appends [][]ast.Node
+	ast.Inspect(body, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
+			return true
+		}
+		id, _ := ast.Unparen(as.Lhs[0]).(*ast.Ident)
+		call, _ := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
+		if id == nil || call == nil || info.Uses[id] != opened {
+			return true
+		}
+		if fn, _ := ast.Unparen(call.Fun).(*ast.Ident); fn != nil && fn.Name == "append" {
+			appends = append(appends, enclosingPath(body, as.Pos()))
+		}
+		return true
+	})
+
+	const bucketsBit, activeBit = uint64(2), uint64(4)
+	checkVisitorMethod(pass, info, node, sums, func(r pvReport, via string) bool {
+		switch {
+		case r.bits&activeBit != 0:
+			pass.Reportf(r.pos, "VisitSource writes the active list%s; sibling frames share it", via)
+		case r.bits&bucketsBit != 0:
+			w := enclosingPath(body, r.pos)
+			if underLeafFlag(info, w, r.pos, leaf) {
+				break
+			}
+			for _, a := range appends {
+				if onOnePath(w, a) {
+					pass.Reportf(r.pos,
+						"VisitSource mutates a bucket it reports as opened%s; only buckets that did not open take Node, and Leaf belongs under the leaf flag",
+						via)
+					break
+				}
+			}
+		default:
+			return false
+		}
+		return true
+	})
+}
+
+// enclosingPath returns the chain of nodes from root down to the innermost
+// one containing pos.
+func enclosingPath(root ast.Node, pos token.Pos) []ast.Node {
+	var path []ast.Node
+	ast.Inspect(root, func(n ast.Node) bool {
+		if n == nil || pos < n.Pos() || pos >= n.End() {
+			return false
+		}
+		path = append(path, n)
+		return true
+	})
+	return path
+}
+
+// underLeafFlag reports whether pos sits in the body of an if statement
+// whose condition reads the leaf parameter.
+func underLeafFlag(info *types.Info, path []ast.Node, pos token.Pos, leaf *types.Var) bool {
+	for _, n := range path {
+		ifs, ok := n.(*ast.IfStmt)
+		if !ok || pos < ifs.Body.Pos() || pos >= ifs.Body.End() {
+			continue
+		}
+		reads := false
+		ast.Inspect(ifs.Cond, func(c ast.Node) bool {
+			if id, ok := c.(*ast.Ident); ok && info.Uses[id] == leaf {
+				reads = true
+			}
+			return !reads
+		})
+		if reads {
+			return true
+		}
+	}
+	return false
+}
+
+// onOnePath reports whether one pass through the code can execute both the
+// write at the end of w and the append at the end of a. They cannot share a
+// pass when they sit in different arms of an if or switch, or when the
+// write's side of the fork ends in a jump (continue, break, return, goto)
+// before rejoining. An under-approximation of exclusivity: anything it
+// cannot rule out counts as one path.
+func onOnePath(w, a []ast.Node) bool {
+	i := 0
+	for i < len(w) && i < len(a) && w[i] == a[i] {
+		i++
+	}
+	if i > 0 && i < len(w) && i < len(a) {
+		switch fork := w[i-1].(type) {
+		case *ast.IfStmt:
+			inArm := func(n ast.Node) bool { return n == ast.Node(fork.Body) || n == fork.Else }
+			if inArm(w[i]) && inArm(a[i]) {
+				return false
+			}
+		case *ast.BlockStmt:
+			_, wc := w[i].(*ast.CaseClause)
+			_, ac := a[i].(*ast.CaseClause)
+			if wc && ac {
+				return false
+			}
+		}
+	}
+	for _, n := range w[i:] {
+		var list []ast.Stmt
+		switch n := n.(type) {
+		case *ast.BlockStmt:
+			list = n.List
+		case *ast.CaseClause:
+			list = n.Body
+		}
+		if len(list) > 0 {
+			switch list[len(list)-1].(type) {
+			case *ast.BranchStmt, *ast.ReturnStmt:
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // pvRootObj resolves the leftmost identifier of an expression chain,

@@ -158,3 +158,70 @@ func (countingVisitor) Node(source *node, target *bucket) {
 }
 
 func (countingVisitor) Leaf(source *node, target *bucket) {}
+
+// sourceVisitor is the source-major form done right: what depends on the
+// source alone is computed once, buckets that do not open take the node
+// kernel, opened ones take the leaf kernel only under the leaf flag.
+type sourceVisitor struct {
+	cutoff int
+}
+
+func (v sourceVisitor) applyNode(weight float64, target *bucket) {
+	for i := range target.Particles {
+		target.Particles[i].Acc += weight
+	}
+}
+
+func (v sourceVisitor) Leaf(source *node, target *bucket) {
+	target.Particles[0].Acc += float64(len(source.Particles))
+}
+
+func (v sourceVisitor) VisitSource(source *node, buckets []*bucket, active, opened []int32, leaf bool) []int32 {
+	weight := float64(source.Data)
+	for _, bi := range active {
+		b := buckets[bi]
+		if source.Data <= v.cutoff {
+			v.applyNode(weight, b)
+			continue
+		}
+		if leaf {
+			v.Leaf(source, b)
+		}
+		opened = append(opened, bi)
+	}
+	return opened
+}
+
+// armsVisitor splits the same decision into if/else arms.
+type armsVisitor struct{}
+
+func (v armsVisitor) VisitSource(source *node, buckets []*bucket, active, opened []int32, leaf bool) []int32 {
+	for _, bi := range active {
+		if source.Data > 0 {
+			opened = append(opened, bi)
+		} else {
+			buckets[bi].Particles[0].Acc++
+		}
+	}
+	return opened
+}
+
+// badSourceVisitor exercises what the source-major form forbids.
+type badSourceVisitor struct {
+	rec *recorder
+}
+
+func (v badSourceVisitor) VisitSource(source *node, buckets []*bucket, active, opened []int32, leaf bool) []int32 {
+	source.visits++ // want `VisitSource writes state reachable from the source node`
+	active[0] = 0   // want `VisitSource writes the active list`
+	v.rec.hits++    // want `VisitSource writes visitor state shared across concurrent buckets`
+	for _, bi := range active {
+		b := buckets[bi]
+		b.Particles[0].Acc++ // want `VisitSource mutates a bucket it reports as opened`
+		if source.Data > 0 {
+			opened = append(opened, bi)
+			sourceVisitor{}.applyNode(1, b) // want `VisitSource mutates a bucket it reports as opened \(via call to applyNode\)`
+		}
+	}
+	return opened
+}

@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -601,35 +602,45 @@ func (w *World[D]) shareSubtreeLeaves(st *Subtree[D]) (splits, buckets int64) {
 // the incremental path's delta leaf share, which re-emits only dirty
 // leaves.
 func (w *World[D]) shareLeaf(st *Subtree[D], leaf *tree.Node[D]) (splits, buckets int64) {
-	proc := w.Machine.Proc(st.Owner)
-	// Group the leaf's particles by partition assignment. Assignments
-	// are usually contiguous runs (spatial decompositions), so scan.
-	groups := map[int32][]particle.Particle{}
-	for i := range leaf.Particles {
-		p := leaf.Particles[i]
-		groups[p.Partition] = append(groups[p.Partition], p)
+	ps := leaf.Particles
+	// Count the leaf's particles per partition, partitions in order of
+	// first appearance. Assignments are almost always one contiguous run
+	// (spatial decompositions) and a leaf rarely spans more than two
+	// partitions, so the distinct set is searched linearly.
+	parts := make([]int32, 0, 8)
+	counts := make([]int, 0, 8)
+	for i := range ps {
+		j := slices.Index(parts, ps[i].Partition)
+		if j < 0 {
+			j = len(parts)
+			parts = append(parts, ps[i].Partition)
+			counts = append(counts, 0)
+		}
+		counts[j]++
 	}
-	if len(groups) > 1 {
-		splits += int64(len(groups))
+	if len(parts) > 1 {
+		splits = int64(len(parts))
 	}
-	for part, group := range groups {
-		buckets++
+	for j, part := range parts {
 		partition := w.Partitions[part]
 		if partition.Home == st.Owner {
-			partition.AddBucket(&traverse.Bucket{
-				Key:       leaf.Key,
-				Box:       leaf.Box,
-				Particles: group, // already a copy (groups built fresh)
-				Home:      st.Owner,
-			})
+			group := make([]particle.Particle, 0, counts[j])
+			for i := range ps {
+				if ps[i].Partition == part {
+					group = append(group, ps[i])
+				}
+			}
+			partition.AddBucket(&traverse.Bucket{Key: leaf.Key, Box: leaf.Box, Particles: group, Home: st.Owner})
 			continue
 		}
 		// Remote partition: serialize and ship the bucket.
-		blob := make([]byte, 0, len(group)*particle.BinarySize)
-		for i := range group {
-			blob = particle.AppendBinary(blob, &group[i])
+		blob := make([]byte, 0, counts[j]*particle.BinarySize)
+		for i := range ps {
+			if ps[i].Partition == part {
+				blob = particle.AppendBinary(blob, &ps[i])
+			}
 		}
-		proc.Send(partition.Home, bucketMsg{
+		w.Machine.Proc(st.Owner).Send(partition.Home, bucketMsg{
 			PartitionID: int(part),
 			Key:         leaf.Key,
 			Box:         leaf.Box,
@@ -637,7 +648,7 @@ func (w *World[D]) shareLeaf(st *Subtree[D], leaf *tree.Node[D]) (splits, bucket
 			Blob:        blob,
 		}, len(blob)+64)
 	}
-	return splits, buckets
+	return splits, int64(len(parts))
 }
 
 // receiveBucket lands a shipped bucket in its partition.

@@ -164,43 +164,103 @@ func New(p Params) Visitor[CentroidData] {
 	return Visitor[CentroidData]{P: p, Get: func(d *CentroidData) *CentroidData { return d }}
 }
 
+// sourceTerms is everything the opening test and the multipole kernel need
+// that depends on the source node alone: computed once per Open or Node
+// call in the per-pair form, once per frame in the source-major form.
+type sourceTerms struct {
+	c vec.Vec3 // centroid
+	// rsq is the squared opening radius: the farthest corner distance from
+	// the centroid, scaled by 1/theta (ChaNGa-style criterion). Negative
+	// for a massless node, which never opens.
+	rsq  float64
+	gm   float64    // G * mass
+	quad [6]float64 // traceless quadrupole, when Params.Quadrupole
+}
+
+// openTerms fills in what the opening test needs: c and rsq.
+//
+//paratreet:hotpath
+func (v Visitor[D]) openTerms(source *tree.Node[D]) (s sourceTerms) {
+	d := v.Get(&source.Data)
+	if d.Mass == 0 {
+		s.rsq = -1
+		return s
+	}
+	s.c = d.Centroid()
+	s.rsq = source.Box.FarDistSq(s.c) / (v.P.Theta * v.P.Theta)
+	return s
+}
+
+// kernelTerms adds what the multipole kernel needs beyond c: gm and quad.
+//
+//paratreet:hotpath
+func (v Visitor[D]) kernelTerms(source *tree.Node[D], s *sourceTerms) {
+	d := v.Get(&source.Data)
+	s.gm = v.P.G * d.Mass
+	if v.P.Quadrupole {
+		s.quad = d.Quadrupole()
+	}
+}
+
+// opens is the per-bucket half of the opening test.
+//
+//paratreet:hotpath
+func (s *sourceTerms) opens(target *traverse.Bucket) bool {
+	return vec.SphereReaches(&target.Box, s.c, s.rsq)
+}
+
 // Open implements traverse.Visitor.
 //
 //paratreet:hotpath
 func (v Visitor[D]) Open(source *tree.Node[D], target *traverse.Bucket) bool {
-	data := v.Get(&source.Data)
-	if data.Mass == 0 {
-		return false
-	}
-	c := data.Centroid()
-	// Opening radius: the farthest corner distance from the centroid,
-	// scaled by 1/theta (ChaNGa-style criterion).
-	bmaxSq := source.Box.FarDistSq(c)
-	rsq := bmaxSq / (v.P.Theta * v.P.Theta)
-	return target.Box.IntersectsSphere(c, rsq)
+	s := v.openTerms(source)
+	return s.opens(target)
 }
 
 // Node implements traverse.Visitor: the multipole approximation.
 //
 //paratreet:hotpath
 func (v Visitor[D]) Node(source *tree.Node[D], target *traverse.Bucket) {
-	d := v.Get(&source.Data)
-	c := d.Centroid()
-	var q [6]float64
-	if v.P.Quadrupole {
-		q = d.Quadrupole()
+	s := sourceTerms{c: v.Get(&source.Data).Centroid()}
+	v.kernelTerms(source, &s)
+	v.applyNode(&s, target)
+}
+
+// VisitSource implements traverse.SourceVisitor: the same decisions and
+// kernels as Open, Node and Leaf, with the source's terms computed once
+// for all of active.
+//
+//paratreet:hotpath
+func (v Visitor[D]) VisitSource(source *tree.Node[D], buckets []*traverse.Bucket, active, opened []int32, leaf bool) []int32 {
+	s := v.openTerms(source)
+	v.kernelTerms(source, &s)
+	for _, bi := range active {
+		b := buckets[bi]
+		if !s.opens(b) {
+			v.applyNode(&s, b)
+			continue
+		}
+		if leaf {
+			v.Leaf(source, b)
+		}
+		opened = append(opened, bi)
 	}
+	return opened
+}
+
+//paratreet:hotpath
+func (v Visitor[D]) applyNode(s *sourceTerms, target *traverse.Bucket) {
 	eps2 := v.P.Soft * v.P.Soft
 	for i := range target.Particles {
 		p := &target.Particles[i]
-		dx := c.Sub(p.Pos)
+		dx := s.c.Sub(p.Pos)
 		r2 := dx.NormSq() + eps2
 		r := math.Sqrt(r2)
 		inv3 := 1 / (r2 * r)
-		p.Acc = p.Acc.Add(dx.Scale(v.P.G * d.Mass * inv3))
-		p.Potential -= v.P.G * d.Mass / r
+		p.Acc = p.Acc.Add(dx.Scale(s.gm * inv3))
+		p.Potential -= s.gm / r
 		if v.P.Quadrupole {
-			applyQuadrupole(p, dx, q, v.P.G, r2)
+			applyQuadrupole(p, dx, s.quad, v.P.G, r2)
 		}
 	}
 }

@@ -58,7 +58,6 @@ type Neighbor struct {
 	ID     int64
 	Pos    vec.Vec3
 	Mass   float64
-	Vel    vec.Vec3
 }
 
 // heap is a bounded max-heap of neighbors ordered by DistSq, so the root
@@ -135,28 +134,56 @@ type State struct {
 
 // Attach initializes kNN state on every bucket; call before launching the
 // traversal. Heap storage is preallocated to capacity k so the search
-// kernel never touches the allocator, and a State already attached to the
-// bucket (a prior iteration over retained buckets) is reset and reused
-// instead of reallocated.
+// kernel never touches the allocator. A State already attached to a bucket
+// (a prior iteration over retained buckets) is reset and reused; all the
+// buckets without one share three slabs — states, heaps, heap entries —
+// so a call allocates three times, not once per particle.
 func Attach(buckets []*traverse.Bucket, k int) {
+	nstates, nheaps := 0, 0
 	for _, b := range buckets {
-		st, ok := b.State.(*State)
-		if !ok || cap(st.Heaps) < len(b.Particles) {
-			st = &State{Heaps: make([]heap, len(b.Particles))}
-		} else {
-			st.Heaps = st.Heaps[:len(b.Particles)]
+		if !reusable(b, k) {
+			nstates++
+			nheaps += len(b.Particles)
 		}
-		for i := range st.Heaps {
-			h := &st.Heaps[i]
-			h.k = k
-			if cap(h.items) < k {
-				h.items = make([]Neighbor, 0, k)
-			} else {
-				h.items = h.items[:0]
+	}
+	states := make([]State, nstates)
+	heaps := make([]heap, nheaps)
+	items := make([]Neighbor, nheaps*k)
+	for _, b := range buckets {
+		n := len(b.Particles)
+		if reusable(b, k) {
+			st := b.State.(*State)
+			st.Heaps = st.Heaps[:n]
+			for i := range st.Heaps {
+				st.Heaps[i] = heap{k: k, items: st.Heaps[i].items[:0]}
 			}
+			continue
+		}
+		st := &states[0]
+		states = states[1:]
+		st.Heaps, heaps = heaps[:n:n], heaps[n:]
+		for i := range st.Heaps {
+			// Capped at k: a heap never grows into its neighbour's entries.
+			st.Heaps[i] = heap{k: k, items: items[:0:k]}
+			items = items[k:]
 		}
 		b.State = st
 	}
+}
+
+// reusable reports whether b already carries a State with room for its
+// particles at capacity k.
+func reusable(b *traverse.Bucket, k int) bool {
+	st, ok := b.State.(*State)
+	if !ok || cap(st.Heaps) < len(b.Particles) {
+		return false
+	}
+	for _, h := range st.Heaps[:len(b.Particles)] {
+		if cap(h.items) < k {
+			return false
+		}
+	}
+	return true
 }
 
 // maxBound returns the largest current search radius over the bucket's
@@ -214,7 +241,7 @@ func leafInteract(source []particle.Particle, target *traverse.Bucket, excludeSe
 			}
 			d2 := s.Pos.DistSq(p.Pos)
 			if d2 < h.bound() {
-				h.push(Neighbor{DistSq: d2, ID: s.ID, Pos: s.Pos, Mass: s.Mass, Vel: s.Vel})
+				h.push(Neighbor{DistSq: d2, ID: s.ID, Pos: s.Pos, Mass: s.Mass})
 			}
 		}
 	}
@@ -299,7 +326,7 @@ func BruteForce(ps []particle.Particle, k int, excludeSelf bool) [][]Neighbor {
 			}
 			d2 := ps[j].Pos.DistSq(ps[i].Pos)
 			if d2 < h.bound() {
-				h.push(Neighbor{DistSq: d2, ID: ps[j].ID, Pos: ps[j].Pos, Mass: ps[j].Mass, Vel: ps[j].Vel})
+				h.push(Neighbor{DistSq: d2, ID: ps[j].ID, Pos: ps[j].Pos, Mass: ps[j].Mass})
 			}
 		}
 		out[i] = h.items

@@ -211,7 +211,7 @@ func (v BallVisitor) Leaf(source *tree.Node[knn.Data], target *traverse.Bucket) 
 			d2 := s.Pos.DistSq(p.Pos)
 			if d2 <= r2 {
 				st.Found[i] = append(st.Found[i], knn.Neighbor{
-					DistSq: d2, ID: s.ID, Pos: s.Pos, Mass: s.Mass, Vel: s.Vel,
+					DistSq: d2, ID: s.ID, Pos: s.Pos, Mass: s.Mass,
 				})
 			}
 		}

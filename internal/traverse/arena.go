@@ -3,13 +3,11 @@ package traverse
 import "sync"
 
 // i32Arena bump-allocates the []int32 active-bucket lists that frames
-// carry down the tree. A traversal's frames are produced and consumed
-// under the actor pump (one goroutine at a time, ordered by the running
-// CAS), so the arena needs no locking of its own; lists stay live until
+// carry down the tree. It belongs to the traversal's pumper, like the
+// frame stack, so it needs no locking of its own; lists stay live until
 // the frames referencing them retire, and the whole arena is released in
-// one step when the traversal's outstanding count reaches zero. Slabs
-// are pooled globally, so steady-state iterations allocate nothing for
-// frame lists.
+// one step when the traversal completes. Slabs are pooled globally, so
+// steady-state iterations allocate nothing for frame lists.
 type i32Arena struct {
 	slabs []*[]int32
 	off   int // offset into the last slab
@@ -36,6 +34,12 @@ func (a *i32Arena) alloc(n int) []int32 {
 	a.off += n
 	return out
 }
+
+// unalloc gives back the last n ints of the most recent alloc, which the
+// caller no longer references.
+//
+//paratreet:hotpath
+func (a *i32Arena) unalloc(n int) { a.off -= n }
 
 // grow appends a pooled slab, or a dedicated one for oversized requests.
 //

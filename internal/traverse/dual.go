@@ -2,9 +2,7 @@ package traverse
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"paratreet/internal/cache"
 	"paratreet/internal/rt"
@@ -70,36 +68,16 @@ func buildTargetGroups(buckets []*Bucket, idx []int32, leafSize int) *targetGrou
 	return g
 }
 
-// dualFrame pairs a source node with a target group.
-type dualFrame[D any] struct {
-	node     *tree.Node[D]
-	parent   *tree.Node[D]
-	childIdx int
-	group    *targetGroup
-}
-
-// Dual is an in-flight dual-tree traversal.
+// Dual is an in-flight dual-tree traversal: the scheduler's frames pair a
+// source node with a target group.
 type Dual[D any, V DualVisitor[D]] struct {
-	proc    *rt.Proc
-	cache   *cache.Cache[D]
-	viewID  int
+	sched[D, *targetGroup]
 	visitor V
 	buckets []*Bucket
 	root    *targetGroup
 
-	mx engineMetrics
-
-	mu      sync.Mutex
-	stack   []dualFrame[D] // guarded by mu
-	running atomic.Bool
-
-	outstanding atomic.Int64
-	onDone      func()
-
 	// CellCalls counts Cell evaluations, for pruning diagnostics.
 	CellCalls atomic.Int64
-	// WorkNanos accumulates frame-processing time for load measurement.
-	WorkNanos atomic.Int64
 }
 
 // NewDual constructs a dual-tree traversal over buckets. groupLeafSize
@@ -112,118 +90,48 @@ func NewDual[D any, V DualVisitor[D]](proc *rt.Proc, c *cache.Cache[D], viewID i
 	for i := range idx {
 		idx[i] = int32(i)
 	}
-	return &Dual[D, V]{
-		proc: proc, cache: c, viewID: viewID, visitor: visitor,
-		buckets: buckets, root: buildTargetGroups(buckets, idx, groupLeafSize),
-		onDone: onDone,
-		mx:     newEngineMetrics(proc),
-	}
+	d := &Dual[D, V]{visitor: visitor, buckets: buckets, root: buildTargetGroups(buckets, idx, groupLeafSize)}
+	d.init(proc, c, viewID, d, onDone)
+	return d
 }
 
-// Start launches the traversal from (view root, all buckets).
-func (d *Dual[D, V]) Start() {
-	d.push(dualFrame[D]{node: d.cache.Root(d.viewID), group: d.root})
-	task := func() { d.timedPump(rt.PhaseLocalTraversal) }
-	if d.cache.Policy() == cache.PerThread {
-		d.proc.SubmitTo(d.viewID, task)
-	} else {
-		d.proc.Submit(task)
+// refill seeds the one frame there is: (view root, all buckets).
+//
+//paratreet:coldpath
+func (d *Dual[D, V]) refill() bool {
+	g := d.root
+	if g == nil || len(g.buckets) == 0 {
+		return false
 	}
+	d.root = nil
+	d.push(frame[D, *targetGroup]{node: d.cache.Root(d.viewID), work: g})
+	return true
 }
 
-// Done reports completion.
-func (d *Dual[D, V]) Done() bool { return d.outstanding.Load() == 0 }
+func (d *Dual[D, V]) release() {}
 
 //paratreet:hotpath
-func (d *Dual[D, V]) push(f dualFrame[D]) {
-	d.outstanding.Add(1)
-	//paratreet:allow(lockorder) frame-stack critical section is one append, uncontended off the pump
-	d.mu.Lock()
-	d.stack = append(d.stack, f)
-	d.mu.Unlock()
-}
-
-//paratreet:hotpath
-func (d *Dual[D, V]) pop() (dualFrame[D], bool) {
-	//paratreet:allow(lockorder) frame-stack critical section is one slice pop
-	d.mu.Lock()
-	if len(d.stack) == 0 {
-		d.mu.Unlock()
-		return dualFrame[D]{}, false
-	}
-	f := d.stack[len(d.stack)-1]
-	d.stack = d.stack[:len(d.stack)-1]
-	d.mu.Unlock()
-	return f, true
-}
-
-// timedPump runs one pump session with task-granularity timing, mirroring
-// Traversal.timedPump: WorkNanos and the phase timer accrue here so the
-// pump loop stays clock-free.
-func (d *Dual[D, V]) timedPump(ph rt.Phase) {
-	start := time.Now()
-	d.pump()
-	d.WorkNanos.Add(int64(time.Since(start)))
-	d.proc.PhaseSince(ph, start)
-}
-
-//paratreet:hotpath
-func (d *Dual[D, V]) pump() {
-	for {
-		if !d.running.CompareAndSwap(false, true) {
-			return
-		}
-		for {
-			f, ok := d.pop()
-			if !ok {
-				break
-			}
-			d.process(f)
-		}
-		d.running.Store(false)
-		//paratreet:allow(lockorder) lost-wakeup re-check runs once per pump drain, not per visit
-		d.mu.Lock()
-		empty := len(d.stack) == 0
-		d.mu.Unlock()
-		if empty {
-			return
-		}
-	}
-}
-
-//paratreet:hotpath
-func (d *Dual[D, V]) finishFrame() {
-	if d.outstanding.Add(-1) == 0 && d.onDone != nil {
-		d.onDone()
-	}
-}
-
-//paratreet:hotpath
-func (d *Dual[D, V]) process(f dualFrame[D]) {
-	n := f.node
+func (d *Dual[D, V]) eval(f frame[D, *targetGroup]) {
+	n, group := f.node, f.work
 	kind := n.Kind()
 	if kind == tree.KindRemote {
-		if d.mx.enabled {
-			d.mx.frameCounts(0, 0, false)
-		}
 		d.pause(f)
 		return
 	}
 	d.CellCalls.Add(1)
-	var opens, prunes int64
-	action := d.visitor.Cell(n, f.group.box)
+	action := d.visitor.Cell(n, group.box)
 	switch action {
 	case CellPrune:
-		prunes = 1
+		d.prunes++
 
 	case CellApprox:
-		prunes = 1
-		for _, bi := range f.group.buckets {
+		d.prunes++
+		for _, bi := range group.buckets {
 			d.visitor.Node(n, d.buckets[bi])
 		}
 
 	default:
-		opens = 1
+		d.opens++
 		openSource := action == CellOpenSource || action == CellOpenBoth
 		openTarget := action == CellOpenTarget || action == CellOpenBoth
 		if kind == tree.KindEmptyLeaf {
@@ -231,18 +139,17 @@ func (d *Dual[D, V]) process(f dualFrame[D]) {
 		}
 		if kind == tree.KindRemoteLeaf {
 			// Need particles for exact interaction.
-			if d.mx.enabled {
-				d.mx.frameCounts(opens, prunes, false)
-			}
 			d.pause(f)
 			return
 		}
 		if kind.IsLeaf() {
-			if openTarget && f.group.children[0] != nil {
-				d.push(dualFrame[D]{node: n, parent: f.parent, childIdx: f.childIdx, group: f.group.children[0]})
-				d.push(dualFrame[D]{node: n, parent: f.parent, childIdx: f.childIdx, group: f.group.children[1]})
+			if openTarget && group.children[0] != nil {
+				for _, g := range group.children {
+					f.work = g
+					d.push(f)
+				}
 			} else {
-				for _, bi := range f.group.buckets {
+				for _, bi := range group.buckets {
 					d.visitor.Leaf(n, d.buckets[bi])
 				}
 			}
@@ -251,60 +158,28 @@ func (d *Dual[D, V]) process(f dualFrame[D]) {
 		// Internal source. Every non-prune, non-approx action must make
 		// progress: if the target group cannot split, descend the source
 		// instead (always a valid refinement).
-		canSplit := f.group.children[0] != nil
+		canSplit := group.children[0] != nil
 		if openTarget && !canSplit {
 			openTarget, openSource = false, true
 		}
-		groups := []*targetGroup{f.group}
-		if openTarget {
-			groups = []*targetGroup{f.group.children[0], f.group.children[1]}
+		groups := group.children[:]
+		if !openTarget {
+			groups = []*targetGroup{group}
 		}
 		for _, g := range groups {
 			if openSource {
 				for i := 0; i < n.NumChildren(); i++ {
 					if c := n.Child(i); c != nil {
-						d.push(dualFrame[D]{node: c, parent: n, childIdx: i, group: g})
+						d.push(frame[D, *targetGroup]{node: c, parent: n, childIdx: i, work: g})
 					}
 				}
 			} else {
-				d.push(dualFrame[D]{node: n, parent: f.parent, childIdx: f.childIdx, group: g})
+				f.work = g
+				d.push(f)
 			}
 		}
 	}
-	if d.mx.enabled {
-		d.mx.frameCounts(opens, prunes, isCachedRemote(kind))
+	if isCachedRemote(kind) {
+		d.hits++
 	}
-	d.finishFrame()
-}
-
-// pause is the dual traversal's miss path; see Traversal.pause.
-//
-//paratreet:coldpath
-func (d *Dual[D, V]) pause(f dualFrame[D]) {
-	if f.parent == nil {
-		panic("traverse: remote dual node with no parent")
-	}
-	if d.mx.enabled {
-		d.mx.misses.Inc(d.mx.shard)
-	}
-	resume := func() {
-		if d.mx.enabled {
-			d.mx.resumes.Inc(d.mx.shard)
-			d.mx.noteResume()
-		}
-		fresh := f.parent.Child(f.childIdx)
-		d.push(dualFrame[D]{node: fresh, parent: f.parent, childIdx: f.childIdx, group: f.group})
-		d.finishFrame()
-		d.timedPump(rt.PhaseResume)
-	}
-	if d.cache.Request(d.viewID, f.node, resume) {
-		if d.mx.enabled {
-			d.mx.parks.Inc(d.mx.shard)
-			d.mx.notePark()
-		}
-		return
-	}
-	fresh := f.parent.Child(f.childIdx)
-	d.push(dualFrame[D]{node: fresh, parent: f.parent, childIdx: f.childIdx, group: f.group})
-	d.finishFrame()
 }

@@ -3,20 +3,19 @@
 // transposed loop that carries an active-bucket list down the tree, and the
 // standard per-bucket depth-first walk ("BasicTrav") — plus the up-and-down
 // traversal used by k-nearest-neighbor algorithms and a dual-tree traversal
-// with the cell() decision. All engines share the pause/resume machinery:
-// reaching a remote placeholder parks the frame on the node's lock-free
-// waiter list via the software cache and continues with other work; fills
-// resume parked frames on the least busy worker.
+// with the cell() decision. All engines run on one frame scheduler
+// (sched.go), which also owns pause/resume: reaching a remote placeholder
+// parks the frame on the node's lock-free waiter list via the software
+// cache and continues with other work; fills resume parked frames on the
+// least busy worker.
 //
 // Each traversal behaves like a chare: its frames execute one at a time
-// (the actor "pump" below), so visitor writes to bucket particles need no
+// (the scheduler's pump), so visitor writes to bucket particles need no
 // locks, while different traversals run in parallel across workers.
 package traverse
 
 import (
 	"math"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"paratreet/internal/cache"
@@ -29,8 +28,8 @@ import (
 
 // engineMetrics holds a traversal engine's observability handles,
 // resolved once at construction. When the layer is off every handle is
-// nil and `enabled` is false, so the hot path pays one bool check per
-// frame (counting is batched per frame, not per Open call).
+// nil and `enabled` is false; the counters are fed once per pump session
+// from the scheduler's tallies, never per frame.
 type engineMetrics struct {
 	enabled bool
 	shard   int
@@ -85,23 +84,6 @@ func (m *engineMetrics) noteResume() {
 	}
 }
 
-// frameCounts flushes one frame's decision tallies. hit marks a frame
-// served from the software cache (a fetched remote node with data).
-//
-//paratreet:hotpath
-func (m *engineMetrics) frameCounts(opens, prunes int64, hit bool) {
-	m.visits.Inc(m.shard)
-	if opens != 0 {
-		m.opens.Add(m.shard, opens)
-	}
-	if prunes != 0 {
-		m.prunes.Add(m.shard, prunes)
-	}
-	if hit {
-		m.hits.Inc(m.shard)
-	}
-}
-
 // isCachedRemote reports whether a node's data was served from the cache
 // (fetched from another process earlier in the traversal).
 //
@@ -134,6 +116,50 @@ type Visitor[D any] interface {
 	Leaf(source *tree.Node[D], target *Bucket)
 }
 
+// SourceVisitor is the source-major form of a Visitor, and the only call
+// the engines make: one per frame. VisitSource evaluates source against
+// every bucket listed in active — indices into buckets — and returns, as
+// opened extended, those whose Open decision is true. Every other listed
+// bucket has had Node applied; when leaf is set, source holds particles and
+// every opened bucket has had Leaf applied. The decision and the kernels
+// per (source, bucket) pair are exactly Open, Node and Leaf; what the form
+// adds is a place to compute what depends on source alone once per frame
+// instead of once per pair. An implementation must not write through
+// source or active (sibling frames share both), nor to a bucket it reports
+// opened unless leaf is set.
+//
+// A Visitor that also implements SourceVisitor is called through it;
+// any other is wrapped by the per-pair adapter below.
+type SourceVisitor[D any] interface {
+	VisitSource(source *tree.Node[D], buckets []*Bucket, active, opened []int32, leaf bool) []int32
+}
+
+// perPair adapts a plain Visitor to the source-major call.
+type perPair[D any, V Visitor[D]] struct{ v V }
+
+//paratreet:hotpath
+func (a perPair[D, V]) VisitSource(source *tree.Node[D], buckets []*Bucket, active, opened []int32, leaf bool) []int32 {
+	for _, bi := range active {
+		b := buckets[bi]
+		if !a.v.Open(source, b) {
+			a.v.Node(source, b)
+			continue
+		}
+		if leaf {
+			a.v.Leaf(source, b)
+		}
+		opened = append(opened, bi)
+	}
+	return opened
+}
+
+func sourceMajor[D any, V Visitor[D]](v V) SourceVisitor[D] {
+	if sv, ok := any(v).(SourceVisitor[D]); ok {
+		return sv
+	}
+	return perPair[D, V]{v}
+}
+
 // Style selects the top-down loop organization.
 type Style int
 
@@ -145,259 +171,136 @@ const (
 	// PerBucket is the standard style: the tree is walked once per bucket
 	// (the paper's "BasicTrav" comparison).
 	PerBucket
+	// upDown is PerBucket seeded outward from the bucket's own leaf; see
+	// NewUpDown.
+	upDown
 )
 
 // String implements fmt.Stringer.
 func (s Style) String() string {
-	if s == PerBucket {
+	switch s {
+	case PerBucket:
 		return "per-bucket"
+	case upDown:
+		return "up-and-down"
 	}
 	return "transposed"
 }
 
-// frame is one unit of traversal work: a source node and the target
-// buckets still active beneath it.
-type frame[D any] struct {
-	node     *tree.Node[D]
-	parent   *tree.Node[D]
-	childIdx int
-	active   []int32
-}
-
-// Traversal is an in-flight top-down traversal over one partition's
-// buckets. Create with NewTopDown, start with Start; Done reports
-// completion (all frames drained, including paused ones).
-type Traversal[D any, V Visitor[D]] struct {
-	proc    *rt.Proc
-	cache   *cache.Cache[D]
-	viewID  int
-	visitor V
+// Traversal is an in-flight traversal over one partition's buckets. Create
+// with NewTopDown or NewUpDown, start with Start; Done reports completion
+// (all frames drained, including paused ones).
+type Traversal[D any] struct {
+	sched[D, []int32]
+	visit   SourceVisitor[D]
 	buckets []*Bucket
 	style   Style
-
-	mx engineMetrics
-
-	mu      sync.Mutex
-	stack   []frame[D] // guarded by mu
-	running atomic.Bool
-
-	// arena backs the frames' active lists. Mutated only while seeding
-	// (before Start submits work) and inside process (under the actor
-	// pump), released when outstanding reaches zero.
+	// unseeded is how many buckets have no seed frames yet. Seeds are
+	// pushed when the scheduler runs out of work, last bucket first, so the
+	// stack holds one bucket's walk at a time (depth x branch factor).
+	unseeded int
+	// arena backs the frames' active lists: pumper-owned, released when
+	// the traversal completes.
 	arena i32Arena
-
-	outstanding atomic.Int64
-	onDone      func()
-
-	// PausedCount counts pause events, for diagnostics.
-	PausedCount atomic.Int64
-	// NodesVisited counts frame evaluations.
-	NodesVisited atomic.Int64
-	// WorkNanos accumulates time spent processing this traversal's frames,
-	// the per-partition load measurement consumed by the load balancers.
-	WorkNanos atomic.Int64
 }
 
 // NewTopDown constructs a traversal of buckets against the cache's view
 // tree. onDone (may be nil) runs exactly once when the traversal finishes.
-func NewTopDown[D any, V Visitor[D]](proc *rt.Proc, c *cache.Cache[D], viewID int, buckets []*Bucket, visitor V, style Style, onDone func()) *Traversal[D, V] {
-	return &Traversal[D, V]{
-		proc: proc, cache: c, viewID: viewID,
-		visitor: visitor, buckets: buckets, style: style, onDone: onDone,
-		mx: newEngineMetrics(proc),
-	}
+func NewTopDown[D any, V Visitor[D]](proc *rt.Proc, c *cache.Cache[D], viewID int, buckets []*Bucket, visitor V, style Style, onDone func()) *Traversal[D] {
+	t := &Traversal[D]{visit: sourceMajor[D](visitor), buckets: buckets, style: style, unseeded: len(buckets)}
+	t.init(proc, c, viewID, t, onDone)
+	return t
 }
 
-// Start enqueues the traversal's initial frames on the owning process.
-// Under the PerThread cache policy the work is pinned to the view's worker;
-// otherwise it is placed on the least busy worker.
-func (t *Traversal[D, V]) Start() {
+// refill seeds the next unseeded bucket — or, transposed, all of them as
+// one frame's active list.
+//
+//paratreet:coldpath
+func (t *Traversal[D]) refill() bool {
+	if t.unseeded == 0 {
+		return false
+	}
 	root := t.cache.Root(t.viewID)
-	if t.style == PerBucket {
-		for i := range t.buckets {
-			t.push(frame[D]{node: root, active: append(t.arena.alloc(1), int32(i))})
-		}
-	} else {
-		active := t.arena.alloc(len(t.buckets))
+	if t.style == Transposed {
+		active := t.arena.alloc(t.unseeded)
 		for i := range t.buckets {
 			active = append(active, int32(i))
 		}
-		t.push(frame[D]{node: root, active: active})
+		t.unseeded = 0
+		t.push(frame[D, []int32]{node: root, work: active})
+		return true
 	}
-	task := func() { t.timedPump(rt.PhaseLocalTraversal) }
-	if t.cache.Policy() == cache.PerThread {
-		t.proc.SubmitTo(t.viewID, task)
+	t.unseeded--
+	active := append(t.arena.alloc(1), int32(t.unseeded))
+	if t.style == upDown {
+		t.seedPath(root, active)
 	} else {
-		t.proc.Submit(task)
+		t.push(frame[D, []int32]{node: root, work: active})
 	}
+	return true
 }
 
-// Done reports whether every frame (including paused ones) has completed.
-func (t *Traversal[D, V]) Done() bool { return t.outstanding.Load() == 0 }
+//paratreet:coldpath
+func (t *Traversal[D]) release() { t.arena.release() }
 
-//paratreet:hotpath
-func (t *Traversal[D, V]) push(f frame[D]) {
-	t.outstanding.Add(1)
-	//paratreet:allow(lockorder) frame-stack critical section is one append, uncontended off the pump
-	t.mu.Lock()
-	t.stack = append(t.stack, f)
-	t.mu.Unlock()
-}
-
-//paratreet:hotpath
-func (t *Traversal[D, V]) pop() (frame[D], bool) {
-	//paratreet:allow(lockorder) frame-stack critical section is one slice pop
-	t.mu.Lock()
-	if len(t.stack) == 0 {
-		t.mu.Unlock()
-		return frame[D]{}, false
-	}
-	f := t.stack[len(t.stack)-1]
-	t.stack = t.stack[:len(t.stack)-1]
-	t.mu.Unlock()
-	return f, true
-}
-
-// timedPump runs one pump session, accruing its wall time into WorkNanos
-// (the load-balancer input) and the given phase timer. Timing lives here,
-// at task granularity, so the pump loop and frame evaluator stay
-// clock-free: before this hoist the pump read the clock twice per actor
-// session and resumes paid a third read inside the hot loop.
-func (t *Traversal[D, V]) timedPump(ph rt.Phase) {
-	start := time.Now()
-	t.pump()
-	t.WorkNanos.Add(int64(time.Since(start)))
-	t.proc.PhaseSince(ph, start)
-}
-
-// pump drains the frame stack while holding the traversal's actor role.
-// Only one goroutine pumps at a time, giving chare-style serialization so
-// visitor writes to buckets race-free.
+// eval evaluates one frame with one visitor call.
 //
 //paratreet:hotpath
-func (t *Traversal[D, V]) pump() {
-	for {
-		if !t.running.CompareAndSwap(false, true) {
-			return // someone else is pumping; frames will be drained
-		}
-		for {
-			f, ok := t.pop()
-			if !ok {
-				break
-			}
-			t.process(f)
-		}
-		t.running.Store(false)
-		// Re-check: a frame may have been pushed between pop failure and
-		// clearing the flag; if so, try to become the pumper again.
-		//paratreet:allow(lockorder) lost-wakeup re-check runs once per pump drain, not per visit
-		t.mu.Lock()
-		empty := len(t.stack) == 0
-		t.mu.Unlock()
-		if empty {
-			return
-		}
-	}
-}
-
-// finishFrame retires one frame and fires onDone at zero.
-//
-//paratreet:hotpath
-func (t *Traversal[D, V]) finishFrame() {
-	if t.outstanding.Add(-1) == 0 {
-		// No frame (running or parked) can reference arena memory now;
-		// return the slabs before signaling completion.
-		t.arena.release()
-		if t.onDone != nil {
-			t.onDone()
-		}
-	}
-}
-
-// process evaluates one frame. It may push child frames, pause on remote
-// placeholders, or apply visitor interactions.
-//
-//paratreet:hotpath
-func (t *Traversal[D, V]) process(f frame[D]) {
-	n := f.node
-	t.NodesVisited.Add(1)
+func (t *Traversal[D]) eval(f frame[D, []int32]) {
+	n, active := f.node, f.work
 	kind := n.Kind()
-	var opens, prunes int64
 	switch {
 	case kind == tree.KindRemote:
 		// No data: cannot evaluate open() — fetch unconditionally.
-		if t.mx.enabled {
-			t.mx.frameCounts(0, 0, false)
-		}
 		t.pause(f)
 		return
-
-	case kind == tree.KindRemoteLeaf:
-		// Data known, particles absent: evaluate open() per bucket; only
-		// buckets that open need the particles fetched.
-		need := t.arena.alloc(len(f.active))
-		for _, bi := range f.active {
-			b := t.buckets[bi]
-			if t.visitor.Open(n, b) {
-				need = append(need, bi)
-			} else {
-				t.visitor.Node(n, b)
-				prunes++
-			}
-		}
-		opens = int64(len(need))
-		if len(need) > 0 {
-			f.active = need
-			if t.mx.enabled {
-				t.mx.frameCounts(opens, prunes, false)
-			}
-			t.pause(f)
-			return
-		}
 
 	case kind == tree.KindEmptyLeaf:
 		// Nothing to interact with.
 
-	case kind.IsLeaf():
-		for _, bi := range f.active {
-			b := t.buckets[bi]
-			if t.visitor.Open(n, b) {
-				t.visitor.Leaf(n, b)
-				opens++
-			} else {
-				t.visitor.Node(n, b)
-				prunes++
-			}
+	case kind == tree.KindRemoteLeaf:
+		// Data known, particles absent: only buckets that open need the
+		// particles fetched.
+		need := t.visitSource(n, active, false)
+		if len(need) > 0 {
+			f.work = need
+			t.pause(f)
+			return
 		}
 
+	case kind.IsLeaf():
+		// Nothing descends from a leaf: the opened list was only a count.
+		t.arena.unalloc(len(t.visitSource(n, active, true)))
+
 	default: // internal (local, cached, or shared top node)
-		remain := t.arena.alloc(len(f.active))
-		for _, bi := range f.active {
-			b := t.buckets[bi]
-			if t.visitor.Open(n, b) {
-				remain = append(remain, bi)
-			} else {
-				t.visitor.Node(n, b)
-				prunes++
-			}
-		}
-		opens = int64(len(remain))
-		switch {
-		case len(remain) == 0:
-		case len(remain) == 1:
+		remain := t.visitSource(n, active, false)
+		switch len(remain) {
+		case 0:
+		case 1:
 			t.pushChildrenNearFirst(n, remain)
 		default:
 			for i := 0; i < n.NumChildren(); i++ {
 				if c := n.Child(i); c != nil {
-					t.push(frame[D]{node: c, parent: n, childIdx: i, active: remain})
+					t.push(frame[D, []int32]{node: c, parent: n, childIdx: i, work: remain})
 				}
 			}
 		}
 	}
-	if t.mx.enabled {
-		t.mx.frameCounts(opens, prunes, isCachedRemote(kind))
+	if isCachedRemote(kind) {
+		t.hits++
 	}
-	t.finishFrame()
+}
+
+// visitSource makes the frame's visitor call, keeps arena space for the
+// opened list alone and tallies the decisions.
+//
+//paratreet:hotpath
+func (t *Traversal[D]) visitSource(n *tree.Node[D], active []int32, leaf bool) []int32 {
+	opened := t.visit.VisitSource(n, t.buckets, active, t.arena.alloc(len(active)), leaf)
+	t.arena.unalloc(len(active) - len(opened))
+	t.opens += int64(len(opened))
+	t.prunes += int64(len(active) - len(opened))
+	return opened
 }
 
 // pushChildrenNearFirst pushes a single-bucket frame's children ordered
@@ -409,7 +312,7 @@ func (t *Traversal[D, V]) process(f frame[D]) {
 // has shrunk enough to prune them without a fetch — never open.
 //
 //paratreet:hotpath
-func (t *Traversal[D, V]) pushChildrenNearFirst(n *tree.Node[D], remain []int32) {
+func (t *Traversal[D]) pushChildrenNearFirst(n *tree.Node[D], remain []int32) {
 	b := t.buckets[remain[0]]
 	center := b.Box.Center()
 	type child struct {
@@ -439,49 +342,6 @@ func (t *Traversal[D, V]) pushChildrenNearFirst(n *tree.Node[D], remain []int32)
 		}
 	}
 	for i := 0; i < count; i++ {
-		t.push(frame[D]{node: order[i].c, parent: n, childIdx: order[i].idx, active: remain})
+		t.push(frame[D, []int32]{node: order[i].c, parent: n, childIdx: order[i].idx, work: remain})
 	}
-}
-
-// pause parks the frame on the placeholder's waiter list and issues the
-// remote request (once per node per view). The frame's outstanding count
-// is carried by the parked continuation. If the fill already landed, the
-// frame is retried inline against the fresh child pointer.
-//
-// pause is the traversal's miss path — reached only when a frame hits a
-// remote placeholder — so it may allocate the resume closure and take the
-// task-granularity clock reads the pump itself avoids.
-//
-//paratreet:coldpath
-func (t *Traversal[D, V]) pause(f frame[D]) {
-	if f.parent == nil {
-		// The view root is never remote; a parentless remote frame would be
-		// a construction bug.
-		panic("traverse: remote node with no parent")
-	}
-	t.PausedCount.Add(1)
-	if t.mx.enabled {
-		t.mx.misses.Inc(t.mx.shard)
-	}
-	resume := func() {
-		if t.mx.enabled {
-			t.mx.resumes.Inc(t.mx.shard)
-			t.mx.noteResume()
-		}
-		fresh := f.parent.Child(f.childIdx)
-		t.push(frame[D]{node: fresh, parent: f.parent, childIdx: f.childIdx, active: f.active})
-		t.finishFrame() // the paused frame is replaced by the fresh one
-		t.timedPump(rt.PhaseResume)
-	}
-	if t.cache.Request(t.viewID, f.node, resume) {
-		if t.mx.enabled {
-			t.mx.parks.Inc(t.mx.shard)
-			t.mx.notePark()
-		}
-		return
-	}
-	// Lost the race with the fill: proceed inline.
-	fresh := f.parent.Child(f.childIdx)
-	t.push(frame[D]{node: fresh, parent: f.parent, childIdx: f.childIdx, active: f.active})
-	t.finishFrame()
 }

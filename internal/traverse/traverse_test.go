@@ -198,7 +198,7 @@ func (w *tworld) resetPotentials() {
 func TestTransposedMassConservation(t *testing.T) {
 	for _, rsq := range []float64{0, 0.01, 0.1, 10} {
 		w := setupWorld(t, 3, 2, cache.WaitFree, 2000)
-		var trs []*Traversal[countData, massVisitor]
+		var trs []*Traversal[countData]
 		for r := 0; r < 3; r++ {
 			tr := NewTopDown(w.machine.Proc(r), w.caches[r], 0, w.buckets[r], massVisitor{rsq: rsq}, Transposed, nil)
 			trs = append(trs, tr)
@@ -229,7 +229,7 @@ func TestTransposedVisitsFewerFramesThanPerBucket(t *testing.T) {
 	run := func(style Style) int64 {
 		w := setupWorld(t, 2, 2, cache.WaitFree, 3000)
 		var total int64
-		var trs []*Traversal[countData, massVisitor]
+		var trs []*Traversal[countData]
 		for r := 0; r < 2; r++ {
 			tr := NewTopDown(w.machine.Proc(r), w.caches[r], 0, w.buckets[r], massVisitor{rsq: 0.05}, style, nil)
 			trs = append(trs, tr)
@@ -403,7 +403,7 @@ func TestUpDownCrossProcWorkBounded(t *testing.T) {
 	visited := func(procs int) int64 {
 		w := setupWorld(t, procs, 2, cache.WaitFree, 3000)
 		var total int64
-		var us []*UpDown[countData, massVisitor]
+		var us []*Traversal[countData]
 		for r := 0; r < procs; r++ {
 			u := NewUpDown(w.machine.Proc(r), w.caches[r], 0, w.buckets[r], massVisitor{rsq: 0.001}, nil)
 			us = append(us, u)

@@ -103,17 +103,29 @@ func (b Box) Intersects(o Box) bool {
 // DistSq returns the squared distance from p to the closest point of the box
 // (0 when p is inside).
 func (b Box) DistSq(p Vec3) float64 {
+	// One dimension after the other, no loop: this runs once per (node,
+	// particle) pair of every neighbour search.
 	var d2 float64
-	for dim := 0; dim < 3; dim++ {
-		v := p.Component(dim)
-		lo, hi := b.Min.Component(dim), b.Max.Component(dim)
-		if v < lo {
-			d := lo - v
-			d2 += d * d
-		} else if v > hi {
-			d := v - hi
-			d2 += d * d
-		}
+	if p.X < b.Min.X {
+		d := b.Min.X - p.X
+		d2 += d * d
+	} else if p.X > b.Max.X {
+		d := p.X - b.Max.X
+		d2 += d * d
+	}
+	if p.Y < b.Min.Y {
+		d := b.Min.Y - p.Y
+		d2 += d * d
+	} else if p.Y > b.Max.Y {
+		d := p.Y - b.Max.Y
+		d2 += d * d
+	}
+	if p.Z < b.Min.Z {
+		d := b.Min.Z - p.Z
+		d2 += d * d
+	} else if p.Z > b.Max.Z {
+		d := p.Z - b.Max.Z
+		d2 += d * d
 	}
 	return d2
 }
@@ -150,10 +162,41 @@ func (b Box) FarDistSq(p Vec3) float64 {
 // IntersectsSphere reports whether the sphere with center c and squared
 // radius rsq overlaps the box. This is the standard open() criterion test.
 func (b Box) IntersectsSphere(c Vec3, rsq float64) bool {
-	if b.IsEmpty() {
+	return SphereReaches(&b, c, rsq)
+}
+
+// SphereReaches is IntersectsSphere on a box read in place, for loops that
+// test one sphere against many stored boxes (an opening criterion against a
+// frame's buckets): there, copying each box through IntersectsSphere and
+// DistSq costs as much as the compare. Same operations in the same order as
+// DistSq, so the same decision.
+func SphereReaches(b *Box, c Vec3, rsq float64) bool {
+	if b.Min.X > b.Max.X || b.Min.Y > b.Max.Y || b.Min.Z > b.Max.Z {
 		return false
 	}
-	return b.DistSq(c) <= rsq
+	var d2 float64
+	if c.X < b.Min.X {
+		d := b.Min.X - c.X
+		d2 += d * d
+	} else if c.X > b.Max.X {
+		d := c.X - b.Max.X
+		d2 += d * d
+	}
+	if c.Y < b.Min.Y {
+		d := b.Min.Y - c.Y
+		d2 += d * d
+	} else if c.Y > b.Max.Y {
+		d := c.Y - b.Max.Y
+		d2 += d * d
+	}
+	if c.Z < b.Min.Z {
+		d := b.Min.Z - c.Z
+		d2 += d * d
+	} else if c.Z > b.Max.Z {
+		d := c.Z - b.Max.Z
+		d2 += d * d
+	}
+	return d2 <= rsq
 }
 
 // Octant returns the index in [0,8) of the octant of the box's center that

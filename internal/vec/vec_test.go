@@ -243,6 +243,27 @@ func TestIntersectsSphere(t *testing.T) {
 	}
 }
 
+// TestSphereReachesIsDistSq pins the in-place test to DistSq, which it
+// spells out again: the same squared distance, to the bit — including on
+// the boundary rsq == DistSq — and never for an empty box.
+func TestSphereReachesIsDistSq(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	pt := func() Vec3 { return Vec3{rng.Float64()*3 - 1, rng.Float64()*3 - 1, rng.Float64()*3 - 1} }
+	for i := 0; i < 5000; i++ {
+		b, c := NewBox(pt(), pt()), pt()
+		d2 := b.DistSq(c)
+		for _, rsq := range []float64{d2, math.Nextafter(d2, -1), d2 * rng.Float64() * 2, -1} {
+			if got, want := SphereReaches(&b, c, rsq), d2 <= rsq; got != want {
+				t.Fatalf("box %v sphere (%v, %v): SphereReaches %v, DistSq %v", b, c, rsq, got, d2)
+			}
+		}
+	}
+	empty := EmptyBox()
+	if SphereReaches(&empty, Vec3{}, math.Inf(1)) || empty.IntersectsSphere(Vec3{}, math.Inf(1)) {
+		t.Error("an empty box intersects nothing")
+	}
+}
+
 func TestOctants(t *testing.T) {
 	b := NewBox(Vec3{0, 0, 0}, Vec3{2, 2, 2})
 	// Every octant box should contain points that map to its index, and the

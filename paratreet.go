@@ -65,6 +65,9 @@ type (
 	DataCodec[D any] = tree.DataCodec[D]
 	// Visitor is the traversal abstraction: Open / Node / Leaf.
 	Visitor[D any] = traverse.Visitor[D]
+	// SourceVisitor is the optional source-major form of a Visitor: one
+	// call per tree node over the list of active buckets.
+	SourceVisitor[D any] = traverse.SourceVisitor[D]
 	// DualVisitor adds the cell() decision for dual-tree traversals.
 	DualVisitor[D any] = traverse.DualVisitor[D]
 	// Partition owns a slice of the particle load as buckets.

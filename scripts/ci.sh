@@ -31,6 +31,13 @@ go run ./cmd/paratreet-lint ./internal/... ./cmd/... ./examples/... ./scripts/..
 echo "==> go test"
 go test ./...
 
+echo "==> benchmark harness guard tests"
+# benchmark/ is its own module (it replaces paratreet with the checkout
+# around it), so the root `go test ./...` never compiles it. Its guard
+# tests build every workload against internal/'s current signatures: the
+# cheapest way to learn that a change broke the frozen benchmark.
+(cd benchmark && go test ./...)
+
 echo "==> go test -race -short"
 go test -race -short ./...
 
