@@ -38,11 +38,13 @@ race:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
-# Brief fuzz pass over the SFC encode/decode pairs (property seeds run in
-# plain `make test`; this additionally explores random inputs).
+# Brief fuzz pass over the SFC encode/decode pairs and the particle sort
+# (property seeds run in plain `make test`; this additionally explores
+# random inputs).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzMortonRoundTrip -fuzztime 10s ./internal/sfc
 	$(GO) test -run '^$$' -fuzz FuzzHilbertRoundTrip -fuzztime 10s ./internal/sfc
+	$(GO) test -run '^$$' -fuzz FuzzRadixSort -fuzztime 10s ./internal/particle
 
 ci:
 	./scripts/ci.sh

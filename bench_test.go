@@ -10,6 +10,7 @@ package paratreet_test
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"paratreet"
@@ -385,9 +386,9 @@ func BenchmarkTreeBuild(b *testing.B) {
 // BenchmarkTreeBuildParallel measures the full standalone build pipeline
 // (key assignment, sort, octree construction, Data accumulation) at 100k
 // particles across a worker sweep. Workers=1 is the serial baseline
-// (comparison sort + geometric octant scan); workers>1 takes the
-// Cornerstone-style path (parallel radix sort + key-prefix search), which
-// is already faster single-threaded and scales with cores beyond that.
+// (geometric octant scan); workers>1 takes the Cornerstone-style path
+// (parallel keys and radix passes + key-prefix search). Both sort through
+// particle.Sorter.
 func BenchmarkTreeBuildParallel(b *testing.B) {
 	const n = 100000
 	box := vec.UnitBox()
@@ -401,11 +402,7 @@ func BenchmarkTreeBuildParallel(b *testing.B) {
 				b.StopTimer()
 				copy(scratch, pristine)
 				b.StartTimer()
-				if workers > 1 {
-					tree.AssignKeysParallel(scratch, universe, sfc.MortonKey, workers)
-				} else {
-					tree.AssignKeys(scratch, universe, sfc.MortonKey)
-				}
+				tree.AssignKeysParallel(scratch, universe, sfc.MortonKey, workers)
 				root := tree.Build[gravity.CentroidData](scratch, universe, tree.RootKey, 0,
 					tree.BuildConfig{Type: tree.Octree, BucketSize: benchBucket,
 						Workers: workers, MortonOrdered: workers > 1})
@@ -415,33 +412,58 @@ func BenchmarkTreeBuildParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkRadixSort measures the parallel LSD radix sort against the
-// comparison sort it replaces, at the build pipeline's scale.
-func BenchmarkRadixSort(b *testing.B) {
+// BenchmarkSortByKey measures the particle sort alone at the build
+// pipeline's scale, over the input orders builds meet: an array already in
+// order (a refresh that re-submits a sorted array), 1% of the particles
+// re-keyed where they stand (one timestep of drift), every key jittered in
+// its low bits (everything moved a little), and random order (a first
+// build). Reported per worker count; the ordered case must allocate
+// nothing.
+func BenchmarkSortByKey(b *testing.B) {
 	const n = 100000
 	box := vec.UnitBox()
-	pristine := particle.NewUniform(n, 42, box)
-	for i := range pristine {
-		pristine[i].Key = sfc.MortonKey(pristine[i].Pos, box)
-	}
-	scratch := make([]particle.Particle, n)
-	b.Run("stdsort", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			copy(scratch, pristine)
-			b.StartTimer()
-			particle.SortByKey(scratch)
-		}
-	})
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("radix/w=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				copy(scratch, pristine)
-				b.StartTimer()
-				particle.RadixSortByKey(scratch, workers)
+	sorted := particle.NewUniform(n, 42, box)
+	tree.AssignKeys(sorted, box, sfc.MortonKey)
+	rng := rand.New(rand.NewSource(42))
+	inputs := []struct {
+		name  string
+		build func() []particle.Particle
+	}{
+		{"ordered", func() []particle.Particle { return particle.Clone(sorted) }},
+		{"displaced1pct", func() []particle.Particle {
+			ps := particle.Clone(sorted)
+			for m := 0; m < n/100; m++ {
+				ps[rng.Intn(n)].Key = rng.Uint64() >> 1
 			}
-		})
+			return ps
+		}},
+		{"jittered", func() []particle.Particle {
+			ps := particle.Clone(sorted)
+			for i := range ps {
+				ps[i].Key ^= uint64(rng.Int63n(1 << 48)) // neighbours are ~2^46 apart
+			}
+			return ps
+		}},
+		{"random", func() []particle.Particle {
+			ps := particle.Clone(sorted)
+			rng.Shuffle(n, func(i, j int) { ps[i], ps[j] = ps[j], ps[i] })
+			return ps
+		}},
+	}
+	for _, in := range inputs {
+		pristine := in.build()
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/w=%d", in.name, workers), func(b *testing.B) {
+				dst := make([]particle.Particle, n)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					var s particle.Sorter
+					s.Scan(pristine, n)
+					s.SortInto(dst, pristine, workers)
+				}
+			})
+		}
 	}
 }
 

@@ -199,11 +199,7 @@ func benchTreeBuild(n int, seed int64, workers int) benchResult {
 			copy(scratch, pristine)
 			b.StartTimer()
 			cfg := tree.BuildConfig{Type: tree.Octree, BucketSize: 16, Workers: workers, MortonOrdered: workers > 1}
-			if workers > 1 {
-				tree.AssignKeysParallel(scratch, universe, sfc.MortonKey, workers)
-			} else {
-				tree.AssignKeys(scratch, universe, sfc.MortonKey)
-			}
+			tree.AssignKeysParallel(scratch, universe, sfc.MortonKey, workers)
 			root := tree.Build[gravity.CentroidData](scratch, universe, tree.RootKey, 0, cfg)
 			tree.AccumulateParallel(root, gravity.Accumulator{}, workers)
 		}
@@ -211,8 +207,9 @@ func benchTreeBuild(n int, seed int64, workers int) benchResult {
 	return benchResult{r: r}
 }
 
-// benchRadixSort measures the parallel LSD radix sort alone, re-keying a
-// fresh copy of the cloud each iteration outside the timer.
+// benchRadixSort measures the particle sort alone on a cloud in generator
+// (random) order, where every particle is displaced and the radix passes
+// do all the work; a fresh keyed copy is made outside the timer.
 //
 //paratreet:coldpath
 func benchRadixSort(n int, seed int64) benchResult {

@@ -2,9 +2,11 @@ package paratreet_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"paratreet"
@@ -442,4 +444,156 @@ func TestIncrementalFallbacks(t *testing.T) {
 		}
 		requireSameWorlds(t, sim, scr, "post-fallback")
 	})
+}
+
+// requireIncrementalTwin builds a from-scratch twin over a copy of the
+// simulation's current particles and requires the incremental simulation
+// to have patched its way to the same state, bit for bit.
+func requireIncrementalTwin(t *testing.T, inc *paratreet.Simulation[gravity.CentroidData], cfg paratreet.Config, label string) {
+	t.Helper()
+	if st := inc.BuildStats(); st.Mode != "incremental" {
+		t.Fatalf("%s: mode %q (fallback %q), want incremental", label, st.Mode, st.FallbackReason)
+	}
+	cfg.Incremental = false
+	twin, err := paratreet.NewSimulation[gravity.CentroidData](cfg, gravity.Accumulator{}, gravity.Codec{}, particle.Clone(inc.Particles()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer twin.Close()
+	if err := twin.BuildOnly(); err != nil {
+		t.Fatal(err)
+	}
+	requireSameWorlds(t, inc, twin, label)
+}
+
+// TestIncrementalInputOrder: an incremental step does not need its array
+// in the previous build's order. A permuted copy handed to SetParticles,
+// and the partition/bucket order Gather leaves after a Run-driven step,
+// both stay on the incremental path and bit-identical to a scratch twin;
+// the sort reports how many particles it had to move, and an array that
+// arrives in order moves none.
+func TestIncrementalInputOrder(t *testing.T) {
+	const n = 3000
+	for _, build := range []int{1, 2} {
+		t.Run(fmt.Sprintf("build=%d", build), func(t *testing.T) {
+			cfg := paratreet.Config{
+				Procs: 2, WorkersPerProc: 2, BuildWorkers: build,
+				Tree: paratreet.TreeOct, Decomp: paratreet.DecompSFC, BucketSize: 16,
+				FetchDepth: 2, Incremental: true,
+			}
+			inc, err := paratreet.NewSimulation[gravity.CentroidData](cfg, gravity.Accumulator{}, gravity.Codec{}, incParticles(n, 23))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer inc.Close()
+			if err := inc.BuildOnly(); err != nil {
+				t.Fatal(err)
+			}
+			if st := inc.BuildStats(); st.Mode != "scratch" || st.SortMoved == 0 {
+				t.Fatalf("first build: mode %q, sort moved %d of a generator-ordered array", st.Mode, st.SortMoved)
+			}
+
+			// The array as the build left it: in order, nothing to move.
+			if err := inc.BuildOnly(); err != nil {
+				t.Fatal(err)
+			}
+			if st := inc.BuildStats(); st.SortMoved != 0 || st.Movers != 0 {
+				t.Fatalf("unchanged array: sort moved %d, %d keys changed, want 0 and 0", st.SortMoved, st.Movers)
+			}
+			requireIncrementalTwin(t, inc, cfg, "unchanged")
+
+			// A drifted, fully permuted copy through SetParticles.
+			shuffled := particle.Clone(inc.Particles())
+			drift(shuffled, 0, n/100)
+			rand.New(rand.NewSource(5)).Shuffle(n, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+			if err := inc.SetParticles(shuffled); err != nil {
+				t.Fatal(err)
+			}
+			if err := inc.BuildOnly(); err != nil {
+				t.Fatal(err)
+			}
+			if st := inc.BuildStats(); st.SortMoved < n/2 || st.Movers == 0 || st.Movers > n/100 {
+				t.Fatalf("permuted array: sort moved %d, %d keys changed", st.SortMoved, st.Movers)
+			}
+			requireIncrementalTwin(t, inc, cfg, "permuted")
+
+			// Run-driven steps: Gather hands the next build the particles in
+			// partition/bucket order, which is not key order.
+			par := gravity.Params{G: 1, Theta: 0.6, Soft: 1e-3}
+			for step := 1; step <= 2; step++ {
+				if err := inc.Run(1, gravityDriver(par)); err != nil {
+					t.Fatal(err)
+				}
+				drift(inc.Particles(), step, n/100)
+				if err := inc.BuildOnly(); err != nil {
+					t.Fatal(err)
+				}
+				requireIncrementalTwin(t, inc, cfg, fmt.Sprintf("gathered%d", step))
+			}
+		})
+	}
+}
+
+// TestBuildRejectsNonFinitePosition: a NaN or infinite coordinate has no
+// key. Both builders refuse it with an error naming the particle, from
+// BuildOnly and from Run, before anything resident is touched: the
+// incremental simulation still holds its previous trees afterwards and
+// patches on once the position is repaired.
+func TestBuildRejectsNonFinitePosition(t *testing.T) {
+	const n = 5000 // past the cutoff where BuildWorkers > 1 keys in parallel
+	const victim = 4321
+	cfg := paratreet.Config{
+		Procs: 2, WorkersPerProc: 2,
+		Tree: paratreet.TreeOct, Decomp: paratreet.DecompSFC, BucketSize: 16, FetchDepth: 2,
+	}
+	wantErr := func(t *testing.T, err error, id int64) {
+		t.Helper()
+		if want := fmt.Sprintf("particle %d", id); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("got %v, want an error naming %q", err, want)
+		}
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, build := range []int{1, 4} {
+			cfg.BuildWorkers = build
+			t.Run(fmt.Sprintf("scratch/%v/build=%d", bad, build), func(t *testing.T) {
+				ps := incParticles(n, 31)
+				ps[victim].Pos.X = bad
+				sim, err := paratreet.NewSimulation[gravity.CentroidData](cfg, gravity.Accumulator{}, gravity.Codec{}, ps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sim.Close()
+				wantErr(t, sim.BuildOnly(), ps[victim].ID)
+				wantErr(t, sim.Run(1, gravityDriver(gravity.DefaultParams())), ps[victim].ID)
+			})
+			t.Run(fmt.Sprintf("incremental/%v/build=%d", bad, build), func(t *testing.T) {
+				icfg := cfg
+				icfg.Incremental = true
+				sim, err := paratreet.NewSimulation[gravity.CentroidData](icfg, gravity.Accumulator{}, gravity.Codec{}, incParticles(n, 31))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sim.Close()
+				if err := sim.BuildOnly(); err != nil {
+					t.Fatal(err)
+				}
+				before := particle.Clone(sim.World().Gather(nil))
+				universe := sim.Universe()
+				ps := sim.Particles()
+				drift(ps, 0, n/100)
+				good := ps[victim].Pos
+				ps[victim].Pos.Z = bad
+				wantErr(t, sim.BuildOnly(), ps[victim].ID)
+				wantErr(t, sim.Run(1, gravityDriver(gravity.DefaultParams())), ps[victim].ID)
+				if sim.Universe() != universe || !reflect.DeepEqual(sim.World().Gather(nil), before) {
+					t.Fatal("a refused build changed the resident state")
+				}
+				ps[victim].Pos = good
+				if err := sim.BuildOnly(); err != nil {
+					t.Fatal(err)
+				}
+				requireIncrementalTwin(t, sim, icfg, "repaired")
+			})
+		}
+	}
 }

@@ -201,6 +201,10 @@ type World[D any] struct {
 
 	stats BuildStats
 	inc   *incState[D]
+	// sorter serves every build: successive builds displace about as many
+	// particles, so its reference buffers stay sized to that and the sort
+	// allocates nothing (it lets them go after an outlier, see Reset).
+	sorter particle.Sorter
 
 	rawHandler atomic.Pointer[func(self, from int, msg RawMsg)]
 }
@@ -219,6 +223,10 @@ type BuildStats struct {
 	// Movers counts particles whose Morton key changed since the previous
 	// iteration.
 	Movers int
+	// SortMoved counts the particles the sort found out of place and had
+	// to move; 0 means the array arrived in (Key, ID) order and the sort
+	// wrote nothing.
+	SortMoved int
 	// DirtyLeaves and ReusedLeaves count tree leaves re-bucketed vs kept
 	// across all subtrees; PatchedSubtrees and ReusedSummaries count
 	// subtrees whose summary was re-broadcast vs reused.
@@ -245,9 +253,9 @@ type incState[D any] struct {
 	// versions counts patches per subtree key; caches keep fetched data
 	// only while its home subtree's version is unchanged.
 	versions map[uint64]uint64
-	// cur is the backing array the live subtree trees alias (nil right
-	// after a scratch build, whose subtrees own per-subtree clones); spare
-	// is the retired buffer recycled for the next step's copy.
+	// cur is the backing array the live subtree trees alias; spare is the
+	// retired buffer the next build sorts into. The caller's array is never
+	// aliased: callers move particles in it between builds.
 	cur, spare []particle.Particle
 }
 
@@ -379,19 +387,25 @@ func (w *World[D]) buildScratch(ps []particle.Particle, reason string) error {
 
 	// 1. Universe reduction: the global bounding box, padded so boundary
 	// particles stay interior, cubed for octrees so octants keep unit
-	// aspect ratio.
-	universe := particle.BoundingBox(ps).Pad(1e-9)
+	// aspect ratio. A non-finite position has no key; reject it here,
+	// before anything resident changes.
+	box, bad := particle.Bounds(ps)
+	if bad >= 0 {
+		return nonFiniteError(&ps[bad])
+	}
+	universe := box.Pad(1e-9)
 	if w.cfg.TreeType == tree.Octree {
 		universe = universe.Cubed()
 	}
-	w.Universe = universe
 
-	// 2. Key assignment and sort along the decomposition's curve.
+	// 2. Key assignment and sort along the decomposition's curve, into the
+	// array the subtrees will own.
 	curve := w.cfg.DecompType.Curve()
-	tree.AssignKeysParallel(ps, universe, func(p vec.Vec3, b vec.Box) uint64 { return sfc.Key(curve, p, b) }, w.cfg.BuildWorkers)
+	owned := w.takeBuffer(len(ps))
+	sorted, other := w.keySort(owned, ps, universe, func(p vec.Vec3, b vec.Box) uint64 { return sfc.Key(curve, p, b) })
 
 	// 3. Partition decomposition (load): mark every particle.
-	if _, err := decomp.Assign(w.cfg.DecompType, ps, universe, w.cfg.Partitions); err != nil {
+	if _, err := decomp.Assign(w.cfg.DecompType, sorted, universe, w.cfg.Partitions); err != nil {
 		return err
 	}
 
@@ -400,16 +414,20 @@ func (w *World[D]) buildScratch(ps []particle.Particle, reason string) error {
 	if w.cfg.TreeType == tree.Octree {
 		// Octree subtrees need Morton keys; re-key if the partition
 		// decomposition used a different curve or reordered particles.
-		if curve != sfc.Morton || !particle.KeysSorted(ps) {
-			tree.AssignKeysParallel(ps, universe, sfc.MortonKey, w.cfg.BuildWorkers)
+		if curve != sfc.Morton || !particle.KeysSorted(sorted) {
+			sorted, other = w.keySort(other, sorted, universe, sfc.MortonKey)
 		}
-		splits = decomp.OctSplitters(ps, universe, w.cfg.Subtrees)
+		splits = decomp.OctSplitters(sorted, universe, w.cfg.Subtrees)
 	} else {
-		splits = decomp.MedianSplitters(ps, universe, w.cfg.Subtrees, w.cfg.TreeType)
+		splits = decomp.MedianSplitters(sorted, universe, w.cfg.Subtrees, w.cfg.TreeType)
 	}
 	if err := splits.Validate(len(ps), w.cfg.TreeType.LogB()); err != nil {
 		return err
 	}
+	// The caller's array and the owned one end identical, sorted and
+	// marked, whichever of them the sort left the particles in.
+	copy(other, sorted)
+	w.Universe = universe
 
 	// 5. Create subtrees (skipping empty ranges — absent children become
 	// empty leaves in the shared top tree) and build them in parallel on
@@ -441,7 +459,7 @@ func (w *World[D]) buildScratch(ps []particle.Particle, reason string) error {
 			// The particle exchange: the owner receives its subtree's
 			// particles (block placement assigned below once the
 			// non-empty count is known).
-			Particles: particle.Clone(ps[lo:hi]),
+			Particles: owned[lo:hi:hi],
 		})
 	}
 	for i, st := range w.Subtrees {
@@ -512,7 +530,7 @@ func (w *World[D]) buildScratch(ps []particle.Particle, reason string) error {
 	// 8. When the incremental path is enabled and this configuration
 	// supports it, capture the state the next iteration will patch
 	// against.
-	w.captureIncremental(splits, sums)
+	w.captureIncremental(splits, sums, owned)
 	return nil
 }
 
@@ -520,7 +538,8 @@ func (w *World[D]) buildScratch(ps []particle.Particle, reason string) error {
 // the next iteration's patch, resetting every subtree's version to 1 and
 // installing the version baseline in the caches (which Reset cleared, so
 // no stale fetched data can survive into the new version numbering).
-func (w *World[D]) captureIncremental(splits decomp.Splitters, sums []tree.RootSummary) {
+// owned is the array the new subtrees alias.
+func (w *World[D]) captureIncremental(splits decomp.Splitters, sums []tree.RootSummary, owned []particle.Particle) {
 	if !w.cfg.Incremental || w.incrementalUnsupported() != "" {
 		w.inc = nil
 		return
@@ -531,23 +550,67 @@ func (w *World[D]) captureIncremental(splits decomp.Splitters, sums []tree.RootS
 	}
 	var spare []particle.Particle
 	if w.inc != nil {
-		// Both of the previous state's buffers are unreferenced now that
-		// the scratch build re-cloned every subtree; recycle the larger.
-		spare = w.inc.spare
-		if cap(w.inc.cur) > cap(spare) {
-			spare = w.inc.cur
-		}
+		// The array the previous trees aliased is unreferenced now.
+		spare = w.inc.cur
+	}
+	if cap(spare) < len(owned) {
+		// The first patch would otherwise allocate its buffer, and on a
+		// heap with no free run that large the array arrives as untouched
+		// pages: every first write is a page fault, 0.2 s for 1e5
+		// particles on a lazily backed VM against 12 ms for the rest of
+		// the step — or nothing, when the collector happened to leave a
+		// free run. That cost is set-up's; clear touches the pages now.
+		spare = make([]particle.Particle, len(owned))
+		clear(spare)
 	}
 	w.inc = &incState[D]{
 		universe: w.Universe,
 		splits:   splits,
 		sums:     sums,
 		versions: versions,
+		cur:      owned,
 		spare:    spare,
 	}
 	for _, c := range w.Caches {
 		c.SetVersions(versions)
 	}
+}
+
+// takeBuffer returns the n-particle array the next build sorts into and
+// its trees then own: the retired buffer of the incremental state when it
+// is large enough, a fresh array otherwise. It is never the array live
+// trees alias, so a build that fails leaves them intact.
+func (w *World[D]) takeBuffer(n int) []particle.Particle {
+	if w.inc != nil && cap(w.inc.spare) >= n {
+		return w.inc.spare[:n]
+	}
+	return make([]particle.Particle, n)
+}
+
+// keySort keys src within universe and sorts it into dst, for the scratch
+// build, whose stats it updates; src must hold finite positions.
+func (w *World[D]) keySort(dst, src []particle.Particle, universe vec.Box, key tree.KeyFunc) (sorted, other []particle.Particle) {
+	tree.KeyScan(src, universe, key, w.cfg.BuildWorkers, &w.sorter)
+	sorted, other, moved := w.sortInto(dst, src)
+	w.stats.SortMoved += moved
+	return sorted, other
+}
+
+// sortInto finishes the sort tree.KeyScan began over src: the one sort
+// every build goes through. It returns the array that now holds the
+// particles in (Key, ID) order and the one that does not — (dst, src)
+// when moved particles were out of place, (src, dst) with neither array
+// written when none was.
+func (w *World[D]) sortInto(dst, src []particle.Particle) (sorted, other []particle.Particle, moved int) {
+	if moved = w.sorter.SortInto(dst, src, w.cfg.BuildWorkers); moved == 0 {
+		return src, dst, 0
+	}
+	return dst, src, moved
+}
+
+// nonFiniteError names the particle whose position has no key.
+func nonFiniteError(p *particle.Particle) error {
+	return fmt.Errorf("core: particle %d has a non-finite position %v", p.ID, p.Pos)
 }
 
 // leafShare walks every subtree's leaves on its owner and hands bucket

@@ -237,3 +237,38 @@ func TestWorldConfigExposed(t *testing.T) {
 		t.Error("homes length mismatch")
 	}
 }
+
+// TestIncrementalBuffersRotate pins the double buffer: a scratch build
+// that the next step may patch leaves both arrays allocated, and every
+// build after it swaps them — no build after the first allocates an array
+// the size of the particle set, whichever path it takes.
+func TestIncrementalBuffersRotate(t *testing.T) {
+	_, w := newWorld(t, 2, 1, Config{BucketSize: 8, Partitions: 8, Subtrees: 4, Incremental: true})
+	ps := particle.NewClustered(4000, 11, vec.UnitBox(), 4)
+	if err := w.BuildIteration(ps); err != nil {
+		t.Fatal(err)
+	}
+	if w.inc == nil || len(w.inc.spare) != len(ps) || &w.inc.spare[0] == &w.inc.cur[0] {
+		t.Fatalf("scratch build left no second buffer: %d particles spare", len(w.inc.spare))
+	}
+	for step, wantMode := range []string{"incremental", "incremental", "scratch", "incremental"} {
+		cur, spare := &w.inc.cur[0], &w.inc.spare[0]
+		// Swap two particles across the array; they keep the universe.
+		ps[10].Pos, ps[3000].Pos = ps[3000].Pos, ps[10].Pos
+		if wantMode == "scratch" {
+			ps[0].Pos = vec.Vec3{X: 2, Y: 2, Z: 2} // outside the universe: falls back
+		}
+		if err := w.BuildIteration(ps); err != nil {
+			t.Fatal(err)
+		}
+		if got := w.BuildStats().Mode; got != wantMode {
+			t.Fatalf("step %d: mode %q (%s), want %q", step, got, w.BuildStats().FallbackReason, wantMode)
+		}
+		if &w.inc.cur[0] != spare || &w.inc.spare[0] != cur {
+			t.Fatalf("step %d (%s): buffers did not swap", step, wantMode)
+		}
+		if &w.Subtrees[0].Particles[0] != &w.inc.cur[0] {
+			t.Fatalf("step %d: subtrees do not alias the current buffer", step)
+		}
+	}
+}

@@ -9,7 +9,6 @@ import (
 	"paratreet/internal/rt"
 	"paratreet/internal/sfc"
 	"paratreet/internal/tree"
-	"paratreet/internal/vec"
 )
 
 // buildIncremental patches the previous iteration's state in place of the
@@ -29,27 +28,33 @@ func (w *World[D]) buildIncremental(ps []particle.Particle) (string, error) {
 	m := w.Machine
 	nprocs := m.NumProcs()
 
-	// Universe reduction, exactly as in the scratch path. Any change to
-	// the global bounding box rescales every Morton cell, so the previous
-	// tree is unpatchable — fall back.
-	universe := particle.BoundingBox(ps).Pad(1e-9).Cubed()
-	if universe != w.inc.universe {
+	// One pass over the array does everything that has to look at every
+	// particle before the patch: it rejects non-finite positions, reduces
+	// the universe, re-keys against the resident universe (counting the
+	// keys that changed), and scans for particles out of order. Keying
+	// before the reduction is known is safe because any change to the
+	// global bounding box rescales every Morton cell and makes the previous
+	// tree unpatchable — then the keys are discarded with it, and the
+	// scratch build assigns its own.
+	universe := w.inc.universe
+	box, movers, bad := tree.KeyScan(ps, universe, sfc.MortonKey, w.cfg.BuildWorkers, &w.sorter)
+	if bad >= 0 {
+		return "", nonFiniteError(&ps[bad])
+	}
+	if box.Pad(1e-9).Cubed() != universe {
 		return "universe-changed", nil
 	}
 
-	// Morton re-key (counting movers against their previous key) and
-	// sort, matching AssignKeysParallel's results bit for bit.
-	movers := rekeyCountMovers(ps, universe, w.cfg.BuildWorkers)
-	if w.cfg.BuildWorkers <= 1 {
-		particle.SortByKey(ps)
-	} else {
-		particle.RadixSortByKey(ps, w.cfg.BuildWorkers)
-	}
+	// Sort into the spare buffer: the live trees alias the current buffer
+	// until every leaf is re-pointed, so the patch must read from a
+	// different array than the one being retired.
+	next := w.takeBuffer(len(ps))
+	sorted, other, moved := w.sortInto(next, ps)
 
 	// Partition decomposition: mark every particle. Marks are compared as
 	// part of the particle struct during patching, so a reassigned
 	// particle dirties both its old and new leaves.
-	if _, err := decomp.Assign(w.cfg.DecompType, ps, universe, w.cfg.Partitions); err != nil {
+	if _, err := decomp.Assign(w.cfg.DecompType, sorted, universe, w.cfg.Partitions); err != nil {
 		return "", err
 	}
 
@@ -58,13 +63,16 @@ func (w *World[D]) buildIncremental(ps []particle.Particle) (string, error) {
 	// requires following the refinement the new counts produce. If that
 	// walks a different cover than the live subtrees, the step is
 	// structural — fall back.
-	splits := decomp.OctSplitters(ps, universe, w.cfg.Subtrees)
+	splits := decomp.OctSplitters(sorted, universe, w.cfg.Subtrees)
 	if !sameCover(splits, w.inc.splits) {
 		return "splitters-changed", nil
 	}
 	if err := splits.Validate(len(ps), w.cfg.TreeType.LogB()); err != nil {
 		return "", err
 	}
+	// The caller's array and the new buffer end identical, sorted and
+	// marked, whichever of them the sort left the particles in.
+	copy(other, sorted)
 
 	// Apply any re-placement the load balancer decided since the last
 	// build (partitions persist across incremental steps, so the homes
@@ -72,11 +80,6 @@ func (w *World[D]) buildIncremental(ps []particle.Particle) (string, error) {
 	for i, p := range w.Partitions {
 		p.Home = w.homes[i]
 	}
-
-	// Copy the sorted particles into the spare buffer: the live trees
-	// alias the current buffer until every leaf is re-pointed, so the
-	// patch must read from a different array than the one being retired.
-	next := append(w.inc.spare[:0], ps...)
 
 	// Patch every subtree in parallel on its owner. The cover is
 	// unchanged, so non-empty splitter ranges correspond 1:1, in order,
@@ -122,7 +125,7 @@ func (w *World[D]) buildIncremental(ps []particle.Particle) (string, error) {
 	// Top share, delta edition: changed subtrees bump their version and
 	// re-broadcast a fresh summary; unchanged subtrees reuse last step's
 	// summary blob (bit-identical by construction) for free.
-	st := BuildStats{Mode: "incremental", Movers: movers}
+	st := BuildStats{Mode: "incremental", Movers: movers, SortMoved: moved}
 	sums := make([]tree.RootSummary, len(jobs))
 	w.BroadcastBytes = 0
 	for i, j := range jobs {
@@ -222,53 +225,6 @@ func (w *World[D]) buildIncremental(ps []particle.Particle) (string, error) {
 	w.inc.sums = sums
 	w.stats = st
 	return "", nil
-}
-
-// rekeyCountMovers recomputes every particle's Morton key in parallel
-// chunks (matching AssignKeysParallel's key assignment), returning how
-// many keys changed since the previous iteration.
-func rekeyCountMovers(ps []particle.Particle, universe vec.Box, workers int) int {
-	if workers <= 1 || len(ps) < 4096 {
-		movers := 0
-		for i := range ps {
-			k := sfc.MortonKey(ps[i].Pos, universe)
-			if k != ps[i].Key {
-				movers++
-				ps[i].Key = k
-			}
-		}
-		return movers
-	}
-	var wg sync.WaitGroup
-	counts := make([]int, workers)
-	chunk := (len(ps) + workers - 1) / workers
-	slot := 0
-	for lo := 0; lo < len(ps); lo += chunk {
-		hi := lo + chunk
-		if hi > len(ps) {
-			hi = len(ps)
-		}
-		wg.Add(1)
-		go func(sub []particle.Particle, out *int) {
-			defer wg.Done()
-			movers := 0
-			for i := range sub {
-				k := sfc.MortonKey(sub[i].Pos, universe)
-				if k != sub[i].Key {
-					movers++
-					sub[i].Key = k
-				}
-			}
-			*out = movers
-		}(ps[lo:hi], &counts[slot])
-		slot++
-	}
-	wg.Wait()
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	return total
 }
 
 // sameCover reports whether two splitter sets describe the same subtree

@@ -75,7 +75,7 @@ func RunIncremental(opts Options) (*Result, error) {
 		Title: fmt.Sprintf("incremental vs scratch rebuild, %d particles, %d%% movers/step, %d procs x %d workers",
 			opts.N, 100*movers/opts.N, procs, wpp),
 		XLabel: "step",
-		Series: []string{"scratch-ms", "inc-ms", "movers", "dirty-lv", "reused-lv", "cache-kept", "imb-build", "imb-trav"},
+		Series: []string{"scratch-ms", "inc-ms", "movers", "sort-moved", "dirty-lv", "reused-lv", "cache-kept", "imb-build", "imb-trav"},
 	}
 	var scratchTotal, incTotal float64
 	for step := 0; step < steps; step++ {
@@ -124,6 +124,7 @@ func RunIncremental(opts Options) (*Result, error) {
 			"scratch-ms": scratchMs,
 			"inc-ms":     incMs,
 			"movers":     float64(st.Movers),
+			"sort-moved": float64(st.SortMoved),
 			"dirty-lv":   float64(st.DirtyLeaves),
 			"reused-lv":  float64(st.ReusedLeaves),
 			"cache-kept": float64(st.CacheKept),

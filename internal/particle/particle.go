@@ -4,11 +4,7 @@
 // Plummer spheres, cosmological multi-blob volumes, and planetesimal disks).
 package particle
 
-import (
-	"sort"
-
-	"paratreet/internal/vec"
-)
+import "paratreet/internal/vec"
 
 // Particle is a single simulation body. Gravity uses Mass/Pos/Vel/Acc;
 // SPH additionally uses Density/Pressure/SmoothLen; collision detection
@@ -42,11 +38,52 @@ type Particle struct {
 
 // BoundingBox returns the smallest box containing all particle positions.
 func BoundingBox(ps []Particle) vec.Box {
-	b := vec.EmptyBox()
-	for i := range ps {
-		b = b.Grow(ps[i].Pos)
-	}
+	b, _ := Bounds(ps)
 	return b
+}
+
+// Bounds returns the smallest box containing all particle positions and
+// the index of the first particle with a NaN or infinite coordinate, -1
+// when every position is finite (the box is meaningful only then).
+//
+//paratreet:hotpath
+func Bounds(ps []Particle) (vec.Box, int) {
+	b := vec.EmptyBox()
+	// x*0 is 0 for a finite x and NaN otherwise, so the sum stays 0 until
+	// a non-finite coordinate poisons it: one test after the loop instead
+	// of three per particle.
+	var poison float64
+	for i := range ps {
+		p := &ps[i].Pos
+		poison += p.X*0 + p.Y*0 + p.Z*0
+		if p.X < b.Min.X {
+			b.Min.X = p.X
+		}
+		if p.X > b.Max.X {
+			b.Max.X = p.X
+		}
+		if p.Y < b.Min.Y {
+			b.Min.Y = p.Y
+		}
+		if p.Y > b.Max.Y {
+			b.Max.Y = p.Y
+		}
+		if p.Z < b.Min.Z {
+			b.Min.Z = p.Z
+		}
+		if p.Z > b.Max.Z {
+			b.Max.Z = p.Z
+		}
+	}
+	if poison == 0 {
+		return b, -1
+	}
+	for i := range ps {
+		if p := ps[i].Pos; p.X*0+p.Y*0+p.Z*0 != 0 {
+			return b, i
+		}
+	}
+	return b, -1
 }
 
 // TotalMass returns the summed mass of the particles.
@@ -73,20 +110,14 @@ func CenterOfMass(ps []Particle) vec.Vec3 {
 	return moment.Scale(1 / m)
 }
 
-// SortByKey sorts particles in ascending SFC-key order, breaking ties by ID
-// so the order is deterministic.
-func SortByKey(ps []Particle) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].Key != ps[j].Key {
-			return ps[i].Key < ps[j].Key
-		}
-		return ps[i].ID < ps[j].ID
-	})
-}
-
 // KeysSorted reports whether the slice is in ascending key order.
 func KeysSorted(ps []Particle) bool {
-	return sort.SliceIsSorted(ps, func(i, j int) bool { return ps[i].Key < ps[j].Key })
+	for i := 1; i < len(ps); i++ {
+		if ps[i].Key < ps[i-1].Key {
+			return false
+		}
+	}
+	return true
 }
 
 // ResetAcc zeroes the acceleration and potential of every particle, the

@@ -48,7 +48,7 @@ func TestSortByKey(t *testing.T) {
 		{ID: 2, Key: 5},
 		{ID: 3, Key: 0},
 	}
-	SortByKey(ps)
+	RadixSortByKey(ps, 1)
 	if !KeysSorted(ps) {
 		t.Fatal("not sorted")
 	}
@@ -249,5 +249,42 @@ func TestIOBadInput(t *testing.T) {
 	trunc := buf.Bytes()[:buf.Len()-4]
 	if _, err := Read(bytes.NewReader(trunc)); err == nil {
 		t.Error("truncated record should error")
+	}
+}
+
+// TestSorterBuffers pins Reset's buffer policy: sorts that displace about
+// as many particles as the last reuse its buffers and allocate nothing; a
+// sort that used under a quarter of them lets them go at the next Reset.
+func TestSorterBuffers(t *testing.T) {
+	const n = 4000
+	shuffled := make([]Particle, n)
+	for i := range shuffled {
+		shuffled[i] = Particle{ID: int64(i), Key: uint64((i * 7919) % n)}
+	}
+	stray := make([]Particle, n)
+	for i := range stray {
+		stray[i] = Particle{ID: int64(i), Key: uint64(i)}
+	}
+	stray[n/2].Key = 0
+	dst := make([]Particle, n)
+	sortWith := func(s *Sorter, ps []Particle) int {
+		s.Reset()
+		s.Scan(ps, len(ps))
+		return s.SortInto(dst, ps, 1)
+	}
+
+	var s Sorter
+	if moved := sortWith(&s, shuffled); moved < n/2 {
+		t.Fatalf("shuffled array: %d moved", moved)
+	}
+	big := cap(s.refs)
+	if moved := sortWith(&s, stray); moved != 2 || cap(s.refs) != big {
+		t.Fatalf("sort after a full one: %d moved, cap %d -> %d; the buffers should have been kept", moved, big, cap(s.refs))
+	}
+	if sortWith(&s, stray); cap(s.refs) >= big {
+		t.Fatalf("second small sort still holds %d references' worth of buffer", cap(s.refs))
+	}
+	if allocs := testing.AllocsPerRun(10, func() { sortWith(&s, stray) }); allocs != 0 {
+		t.Errorf("steady-state sort allocates %v times", allocs)
 	}
 }

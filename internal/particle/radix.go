@@ -1,25 +1,18 @@
 package particle
 
-import (
-	"runtime"
-	"sync"
-)
+import "sync"
 
-// Radix sort of particles by SFC key (Cornerstone-style: Keller et al.
-// 2023 build the octree from radix-sorted Morton keys). The sort runs
-// LSD byte passes over compact (key, index) pairs rather than whole
-// Particle structs — a Particle is ~20x larger than a pair, so sorting
-// pairs and permuting once keeps the memory traffic per pass small —
-// and parallelizes each pass with the classic histogram / prefix-sum /
-// scatter decomposition: every worker histograms its chunk, a serial
-// scan turns the per-worker histograms into disjoint output cursors,
-// and workers scatter their chunks without further coordination.
-//
-// The result matches SortByKey exactly: ascending Key, ties broken by
-// ascending ID (byte passes are stable, and a final pass re-orders the
-// rare equal-key runs by ID).
+// LSD radix passes over compact (key, index) references: the part of the
+// particle sort (sort.go) that orders the displaced particles. A Particle
+// is ~9x larger than a reference, so sorting references and permuting once
+// keeps the memory traffic per pass small. Each pass parallelizes with the
+// classic histogram / prefix-sum / scatter decomposition: every worker
+// histograms its chunk, a serial scan turns the per-worker histograms
+// into disjoint output cursors, and workers scatter their chunks without
+// further coordination. Byte passes are stable, so the references come
+// out in ascending key order with equal keys in their input order.
 
-// keyIdx pairs a particle's sort key with its original index.
+// keyIdx pairs a particle's sort key with its index in the array.
 type keyIdx struct {
 	key uint64
 	idx int32
@@ -28,44 +21,6 @@ type keyIdx struct {
 // radixSerialCutoff is the size below which the parallel machinery costs
 // more than it saves; such inputs take the serial byte-pass path.
 const radixSerialCutoff = 1 << 12
-
-// RadixSortByKey sorts ps ascending by (Key, ID) — the same order as
-// SortByKey — using an LSD radix sort on the 63-bit SFC keys, with up to
-// workers goroutines cooperating on each pass (workers <= 1, or small
-// inputs, sort serially). It allocates transient pair and permutation
-// buffers sized to len(ps). Buffer allocation and goroutine fan-out make
-// it a per-frame entry point, not a per-visit one — explicitly cold.
-//
-//paratreet:coldpath
-func RadixSortByKey(ps []Particle, workers int) {
-	n := len(ps)
-	if n < 2 {
-		return
-	}
-	pairs := make([]keyIdx, n)
-	for i := range ps {
-		pairs[i] = keyIdx{key: ps[i].Key, idx: int32(i)}
-	}
-	scratch := make([]keyIdx, n)
-	if workers > n/radixSerialCutoff {
-		workers = n / radixSerialCutoff
-	}
-	if workers > runtime.GOMAXPROCS(0) {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers <= 1 {
-		radixPassesSerial(pairs, scratch)
-	} else {
-		radixPassesParallel(pairs, scratch, workers)
-	}
-	// Permute the particles through a scratch copy in one pass.
-	out := make([]Particle, n)
-	for i := range pairs {
-		out[i] = ps[pairs[i].idx]
-	}
-	copy(ps, out)
-	fixEqualKeyRuns(ps)
-}
 
 // usedBytes reports which of the 8 key bytes actually vary across the
 // input; constant bytes need no pass. SFC keys occupy 63 bits, and most
@@ -186,37 +141,5 @@ func radixPassesParallel(pairs, scratch []keyIdx, workers int) {
 	}
 	if &src[0] != &pairs[0] {
 		copy(pairs, src)
-	}
-}
-
-// fixEqualKeyRuns re-orders runs of equal keys by ascending ID so the
-// final order matches SortByKey bit for bit. Equal keys mean co-located
-// particles (same 63-bit lattice cell); runs are short, so an insertion
-// sort per run suffices and allocates nothing.
-//
-//paratreet:hotpath
-func fixEqualKeyRuns(ps []Particle) {
-	for i := 1; i < len(ps); i++ {
-		if ps[i].Key != ps[i-1].Key {
-			continue
-		}
-		// Found a run start at i-1; extend it.
-		j := i + 1
-		for j < len(ps) && ps[j].Key == ps[i-1].Key {
-			j++
-		}
-		insertionByID(ps[i-1 : j])
-		i = j
-	}
-}
-
-// insertionByID sorts a small slice ascending by ID in place.
-//
-//paratreet:hotpath
-func insertionByID(ps []Particle) {
-	for i := 1; i < len(ps); i++ {
-		for j := i; j > 0 && ps[j].ID < ps[j-1].ID; j-- {
-			ps[j], ps[j-1] = ps[j-1], ps[j]
-		}
 	}
 }

@@ -73,15 +73,24 @@ func (e *Engine) Close() { e.sim.Close() }
 // slightly is a delta refresh: trees are patched along dirty paths and
 // unchanged cached state survives, bit-identical to a full rebuild (see
 // BuildStats for which path ran).
+//
+// A replacement set the build rejects (a non-finite position) is dropped
+// again: the engine keeps its previous particles and goes on answering
+// from the tree built over them.
 func (e *Engine) Refresh(ps []paratreet.Particle) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	prev := e.sim.Particles()
 	if ps != nil {
 		if err := e.sim.SetParticles(ps); err != nil {
 			return err
 		}
 	}
-	return e.sim.BuildOnly()
+	if err := e.sim.BuildOnly(); err != nil {
+		_ = e.sim.SetParticles(prev) // prev was accepted before: non-empty
+		return err
+	}
+	return nil
 }
 
 // Registry returns the metrics registry the engine's simulation reports

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -256,6 +257,43 @@ func TestEngineRefresh(t *testing.T) {
 	}
 	for i := range qs {
 		diffAnswers(t, "refreshed", i, qs[i], got[i], bruteAnswer(ps2, qs[i]))
+	}
+}
+
+// TestEngineRefreshRejectsNonFinite: a replacement set with a NaN position
+// is refused with an error naming the particle, in both build modes, and
+// the engine keeps answering from the tree it had.
+func TestEngineRefreshRejectsNonFinite(t *testing.T) {
+	for _, incremental := range []bool{false, true} {
+		ps := testParticles(1000)
+		cfg := testConfig(paratreet.DecompSFC, paratreet.CacheWaitFree)
+		cfg.Incremental = incremental
+		eng, err := serve.NewEngine(cfg, append([]paratreet.Particle(nil), ps...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		poisoned := append([]paratreet.Particle(nil), ps...)
+		poisoned[417].Pos.Y = math.NaN()
+		err = eng.Refresh(poisoned)
+		if want := fmt.Sprintf("particle %d", poisoned[417].ID); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("incremental=%v: Refresh over a NaN position returned %v, want an error naming %q", incremental, err, want)
+		}
+		if got := eng.NumParticles(); got != len(ps) {
+			t.Fatalf("incremental=%v: NumParticles = %d after a refused Refresh, want %d", incremental, got, len(ps))
+		}
+		qs := testQueries(12)
+		got, err := experiments.RunSingleShot(eng, qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range qs {
+			diffAnswers(t, "after refused refresh", i, qs[i], got[i], bruteAnswer(ps, qs[i]))
+		}
+		// The engine is not wedged: a clean refresh still goes through.
+		if err := eng.Refresh(nil); err != nil {
+			t.Fatalf("incremental=%v: Refresh(nil) after a refused one: %v", incremental, err)
+		}
 	}
 }
 

@@ -42,23 +42,29 @@ func (c Curve) String() string {
 // Quantize maps a position inside box to integer lattice coordinates in
 // [0, MaxCoord]. Positions outside the box are clamped.
 func Quantize(p vec.Vec3, box vec.Box) (x, y, z uint32) {
-	d := box.Dims()
-	q := func(v, lo, span float64) uint32 {
-		if span <= 0 {
-			return 0
-		}
-		f := (v - lo) / span
-		if f < 0 {
-			f = 0
-		}
-		// Scale so that only v == box.Max maps to MaxCoord exactly.
-		i := int64(f * float64(MaxCoord+1))
-		if i > MaxCoord {
-			i = MaxCoord
-		}
-		return uint32(i)
+	return quantize(p.X, box.Min.X, box.Max.X),
+		quantize(p.Y, box.Min.Y, box.Max.Y),
+		quantize(p.Z, box.Min.Z, box.Max.Z)
+}
+
+// quantize maps v in [lo, hi] to a lattice coordinate. The division stays
+// a division: multiplying by a precomputed 1/span rounds differently and
+// would move keys, while the scale by 2^21 is exact either way.
+func quantize(v, lo, hi float64) uint32 {
+	span := hi - lo
+	if span <= 0 {
+		return 0
 	}
-	return q(p.X, box.Min.X, d.X), q(p.Y, box.Min.Y, d.Y), q(p.Z, box.Min.Z, d.Z)
+	f := (v - lo) / span
+	if f < 0 {
+		f = 0
+	}
+	// Scale so that only v == hi maps to MaxCoord exactly.
+	i := int64(f * (MaxCoord + 1))
+	if i > MaxCoord {
+		i = MaxCoord
+	}
+	return uint32(i)
 }
 
 // Dequantize maps integer lattice coordinates back to the center of their

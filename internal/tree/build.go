@@ -194,12 +194,3 @@ func octantPartition(ps []particle.Particle, box vec.Box) [9]int {
 	copy(ps, tmp)
 	return bounds
 }
-
-// AssignKeys computes and stores the SFC key of every particle for the
-// given curve and universe box, then sorts them into key order.
-func AssignKeys(ps []particle.Particle, universe vec.Box, curveKey func(vec.Vec3, vec.Box) uint64) {
-	for i := range ps {
-		ps[i].Key = curveKey(ps[i].Pos, universe)
-	}
-	particle.SortByKey(ps)
-}

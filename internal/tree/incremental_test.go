@@ -110,7 +110,6 @@ func TestPatchSubtreeSmallMotion(t *testing.T) {
 					ps1[i].Vel = vec.V(1, 2, 3)
 				}
 				AssignKeys(ps1, box, sfc.MortonKey)
-				particle.SortByKey(ps1)
 				res := patchCase(t, ps0, ps1, box, 8)
 				if !res.Changed {
 					t.Error("motion patch reported no change")
@@ -154,9 +153,7 @@ func TestPatchSubtreeShapeTransitions(t *testing.T) {
 		}
 	}
 	AssignKeys(sparse, box, sfc.MortonKey)
-	particle.SortByKey(sparse)
 	AssignKeys(dense, box, sfc.MortonKey)
-	particle.SortByKey(dense)
 
 	// Grow: sparse -> dense.
 	res := patchCase(t, sparse, particle.Clone(dense), box, 8)
@@ -222,7 +219,6 @@ func TestPatchSubtreeMultiStep(t *testing.T) {
 			next[i].Pos = vec.V(rng.Float64(), rng.Float64(), rng.Float64())
 		}
 		AssignKeys(next, box, sfc.MortonKey)
-		particle.SortByKey(next)
 		PatchSubtree(root, next, cfg, countAcc{})
 		want := Build[countData](particle.Clone(next), box, RootKey, 0, cfg)
 		Accumulate(want, countAcc{})

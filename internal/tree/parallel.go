@@ -216,30 +216,3 @@ func accumulatePar[D any](n *Node[D], acc Accumulator[D], budget *atomic.Int64) 
 	n.Data = d
 	return d
 }
-
-// AssignKeysParallel computes SFC keys with workers goroutines and sorts
-// via the parallel radix sort. The resulting order matches AssignKeys
-// exactly (ascending Key, ties by ID).
-func AssignKeysParallel(ps []particle.Particle, universe vec.Box, curveKey func(vec.Vec3, vec.Box) uint64, workers int) {
-	if workers <= 1 || len(ps) < spawnCutoff {
-		AssignKeys(ps, universe, curveKey)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (len(ps) + workers - 1) / workers
-	for lo := 0; lo < len(ps); lo += chunk {
-		hi := lo + chunk
-		if hi > len(ps) {
-			hi = len(ps)
-		}
-		wg.Add(1)
-		go func(sub []particle.Particle) {
-			defer wg.Done()
-			for i := range sub {
-				sub[i].Key = curveKey(sub[i].Pos, universe)
-			}
-		}(ps[lo:hi])
-	}
-	wg.Wait()
-	particle.RadixSortByKey(ps, workers)
-}

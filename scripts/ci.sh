@@ -53,9 +53,11 @@ echo "==> incremental differential gate"
 # workloads — trees, buckets, float Data, and traversal answers — across
 # the supported decomp/policy matrix, including the faulted variant
 # (TestIncrementalFaultedMatchesScratch) where every cache fetch rides an
-# unreliable link. The serve pass covers the refresh seam: concurrent
-# waves racing a delta Refresh must answer from exactly one tree state,
-# and the stats endpoints must stay race-free mid-refresh.
+# unreliable link, and in whatever order the array arrives
+# (TestIncrementalInputOrder: permuted, and as Gather leaves it). The
+# serve pass covers the refresh seam: concurrent waves racing a delta
+# Refresh must answer from exactly one tree state, and the stats
+# endpoints must stay race-free mid-refresh.
 go test -race -short -run 'TestIncremental' .
 go test -race -short -run 'TestEngineStatsDuringRefresh|TestWavesRaceDeltaRefresh' ./internal/serve/
 
