@@ -65,7 +65,6 @@ type options struct {
 	waves       int
 	timeout     time.Duration
 	faults      string
-	rtTimers    bool
 	incremental bool
 
 	traceCap   int
@@ -80,6 +79,18 @@ type options struct {
 	sloMinSamples  int
 	drainGrace     time.Duration
 }
+
+// Connection limits: a peer that trickles its request, or holds a
+// keep-alive connection open without sending one, is cut off instead of
+// pinning a connection for as long as it likes. Request bodies are a few
+// hundred bytes (and capped by serve.MaxBodyBytes), so the read limits are
+// about slow peers, not big uploads; answers are bounded by the wave, which
+// the per-request deadline covers, so there is no write timeout to race it.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
 
 func main() {
 	var o options
@@ -99,7 +110,6 @@ func main() {
 	flag.IntVar(&o.waves, "waves", 2, "max concurrently running waves")
 	flag.DurationVar(&o.timeout, "timeout", 2*time.Second, "default per-request deadline")
 	flag.StringVar(&o.faults, "faults", "", "inject delivery faults, e.g. drop=0.02,dup=0.02,jitter=200us,seed=7")
-	flag.BoolVar(&o.rtTimers, "rt-timers", true, "run batch flush timers on the simulated machine's delayed self-messages instead of host timers")
 	flag.BoolVar(&o.incremental, "incremental", false, "patch the resident tree incrementally on refresh when particles moved only slightly")
 	flag.IntVar(&o.traceCap, "trace", 0, "trace-span ring capacity (0 = tracing off)")
 	flag.StringVar(&o.traceOut, "trace-out", "", "write spans as Chrome Trace Event JSON here on shutdown (implies -trace 65536 when -trace is unset)")
@@ -179,9 +189,6 @@ func run(o options) error {
 			MinSamples:   o.sloMinSamples,
 		},
 	}
-	if o.rtTimers {
-		scfg.Batch.AfterFunc = eng.TimerAfterFunc()
-	}
 	srv := serve.NewServer(eng, scfg)
 
 	if o.healthInterval > 0 {
@@ -205,7 +212,12 @@ func run(o options) error {
 		return err
 	}
 	fmt.Printf("paratreet-serve: listening on http://%s\n", ln.Addr())
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 

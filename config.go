@@ -56,10 +56,11 @@ type Config struct {
 	// rebuilding, skips re-broadcasting unchanged subtree summaries, keeps
 	// cached remote data whose home subtree is unchanged, and re-shares
 	// only the buckets of dirty leaves. Results are bit-identical to a
-	// from-scratch build; unsupported configurations (non-octree trees,
-	// Hilbert or ORB decompositions) and structural steps (universe or
-	// splitter change) silently fall back to the scratch path — see
-	// Simulation.BuildStats.
+	// from-scratch build. Reuse is decided per subtree: unsupported
+	// configurations (non-octree trees, Hilbert or ORB decompositions) and
+	// a changed universe leave nothing to reuse and every subtree is built
+	// afresh, a changed subtree cover builds afresh only the subtrees that
+	// are new — see Simulation.BuildStats and the core.* counters.
 	Incremental bool
 
 	// LB selects the load balancer; LBPeriod is how many iterations pass

@@ -382,6 +382,98 @@ func TestIncrementalFaultedMatchesScratch(t *testing.T) {
 	}
 }
 
+// coverChangeDifferential drives an incremental and a from-scratch kNN
+// simulation in lockstep, a traversal between every two builds, until the
+// drift makes the splitter refinement walk a different cover — a subtree
+// key that was not there the step before. On that step the incremental
+// build must patch the subtrees that survived and build only the rest,
+// keep the remote fills it had fetched from unchanged subtrees, and still
+// equal the scratch twin bit for bit, answers included; one more step
+// shows the state it left is a sound base to patch from.
+func coverChangeDifferential(t *testing.T, cfg paratreet.Config) {
+	t.Helper()
+	const n = 2000
+	const k = 8
+	const maxSteps = 60
+	ps0 := incParticles(n, 99)
+	cfg.Incremental = true
+	inc := newKNNSim(t, cfg, particle.Clone(ps0))
+	defer inc.Close()
+	cfg.Incremental = false
+	scr := newKNNSim(t, cfg, particle.Clone(ps0))
+	defer scr.Close()
+
+	var prev map[uint64]bool
+	changedAt := -1
+	for step := 0; step < maxSteps && (changedAt < 0 || step <= changedAt+1); step++ {
+		label := fmt.Sprintf("step%d", step)
+		ri := runKNNStep(t, inc, n, k)
+		rs := runKNNStep(t, scr, n, k)
+		for id := range ri {
+			if ri[id] != rs[id] {
+				t.Fatalf("%s: particle %d kNN radius %.17g (incremental) vs %.17g (scratch)", label, id, ri[id], rs[id])
+			}
+		}
+		requireSameWorlds(t, inc, scr, label)
+
+		keys := make(map[uint64]bool)
+		fresh := false
+		for _, st := range inc.World().Subtrees {
+			keys[st.Key] = true
+			fresh = fresh || (prev != nil && !prev[st.Key])
+		}
+		prev = keys
+		if fresh && changedAt < 0 {
+			changedAt = step
+			st := inc.BuildStats()
+			if st.Mode != "incremental" || st.ReusedLeaves == 0 || st.BuiltSubtrees == 0 {
+				t.Fatalf("%s: cover changed: mode %q (fallback %q), %d leaves reused, %d subtrees built fresh; want a patch that builds only the new subtrees",
+					label, st.Mode, st.FallbackReason, st.ReusedLeaves, st.BuiltSubtrees)
+			}
+			if cfg.Procs > 1 && st.CacheKept == 0 {
+				t.Errorf("%s: cover changed: no fetched subtree kept (%d dropped)", label, st.CacheDropped)
+			}
+		}
+		drift(inc.Particles(), step, n/100)
+		drift(scr.Particles(), step, n/100)
+	}
+	if changedAt < 0 {
+		t.Fatalf("the cover did not change in %d steps", maxSteps)
+	}
+}
+
+// TestIncrementalCoverChange: with many subtrees a 1%-mover step now and
+// then refines a different one. That used to be the "splitters-changed"
+// cliff — one subtree of hundreds changed and every one was rebuilt; it is
+// a patch like any other step.
+func TestIncrementalCoverChange(t *testing.T) {
+	for _, subtrees := range []int{64, 256} {
+		for _, procs := range []int{1, 2, 4} {
+			if testing.Short() && (subtrees == 64) != (procs == 2) {
+				continue // short: 64 subtrees on 2 procs, 256 on 1 and 4
+			}
+			t.Run(fmt.Sprintf("subtrees=%d/p%d", subtrees, procs), func(t *testing.T) {
+				coverChangeDifferential(t, paratreet.Config{
+					Procs: procs, WorkersPerProc: 2, BuildWorkers: 2, Subtrees: subtrees,
+					Tree: paratreet.TreeOct, Decomp: paratreet.DecompSFC, BucketSize: 16,
+					CachePolicy: paratreet.CacheWaitFree, FetchDepth: 2,
+				})
+			})
+		}
+	}
+}
+
+// TestIncrementalCoverChangeFaulted reruns the cover change under the
+// chaos fault cocktail, beside TestIncrementalFaultedMatchesScratch.
+func TestIncrementalCoverChangeFaulted(t *testing.T) {
+	coverChangeDifferential(t, paratreet.Config{
+		Procs: 2, WorkersPerProc: 2, BuildWorkers: 2, Subtrees: 64,
+		Tree: paratreet.TreeOct, Decomp: paratreet.DecompSFC, BucketSize: 16,
+		CachePolicy: paratreet.CacheWaitFree, FetchDepth: 2,
+		Faults: chaosFaults(),
+	})
+}
+
 // TestIncrementalFallbacks pins the fallback ladder: unsupported
 // configurations and structural steps must take the scratch path with the
 // documented reason — and still produce correct state.

@@ -101,11 +101,18 @@ type Regression struct {
 	Cur    float64
 	// Ratio is Cur/Base (Inf when Base is zero and Cur is not).
 	Ratio float64
+	// Advisory marks a finding the gate reports but does not fail on: an
+	// ns/op difference between snapshots taken on different CPU counts.
+	Advisory bool
 }
 
 // String formats the finding for the CI log.
 func (r Regression) String() string {
-	return fmt.Sprintf("%s: %s regressed %.4g -> %.4g (%.2fx)", r.Name, r.Metric, r.Base, r.Cur, r.Ratio)
+	s := fmt.Sprintf("%s: %s regressed %.4g -> %.4g (%.2fx)", r.Name, r.Metric, r.Base, r.Cur, r.Ratio)
+	if r.Advisory {
+		s += " [not gated: snapshots from unlike machines]"
+	}
+	return s
 }
 
 // Compare reports the current snapshot's regressions against a baseline:
@@ -113,7 +120,10 @@ func (r Regression) String() string {
 // (fractional, e.g. 0.15 for +15%), any whose allocs/op grew at all
 // beyond tolerance, and any benchmark that disappeared from the current
 // set. New benchmarks absent from the baseline are not findings — they
-// have no trajectory yet. Improvements never fail the gate.
+// have no trajectory yet. Improvements never fail the gate. Times only
+// transfer between like machines: when the snapshots' NumCPU differ, ns/op
+// findings are still listed but marked Advisory; allocation counts do not
+// depend on the machine and gate regardless.
 func Compare(base, cur *Snapshot, tolerance float64) []Regression {
 	curByName := make(map[string]Result, len(cur.Results))
 	for _, r := range cur.Results {
@@ -130,6 +140,7 @@ func Compare(base, cur *Snapshot, tolerance float64) []Regression {
 			regs = append(regs, Regression{
 				Name: b.Name, Metric: "ns/op",
 				Base: b.NsPerOp, Cur: c.NsPerOp, Ratio: c.NsPerOp / b.NsPerOp,
+				Advisory: base.NumCPU != cur.NumCPU,
 			})
 		}
 		// Allocation counts are near-deterministic, so the same relative

@@ -129,7 +129,16 @@ func TestCompare(t *testing.T) {
 		t.Fatalf("b ns/op ratio %v, want ~1.3", regs[1].Ratio)
 	}
 
-	// Improvements and within-tolerance noise: no findings.
+	// Snapshots from unlike machines: the time finding is advisory, the
+	// allocation and missing-benchmark findings still gate.
+	cur.NumCPU = base.NumCPU + 1
+	for _, r := range Compare(base, cur, 0.15) {
+		if r.Advisory != (r.Metric == "ns/op") {
+			t.Fatalf("unlike machines: %v advisory=%v", r, r.Advisory)
+		}
+	}
+	cur.NumCPU = base.NumCPU
+
 	if regs := Compare(base, &Snapshot{Results: []Result{
 		{Name: "a", NsPerOp: 900, AllocsPerOp: 0},
 		{Name: "b", NsPerOp: 1000},

@@ -21,7 +21,6 @@ package cache
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -167,8 +166,8 @@ type Cache[D any] struct {
 	fetchDepth int
 
 	// localRoots is the process-level hash table of local subtree roots
-	// (Fig 2, bottom left). It is written under rootsMu during tree build
-	// and read without locking during traversal — the build/traverse phase
+	// (Fig 2, bottom left). It is written under rootsMu during the top
+	// share and read without locking during traversal — the build/traverse phase
 	// barrier orders the writes, so traversal-side reads carry
 	// //paratreet:allow(lockcheck) waivers instead of taking the lock.
 	rootsMu    sync.Mutex
@@ -178,8 +177,8 @@ type Cache[D any] struct {
 	views []*view[D]
 
 	// lastVersions holds the per-subtree versions the current views were
-	// built against (SetVersions / RefreshViews); nil until the first
-	// versioned build. Build-phase-only state, like views.
+	// built against (RefreshViews); nil on a cold cache. Build-phase-only
+	// state, like views.
 	lastVersions map[uint64]uint64
 
 	insertMu sync.Mutex // XWrite only
@@ -340,36 +339,10 @@ func (c *Cache[D]) ViewFor(workerID int) int {
 	return 0
 }
 
-// RegisterLocal inserts a local subtree root into the process-level hash
-// table. Called during the tree build step; uses a lock there (but never
-// during traversal), exactly as in the paper.
-func (c *Cache[D]) RegisterLocal(n *tree.Node[D]) {
-	c.rootsMu.Lock()
-	defer c.rootsMu.Unlock()
-	c.localRoots[n.Key] = n
-	c.sortedKeys = append(c.sortedKeys, n.Key)
-	sort.Slice(c.sortedKeys, func(i, j int) bool { return c.sortedKeys[i] < c.sortedKeys[j] })
-}
-
 // LocalRoots returns the hash table of local subtree roots.
 func (c *Cache[D]) LocalRoots() map[uint64]*tree.Node[D] {
 	//paratreet:allow(lockcheck) read after the build barrier; no writers during traversal
 	return c.localRoots
-}
-
-// BuildViews constructs the process's top-tree view(s) from the broadcast
-// subtree-root summaries (the top-share step). Under PerThread each worker
-// gets an independent view with its own placeholders.
-func (c *Cache[D]) BuildViews(sums []tree.RootSummary, acc tree.Accumulator[D]) error {
-	for _, v := range c.views {
-		//paratreet:allow(lockcheck) top-share runs after every RegisterLocal; no concurrent writers
-		root, err := tree.BuildTop(sums, c.treeType, c.localRoots, c.codec, acc)
-		if err != nil {
-			return err
-		}
-		v.root = root
-	}
-	return nil
 }
 
 // Root returns the global-tree view for the given view id.

@@ -70,6 +70,7 @@ func setupWorld(t *testing.T, nprocs, workers int, policy Policy, fetchDepth, np
 
 	w := &world{machine: m, ps: ps, nTotal: nparticles}
 	var sums []tree.RootSummary
+	local := make([][]*tree.Node[countData], nprocs)
 	for r := 0; r < nprocs; r++ {
 		w.caches = append(w.caches, New[countData](m.Proc(r), policy, tree.Octree, countCodec{}, fetchDepth))
 	}
@@ -79,11 +80,11 @@ func setupWorld(t *testing.T, nprocs, workers int, policy Policy, fetchDepth, np
 		root := tree.Build[countData](ps[lo:hi], splits.Boxes[i], splits.Keys[i], splits.Levels[i],
 			tree.BuildConfig{Type: tree.Octree, BucketSize: 8, Owner: int32(owner)})
 		tree.Accumulate[countData](root, countAcc{})
-		w.caches[owner].RegisterLocal(root)
+		local[owner] = append(local[owner], root)
 		sums = append(sums, tree.Summarize[countData](root, countCodec{}))
 	}
 	for r := 0; r < nprocs; r++ {
-		if err := w.caches[r].BuildViews(sums, countAcc{}); err != nil {
+		if _, err := w.caches[r].RefreshViews(sums, local[r], countAcc{}, nil); err != nil {
 			t.Fatal(err)
 		}
 		cache := w.caches[r]

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"sync"
 
 	"paratreet/internal/tree"
@@ -17,30 +18,34 @@ type RefreshStats struct {
 	Dropped int
 }
 
-// SetVersions records the per-subtree versions the current views were
-// built against, the baseline RefreshViews compares future versions to.
-// Like BuildViews, it must only be called during the build phase, when no
-// traversal is running.
-func (c *Cache[D]) SetVersions(versions map[uint64]uint64) {
-	cp := make(map[uint64]uint64, len(versions))
-	for k, v := range versions {
-		cp[k] = v
-	}
-	c.lastVersions = cp
-}
-
-// RefreshViews is the incremental-build counterpart of BuildViews: it
-// rebuilds the top-tree view(s) from the new summaries, then walks the
-// fresh and previous views in lockstep re-adopting fetched remote
-// subtrees whose home subtree's version is unchanged — those bytes are
+// RefreshViews is the one view constructor (the top-share step): it
+// replaces the process-level hash table of local subtree roots with local
+// (this process's subtrees of the new cover), builds the top-tree view(s)
+// from the broadcast summaries — under PerThread each worker gets an
+// independent view with its own placeholders — and then walks each fresh
+// view and the one it replaces in lockstep, re-adopting fetched remote
+// subtrees whose home subtree's version is unchanged: those bytes are
 // bit-identical to what a re-fetch would ship, so keeping them saves the
-// round trip. Subtrees whose version advanced are dropped; their
-// placeholders fault in fresh data on first touch.
+// round trip. Subtrees whose version advanced, or whose key is new to the
+// cover, are dropped; their placeholders fault in fresh data on first
+// touch. versions maps every subtree key of the new cover to its version;
+// the cache keeps the map. A cold cache (new, or Reset) has no previous
+// view and readopts nothing.
 //
 // Must run during the build phase, after traversal quiescence: every
 // in-flight fill has landed, the pending maps are empty, and no retry
 // timer is armed, so the previous view is frozen and safe to cannibalize.
-func (c *Cache[D]) RefreshViews(sums []tree.RootSummary, acc tree.Accumulator[D], versions map[uint64]uint64) (RefreshStats, error) {
+func (c *Cache[D]) RefreshViews(sums []tree.RootSummary, local []*tree.Node[D], acc tree.Accumulator[D], versions map[uint64]uint64) (RefreshStats, error) {
+	c.rootsMu.Lock()
+	defer c.rootsMu.Unlock()
+	c.localRoots = make(map[uint64]*tree.Node[D], len(local))
+	c.sortedKeys = c.sortedKeys[:0]
+	for _, n := range local {
+		c.localRoots[n.Key] = n
+		c.sortedKeys = append(c.sortedKeys, n.Key)
+	}
+	slices.Sort(c.sortedKeys)
+
 	keep := make(map[uint64]bool, len(versions))
 	for k, ver := range versions {
 		last, ok := c.lastVersions[k]
@@ -49,7 +54,6 @@ func (c *Cache[D]) RefreshViews(sums []tree.RootSummary, acc tree.Accumulator[D]
 	var st RefreshStats
 	for _, v := range c.views {
 		old := v.root
-		//paratreet:allow(lockcheck) build-phase call; no concurrent RegisterLocal
 		root, err := tree.BuildTop(sums, c.treeType, c.localRoots, c.codec, acc)
 		if err != nil {
 			return st, err
@@ -60,7 +64,7 @@ func (c *Cache[D]) RefreshViews(sums []tree.RootSummary, acc tree.Accumulator[D]
 		}
 		v.root = root
 	}
-	c.SetVersions(versions)
+	c.lastVersions = versions
 	return st, nil
 }
 

@@ -36,6 +36,7 @@ func setupFaultyWorld(t *testing.T, nprocs, workers int, policy Policy,
 
 	w := &world{machine: m, ps: ps, nTotal: nparticles}
 	var sums []tree.RootSummary
+	local := make([][]*tree.Node[countData], nprocs)
 	for r := 0; r < nprocs; r++ {
 		c := New[countData](m.Proc(r), policy, tree.Octree, countCodec{}, 2)
 		c.SetRetry(retry)
@@ -47,11 +48,11 @@ func setupFaultyWorld(t *testing.T, nprocs, workers int, policy Policy,
 		root := tree.Build[countData](ps[lo:hi], splits.Boxes[i], splits.Keys[i], splits.Levels[i],
 			tree.BuildConfig{Type: tree.Octree, BucketSize: 8, Owner: int32(owner)})
 		tree.Accumulate[countData](root, countAcc{})
-		w.caches[owner].RegisterLocal(root)
+		local[owner] = append(local[owner], root)
 		sums = append(sums, tree.Summarize[countData](root, countCodec{}))
 	}
 	for r := 0; r < nprocs; r++ {
-		if err := w.caches[r].BuildViews(sums, countAcc{}); err != nil {
+		if _, err := w.caches[r].RefreshViews(sums, local[r], countAcc{}, nil); err != nil {
 			t.Fatal(err)
 		}
 		cache := w.caches[r]

@@ -8,6 +8,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -16,6 +17,7 @@ import (
 
 	"paratreet/internal/cache"
 	"paratreet/internal/decomp"
+	"paratreet/internal/metrics"
 	"paratreet/internal/particle"
 	"paratreet/internal/rt"
 	"paratreet/internal/sfc"
@@ -55,9 +57,9 @@ func (p *Partition[D]) AddBucket(b *traverse.Bucket) {
 func (p *Partition[D]) Buckets() []*traverse.Bucket { return p.buckets }
 
 // RemoveBucketsByKey drops every bucket whose leaf key is in stale,
-// returning how many were dropped. The incremental build calls it between
-// iterations — before the delta leaf share re-emits dirty leaves — never
-// concurrently with traversal.
+// returning how many were dropped. The build calls it between iterations —
+// before the leaf share re-emits dirty leaves — never concurrently with
+// traversal.
 func (p *Partition[D]) RemoveBucketsByKey(stale map[uint64]struct{}) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -93,6 +95,13 @@ type Subtree[D any] struct {
 	Owner     int
 	Particles []particle.Particle
 	Root      *tree.Node[D]
+
+	// version is the build (World.builds) that last changed the tree, and
+	// sum the root summary broadcast by that build. Build numbers only
+	// grow, so a version never repeats for a key: fetched data a cache
+	// holds under (key, version) is current exactly while both match.
+	version uint64
+	sum     tree.RootSummary
 }
 
 // bucketMsg carries a split-off bucket to a remote partition's home
@@ -135,17 +144,19 @@ type Config struct {
 	// retries; enable it whenever the machine injects message loss, or
 	// dropped fetch traffic would strand traversals.
 	Retry cache.RetryPolicy
-	// Incremental enables the between-timestep incremental build path:
-	// when the particle set moved only slightly since the previous
-	// iteration, subtree trees are patched in place along dirty paths
-	// instead of rebuilt, unchanged root summaries are not re-broadcast,
-	// cached remote subtrees with unchanged versions survive the view
-	// refresh, and only buckets of dirty leaves are re-shared. The
-	// resulting state is bit-identical to a from-scratch build of the same
-	// particles; configurations the patch path does not support (non-octree
-	// trees, Hilbert or ORB decompositions) and steps that invalidate the
-	// previous state (universe change, splitter drift) fall back to the
-	// scratch build, with the reason recorded in BuildStats.
+	// Incremental lets a build patch the previous build's subtrees instead
+	// of building them afresh: a subtree of the new cover that is resident
+	// already — same key, same owner, in an unchanged universe — is patched
+	// in place along dirty paths, its root summary is re-broadcast only if
+	// the patch changed something, cached remote subtrees with unchanged
+	// versions survive the view refresh, and only buckets of dirty leaves
+	// are re-shared. The resulting state is bit-identical to a from-scratch
+	// build of the same particles. Configurations the patcher does not
+	// support (non-octree trees, Hilbert or ORB decompositions) and steps
+	// that leave nothing to reuse (first build, universe change) build
+	// every subtree afresh, with the reason recorded in BuildStats. It
+	// costs a second particle array (see World.cur), which is why it is an
+	// option.
 	Incremental bool
 }
 
@@ -200,7 +211,16 @@ type World[D any] struct {
 	homes []int // partition -> proc placement
 
 	stats BuildStats
-	inc   *incState[D]
+	// builds numbers BuildIteration calls; subtree versions are drawn
+	// from it.
+	builds uint64
+	// cur is the backing array the live subtree trees alias; spare is the
+	// retired buffer the next build sorts into. Kept only when the
+	// configuration can patch (Config.patchable): a patch reads the new
+	// array while the trees still alias the old one. The caller's array is
+	// never aliased: callers move particles in it between builds.
+	cur, spare []particle.Particle
+	mx         worldMetrics
 	// sorter serves every build: successive builds displace about as many
 	// particles, so its reference buffers stay sized to that and the sort
 	// allocates nothing (it lets them go after an outlier, see Reset).
@@ -209,33 +229,38 @@ type World[D any] struct {
 	rawHandler atomic.Pointer[func(self, from int, msg RawMsg)]
 }
 
-// BuildStats describes what the most recent BuildIteration did: which
-// path it took and, for the incremental path, how much work the patch
-// avoided.
+// BuildStats describes what the most recent BuildIteration did: how many
+// subtrees it could reuse and how much work reusing them avoided.
 type BuildStats struct {
-	// Mode is "scratch" or "incremental".
+	// Mode is "incremental" when at least one resident subtree was reused
+	// (patched), "scratch" when every subtree was built afresh.
 	Mode string
-	// FallbackReason is why the incremental path was not taken, when
+	// FallbackReason is why nothing could be reused, when
 	// Config.Incremental is set but Mode is "scratch": "first-build",
 	// "tree-type", "decomp-type", "universe-changed", or
-	// "splitters-changed". Empty otherwise.
+	// "splitters-changed" (no subtree of the new cover is resident with
+	// the same key and owner). Empty otherwise.
 	FallbackReason string
 	// Movers counts particles whose Morton key changed since the previous
-	// iteration.
+	// iteration; counted only when there were subtrees to reuse.
 	Movers int
 	// SortMoved counts the particles the sort found out of place and had
 	// to move; 0 means the array arrived in (Key, ID) order and the sort
 	// wrote nothing.
 	SortMoved int
 	// DirtyLeaves and ReusedLeaves count tree leaves re-bucketed vs kept
-	// across all subtrees; PatchedSubtrees and ReusedSummaries count
-	// subtrees whose summary was re-broadcast vs reused.
-	DirtyLeaves     int
-	ReusedLeaves    int
+	// across all subtrees; every leaf of a subtree built afresh is dirty.
+	DirtyLeaves  int
+	ReusedLeaves int
+	// Of the reused subtrees, PatchedSubtrees had something to repair and
+	// re-broadcast their summary, ReusedSummaries did not. BuiltSubtrees
+	// were not resident and were built afresh.
 	PatchedSubtrees int
 	ReusedSummaries int
-	// RefreshedBuckets and RemovedBuckets count the delta leaf share's
-	// bucket churn.
+	BuiltSubtrees   int
+	// RefreshedBuckets counts buckets the leaf share emitted, and
+	// RemovedBuckets the stale ones it dropped first (not counted when
+	// everything resident is dropped wholesale).
 	RefreshedBuckets int
 	RemovedBuckets   int
 	// CacheKept and CacheDropped count fetched remote subtrees re-adopted
@@ -244,19 +269,12 @@ type BuildStats struct {
 	CacheDropped int
 }
 
-// incState is the previous iteration's build state the incremental path
-// patches against.
-type incState[D any] struct {
-	universe vec.Box
-	splits   decomp.Splitters
-	sums     []tree.RootSummary
-	// versions counts patches per subtree key; caches keep fetched data
-	// only while its home subtree's version is unchanged.
-	versions map[uint64]uint64
-	// cur is the backing array the live subtree trees alias; spare is the
-	// retired buffer the next build sorts into. The caller's array is never
-	// aliased: callers move particles in it between builds.
-	cur, spare []particle.Particle
+// worldMetrics are the build's counters on the machine's registry, added
+// to once per build at the commit point; all nil (and free) without one.
+// A refresh loop that has stopped patching shows as subtreesBuilt growing
+// by the whole cover each build while subtreesPatched stands still.
+type worldMetrics struct {
+	builds, subtreesPatched, subtreesBuilt, leavesReused, leavesDirty *metrics.Counter
 }
 
 // SetRawHandler registers the consumer of RawMsg traffic; self is the
@@ -303,8 +321,20 @@ func NewWorld[D any](m *rt.Machine, cfg Config, acc tree.Accumulator[D], codec t
 		})
 	}
 	w.homes = make([]int, cfg.Partitions)
+	w.Partitions = make([]*Partition[D], cfg.Partitions)
 	for i := range w.homes {
 		w.homes[i] = i * m.NumProcs() / cfg.Partitions
+		// Partitions live as long as the world, so the load measured on
+		// them accumulates across the builds of a load-balancing window.
+		w.Partitions[i] = &Partition[D]{ID: i, Home: w.homes[i]}
+	}
+	reg := m.Metrics()
+	w.mx = worldMetrics{
+		builds:          reg.Counter(metrics.CCoreBuilds),
+		subtreesPatched: reg.Counter(metrics.CCoreSubtreesPatched),
+		subtreesBuilt:   reg.Counter(metrics.CCoreSubtreesBuilt),
+		leavesReused:    reg.Counter(metrics.CCoreLeavesReused),
+		leavesDirty:     reg.Counter(metrics.CCoreLeavesDirty),
 	}
 	return w
 }
@@ -331,91 +361,89 @@ func (w *World[D]) SetHomes(homes []int) error {
 func (w *World[D]) Homes() []int { return w.homes }
 
 // BuildIteration runs the full pre-traversal pipeline on ps: universe
-// reduction, key assignment, the two decompositions, parallel subtree
-// builds, the top-share step, and leaf sharing. ps is reordered. After it
+// reduction, key assignment, the two decompositions, the per-subtree build
+// tasks, the top-share step, and leaf sharing. ps is reordered. After it
 // returns, every partition holds its buckets and every cache presents its
 // view of the global tree.
 //
-// With Config.Incremental set, iterations after the first patch the
-// previous state instead of rebuilding, whenever the configuration and
-// the step's motion permit (see Config.Incremental); BuildStats reports
-// which path ran.
+// There is one pipeline, and its only fork is per subtree (the reuse
+// rule): a subtree of the new cover is patched when the configuration can
+// patch (Config.patchable), the universe is unchanged, and a resident
+// subtree has the same key and owner; otherwise it is built afresh, which
+// is the same patch applied to a bare root. A from-scratch build is the
+// case where the reuse set is empty; BuildStats reports which it was.
 func (w *World[D]) BuildIteration(ps []particle.Particle) error {
-	if !w.cfg.Incremental {
-		return w.buildScratch(ps, "")
-	}
-	if reason := w.incrementalUnsupported(); reason != "" {
-		return w.buildScratch(ps, reason)
-	}
-	if w.inc == nil {
-		return w.buildScratch(ps, "first-build")
-	}
-	reason, err := w.buildIncremental(ps)
-	if err != nil {
-		return err
-	}
-	if reason != "" {
-		return w.buildScratch(ps, reason)
-	}
-	return nil
-}
-
-// BuildStats returns what the most recent BuildIteration did.
-func (w *World[D]) BuildStats() BuildStats { return w.stats }
-
-// incrementalUnsupported reports why this configuration cannot take the
-// incremental path ("" when it can): the patcher replays octree build
-// decisions over Morton-sorted input, so only octrees under the
-// Morton-keyed decompositions qualify.
-func (w *World[D]) incrementalUnsupported() string {
-	if w.cfg.TreeType != tree.Octree {
-		return "tree-type"
-	}
-	if w.cfg.DecompType != decomp.SFCMorton && w.cfg.DecompType != decomp.Oct {
-		return "decomp-type"
-	}
-	return ""
-}
-
-// buildScratch is the from-scratch build pipeline; reason records why an
-// incremental build was not possible (empty when Incremental is off).
-func (w *World[D]) buildScratch(ps []particle.Particle, reason string) error {
-	w.stats = BuildStats{Mode: "scratch", FallbackReason: reason}
 	buildStart := time.Now()
 	m := w.Machine
 	nprocs := m.NumProcs()
+	workers := w.cfg.BuildWorkers
+	octree := w.cfg.TreeType == tree.Octree
+	curve := w.cfg.DecompType.Curve()
+	st := BuildStats{Mode: "scratch"}
 
-	// 1. Universe reduction: the global bounding box, padded so boundary
-	// particles stay interior, cubed for octrees so octants keep unit
-	// aspect ratio. A non-finite position has no key; reject it here,
-	// before anything resident changes.
-	box, bad := particle.Bounds(ps)
+	// 1. Front end: reject non-finite positions (they have no key) before
+	// anything resident changes, reduce the universe — the global bounding
+	// box, padded so boundary particles stay interior, cubed for octrees so
+	// octants keep unit aspect ratio — and key every particle within it.
+	// With subtrees to reuse, one pass does all of it by keying against the
+	// resident universe while the box is still being reduced (and counts
+	// the keys that changed): any change to the box rescales every Morton
+	// cell, so then nothing is reusable and the keys are assigned again.
+	patchable, reason := w.cfg.patchable()
+	reuse := patchable && len(w.Subtrees) > 0
+	if patchable && !reuse {
+		reason = "first-build"
+	}
+	var box vec.Box
+	bad := -1
+	if reuse {
+		box, st.Movers, bad = tree.KeyScan(ps, w.Universe, sfc.MortonKey, workers, &w.sorter)
+	} else {
+		box, bad = particle.Bounds(ps)
+	}
 	if bad >= 0 {
-		return nonFiniteError(&ps[bad])
+		return fmt.Errorf("core: particle %d has a non-finite position %v", ps[bad].ID, ps[bad].Pos)
 	}
 	universe := box.Pad(1e-9)
-	if w.cfg.TreeType == tree.Octree {
+	if octree {
 		universe = universe.Cubed()
 	}
+	if reuse && universe != w.Universe {
+		reuse, reason, st.Movers = false, "universe-changed", 0
+	}
+	if !reuse {
+		tree.KeyScan(ps, universe, func(p vec.Vec3, b vec.Box) uint64 { return sfc.Key(curve, p, b) }, workers, &w.sorter)
+	}
 
-	// 2. Key assignment and sort along the decomposition's curve, into the
-	// array the subtrees will own.
-	curve := w.cfg.DecompType.Curve()
-	owned := w.takeBuffer(len(ps))
-	sorted, other := w.keySort(owned, ps, universe, func(p vec.Vec3, b vec.Box) uint64 { return sfc.Key(curve, p, b) })
+	// 2. Sort along the decomposition's curve, into the array the subtrees
+	// will own: never the one live trees alias, so a patch can compare old
+	// buckets with new, and a build that fails leaves them intact.
+	next := w.spare
+	if cap(next) < len(ps) {
+		next = make([]particle.Particle, len(ps))
+	}
+	next = next[:len(ps)]
+	sorted, other, moved := w.sortInto(next, ps)
+	st.SortMoved = moved
 
-	// 3. Partition decomposition (load): mark every particle.
+	// 3. Partition decomposition (load): mark every particle. Marks are
+	// compared as part of the particle struct during patching, so a
+	// reassigned particle dirties both its old and new leaves.
 	if _, err := decomp.Assign(w.cfg.DecompType, sorted, universe, w.cfg.Partitions); err != nil {
 		return err
 	}
 
-	// 4. Subtree decomposition (memory), consistent with the tree type.
+	// 4. Subtree decomposition (memory), consistent with the tree type. It
+	// is recomputed every build, not reused: the splitter refinement is
+	// count-sensitive, and the cover it yields decides what is reusable.
 	var splits decomp.Splitters
-	if w.cfg.TreeType == tree.Octree {
-		// Octree subtrees need Morton keys; re-key if the partition
-		// decomposition used a different curve or reordered particles.
-		if curve != sfc.Morton || !particle.KeysSorted(sorted) {
-			sorted, other = w.keySort(other, sorted, universe, sfc.MortonKey)
+	if octree {
+		// Octree subtrees need Morton order; re-key if the partition
+		// decomposition used a different curve or (ORB) reordered particles.
+		if curve != sfc.Morton || w.cfg.DecompType == decomp.ORB {
+			tree.KeyScan(sorted, universe, sfc.MortonKey, workers, &w.sorter)
+			sorted, other, moved = w.sortInto(other, sorted)
+			st.SortMoved += moved
 		}
 		splits = decomp.OctSplitters(sorted, universe, w.cfg.Subtrees)
 	} else {
@@ -427,173 +455,241 @@ func (w *World[D]) buildScratch(ps []particle.Particle, reason string) error {
 	// The caller's array and the owned one end identical, sorted and
 	// marked, whichever of them the sort left the particles in.
 	copy(other, sorted)
-	w.Universe = universe
 
-	// 5. Create subtrees (skipping empty ranges — absent children become
-	// empty leaves in the shared top tree) and build them in parallel on
-	// their owners.
-	w.Subtrees = w.Subtrees[:0]
-	oldParts := w.Partitions
-	w.Partitions = make([]*Partition[D], w.cfg.Partitions)
-	for i := range w.Partitions {
-		w.Partitions[i] = &Partition[D]{ID: i, Home: w.homes[i]}
-		if i < len(oldParts) && oldParts[i] != nil {
-			// Measured load accumulates across the load-balancing window;
-			// the balancer zeroes it at each window boundary, so a rebuild
-			// mid-window must not lose it.
-			w.Partitions[i].LoadNanos = oldParts[i].LoadNanos
+	// 5. The reuse set. The new cover's subtrees (skipping empty ranges —
+	// absent children become empty leaves in the shared top tree) are
+	// placed in blocks on the processes; one that is resident under the
+	// same key — which fixes its level and box — on the same owner is kept
+	// and will be patched, the others start from a bare root. Resident
+	// subtrees left over are retired, and the buckets cut from their
+	// leaves with them.
+	var byKey map[uint64]*Subtree[D]
+	if reuse {
+		byKey = make(map[uint64]*Subtree[D], len(w.Subtrees))
+		for _, old := range w.Subtrees {
+			byKey[old.Key] = old
 		}
 	}
-	for _, c := range w.Caches {
-		c.Reset()
-	}
+	live := make([]*Subtree[D], 0, splits.Len())
 	for i := 0; i < splits.Len(); i++ {
 		lo, hi := splits.Ranges[i][0], splits.Ranges[i][1]
 		if hi == lo {
 			continue
 		}
-		w.Subtrees = append(w.Subtrees, &Subtree[D]{
-			Key:   splits.Keys[i],
-			Level: splits.Levels[i],
-			Box:   splits.Boxes[i],
-			// The particle exchange: the owner receives its subtree's
-			// particles (block placement assigned below once the
-			// non-empty count is known).
-			Particles: owned[lo:hi:hi],
+		// The particle exchange: the owner receives its subtree's particles.
+		live = append(live, &Subtree[D]{
+			Key: splits.Keys[i], Level: splits.Levels[i], Box: splits.Boxes[i],
+			Particles: next[lo:hi:hi],
 		})
 	}
-	for i, st := range w.Subtrees {
-		st.Owner = i * nprocs / len(w.Subtrees)
+	reused := make([]bool, len(live))
+	for i, s := range live {
+		s.Owner = i * nprocs / len(live)
+		if old := byKey[s.Key]; old != nil && old.Owner == s.Owner {
+			old.Particles = s.Particles
+			live[i], reused[i] = old, true
+			delete(byKey, s.Key)
+			st.Mode = "incremental"
+			continue
+		}
+		s.Root = tree.NewNode[D](s.Key, s.Level, tree.KindEmptyLeaf, 0)
+		s.Root.Owner, s.Root.Box = int32(s.Owner), s.Box
 	}
-
-	var wg sync.WaitGroup
-	for _, st := range w.Subtrees {
-		st := st
-		wg.Add(1)
-		m.Proc(st.Owner).Submit(func() {
-			defer wg.Done()
-			m.Proc(st.Owner).TimePhase(rt.PhaseTreeBuild, func() {
-				st.Root = tree.Build[D](st.Particles, st.Box, st.Key, st.Level, tree.BuildConfig{
-					Type:       w.cfg.TreeType,
-					BucketSize: w.cfg.BucketSize,
-					Owner:      int32(st.Owner),
-					Workers:    w.cfg.BuildWorkers,
-					// Subtree particles arrive Morton-sorted for octrees
-					// (step 4 re-keys if the decomposition curve differed),
-					// enabling the prefix-search partition.
-					MortonOrdered: w.cfg.TreeType == tree.Octree,
-				})
-				tree.AccumulateParallel(st.Root, w.acc, w.cfg.BuildWorkers)
-				w.Caches[st.Owner].RegisterLocal(st.Root)
-			})
-		})
+	if reuse && st.Mode != "incremental" {
+		reuse, reason = false, "splitters-changed"
 	}
-	wg.Wait()
-	m.WaitQuiescence()
+	if w.cfg.Incremental {
+		st.FallbackReason = reason
+	}
+	var stale map[uint64]struct{}
+	if reuse {
+		var gone []uint64
+		for _, old := range byKey {
+			gone = tree.BucketLeafKeys(old.Root, gone)
+		}
+		stale = make(map[uint64]struct{}, len(gone))
+		for _, k := range gone {
+			stale[k] = struct{}{}
+		}
+	} else {
+		// Nothing resident survives: drop it wholesale rather than find
+		// out piecemeal what is stale.
+		for _, c := range w.Caches {
+			c.Reset()
+		}
+	}
+	for i, p := range w.Partitions {
+		// Placement the load balancer decided since the last build.
+		p.Home = w.homes[i]
+		if !reuse {
+			p.buckets = nil
+		}
+	}
+	w.Universe, w.Subtrees = universe, live
+	ownerOf := func(i int) int { return live[i].Owner }
 
-	// 6. Top share: broadcast subtree-root summaries; every process builds
-	// its view(s) of the top of the global tree.
-	sums := make([]tree.RootSummary, len(w.Subtrees))
+	// 6. One task per subtree on its owner: patch the tree to match the
+	// new particles. A bare root has nothing to keep, so patching it is the
+	// build.
+	results := make([]*tree.PatchResult[D], len(live))
+	w.fanOut(len(live), ownerOf, rt.PhaseTreeBuild, func(i int) {
+		s := live[i]
+		results[i] = tree.PatchSubtree(s.Root, s.Particles, tree.BuildConfig{
+			Type:       w.cfg.TreeType,
+			BucketSize: w.cfg.BucketSize,
+			Owner:      int32(s.Owner),
+			Workers:    workers,
+			// Subtree particles arrive Morton-sorted for octrees (step 4
+			// re-keys if the decomposition curve differed).
+			MortonOrdered: octree,
+		}, w.acc)
+	})
+
+	// 7. Top share: a subtree that changed takes this build's number as
+	// its version and broadcasts a fresh root summary; an unchanged one
+	// keeps both. Every process then builds its view(s) of the top of the
+	// global tree, keeping what it had fetched from unchanged subtrees.
+	w.builds++
+	sums := make([]tree.RootSummary, len(live))
+	versions := make(map[uint64]uint64, len(live))
 	w.BroadcastBytes = 0
-	for i, st := range w.Subtrees {
-		sums[i] = tree.SummarizeDepth(st.Root, w.codec, w.cfg.ShareDepth)
-		w.BroadcastBytes += (len(sums[i].Data) + len(sums[i].Tree) + 64) * (nprocs - 1)
+	for i, s := range live {
+		res := results[i]
+		st.DirtyLeaves += len(res.DirtyLeaves)
+		st.ReusedLeaves += res.ReusedLeaves
+		switch {
+		case !reused[i]:
+			st.BuiltSubtrees++
+		case res.Changed:
+			st.PatchedSubtrees++
+		default:
+			st.ReusedSummaries++
+		}
+		if res.Changed {
+			s.version = w.builds
+			s.sum = tree.SummarizeDepth(s.Root, w.codec, w.cfg.ShareDepth)
+			w.BroadcastBytes += (len(s.sum.Data) + len(s.sum.Tree) + 64) * (nprocs - 1)
+		}
+		sums[i] = s.sum
+		versions[s.Key] = s.version
 	}
-	var topErr error
-	var topMu sync.Mutex
-	for r := 0; r < nprocs; r++ {
-		r := r
-		wg.Add(1)
-		m.Proc(r).Submit(func() {
-			defer wg.Done()
-			m.Proc(r).TimePhase(rt.PhaseTopShare, func() {
-				if err := w.Caches[r].BuildViews(sums, w.acc); err != nil {
-					topMu.Lock()
-					topErr = err
-					topMu.Unlock()
-				}
-			})
-		})
+	refreshed := make([]cache.RefreshStats, nprocs)
+	topErrs := make([]error, nprocs)
+	w.fanOut(nprocs, func(r int) int { return r }, rt.PhaseTopShare, func(r int) {
+		var local []*tree.Node[D]
+		for _, s := range live {
+			if s.Owner == r {
+				local = append(local, s.Root)
+			}
+		}
+		refreshed[r], topErrs[r] = w.Caches[r].RefreshViews(sums, local, w.acc, versions)
+	})
+	if err := errors.Join(topErrs...); err != nil {
+		return err
 	}
-	wg.Wait()
-	m.WaitQuiescence()
-	if topErr != nil {
-		return topErr
+	for _, rs := range refreshed {
+		st.CacheKept += rs.Kept
+		st.CacheDropped += rs.Dropped
 	}
 	w.BuildTime = time.Since(buildStart)
 
-	// 7. Leaf sharing.
-	if err := w.leafShare(); err != nil {
-		return err
+	// 8. Leaf share: drop every bucket derived from a leaf that is gone
+	// (its subtree retired, its region restructured) or dirty, then walk
+	// the dirty leaves on their owners and hand bucket copies to the owning
+	// partitions. Clean leaves' buckets are untouched — their particles
+	// compared equal, so the copies the partitions hold are already
+	// current.
+	shareStart := time.Now()
+	if reuse {
+		for i, res := range results {
+			if !reused[i] {
+				continue
+			}
+			for _, k := range res.RemovedLeafKeys {
+				stale[k] = struct{}{}
+			}
+			for _, leaf := range res.DirtyLeaves {
+				stale[leaf.Key] = struct{}{}
+			}
+		}
+		for _, p := range w.Partitions {
+			st.RemovedBuckets += p.RemoveBucketsByKey(stale)
+		}
 	}
+	shared := make([][2]int64, len(live)) // per subtree: split buckets, buckets emitted
+	w.fanOut(len(live), ownerOf, rt.PhaseLeafShare, func(i int) {
+		for _, leaf := range results[i].DirtyLeaves {
+			sp, bk := w.shareLeaf(live[i], leaf)
+			shared[i][0] += sp
+			shared[i][1] += bk
+		}
+	})
+	w.SplitBuckets = 0
+	for _, c := range shared {
+		w.SplitBuckets += int(c[0])
+		st.RefreshedBuckets += int(c[1])
+	}
+	w.LeafShareTime = time.Since(shareStart)
 
-	// 8. When the incremental path is enabled and this configuration
-	// supports it, capture the state the next iteration will patch
-	// against.
-	w.captureIncremental(splits, sums, owned)
+	// 9. Commit: the array the previous trees aliased is unreferenced now;
+	// a configuration that can patch keeps it to sort the next build into.
+	if patchable {
+		w.spare, w.cur = w.cur, next
+		if cap(w.spare) < len(next) {
+			// The next build would otherwise allocate its buffer, and on a
+			// heap with no free run that large the array arrives as
+			// untouched pages: every first write is a page fault, 0.2 s for
+			// 1e5 particles on a lazily backed VM against 12 ms for the
+			// rest of the step — or nothing, when the collector happened to
+			// leave a free run. That cost is set-up's; clear touches the
+			// pages now.
+			w.spare = make([]particle.Particle, len(next))
+			clear(w.spare)
+		}
+	}
+	w.stats = st
+	w.mx.builds.Inc(0)
+	w.mx.subtreesPatched.Add(0, int64(st.PatchedSubtrees+st.ReusedSummaries))
+	w.mx.subtreesBuilt.Add(0, int64(st.BuiltSubtrees))
+	w.mx.leavesReused.Add(0, int64(st.ReusedLeaves))
+	w.mx.leavesDirty.Add(0, int64(st.DirtyLeaves))
 	return nil
 }
 
-// captureIncremental snapshots a scratch build's decomposition state for
-// the next iteration's patch, resetting every subtree's version to 1 and
-// installing the version baseline in the caches (which Reset cleared, so
-// no stale fetched data can survive into the new version numbering).
-// owned is the array the new subtrees alias.
-func (w *World[D]) captureIncremental(splits decomp.Splitters, sums []tree.RootSummary, owned []particle.Particle) {
-	if !w.cfg.Incremental || w.incrementalUnsupported() != "" {
-		w.inc = nil
-		return
+// patchable reports whether this configuration can patch subtrees at all
+// and, when Incremental asks for it in vain, why not: the patcher splits
+// octants by Morton-key prefix, so only octrees under the Morton-keyed
+// decompositions qualify.
+func (c Config) patchable() (ok bool, reason string) {
+	switch {
+	case !c.Incremental:
+		return false, ""
+	case c.TreeType != tree.Octree:
+		return false, "tree-type"
+	case c.DecompType != decomp.SFCMorton && c.DecompType != decomp.Oct:
+		return false, "decomp-type"
 	}
-	versions := make(map[uint64]uint64, len(w.Subtrees))
-	for _, st := range w.Subtrees {
-		versions[st.Key] = 1
-	}
-	var spare []particle.Particle
-	if w.inc != nil {
-		// The array the previous trees aliased is unreferenced now.
-		spare = w.inc.cur
-	}
-	if cap(spare) < len(owned) {
-		// The first patch would otherwise allocate its buffer, and on a
-		// heap with no free run that large the array arrives as untouched
-		// pages: every first write is a page fault, 0.2 s for 1e5
-		// particles on a lazily backed VM against 12 ms for the rest of
-		// the step — or nothing, when the collector happened to leave a
-		// free run. That cost is set-up's; clear touches the pages now.
-		spare = make([]particle.Particle, len(owned))
-		clear(spare)
-	}
-	w.inc = &incState[D]{
-		universe: w.Universe,
-		splits:   splits,
-		sums:     sums,
-		versions: versions,
-		cur:      owned,
-		spare:    spare,
-	}
-	for _, c := range w.Caches {
-		c.SetVersions(versions)
-	}
+	return true, ""
 }
 
-// takeBuffer returns the n-particle array the next build sorts into and
-// its trees then own: the retired buffer of the incremental state when it
-// is large enough, a fresh array otherwise. It is never the array live
-// trees alias, so a build that fails leaves them intact.
-func (w *World[D]) takeBuffer(n int) []particle.Particle {
-	if w.inc != nil && cap(w.inc.spare) >= n {
-		return w.inc.spare[:n]
-	}
-	return make([]particle.Particle, n)
-}
+// BuildStats returns what the most recent BuildIteration did.
+func (w *World[D]) BuildStats() BuildStats { return w.stats }
 
-// keySort keys src within universe and sorts it into dst, for the scratch
-// build, whose stats it updates; src must hold finite positions.
-func (w *World[D]) keySort(dst, src []particle.Particle, universe vec.Box, key tree.KeyFunc) (sorted, other []particle.Particle) {
-	tree.KeyScan(src, universe, key, w.cfg.BuildWorkers, &w.sorter)
-	sorted, other, moved := w.sortInto(dst, src)
-	w.stats.SortMoved += moved
-	return sorted, other
+// fanOut runs fn(i) for every i in [0, n) as a task on process proc(i),
+// timed under phase, and returns once all have finished and the machine
+// is quiescent.
+func (w *World[D]) fanOut(n int, proc func(i int) int, phase rt.Phase, fn func(i int)) {
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		p := w.Machine.Proc(proc(i))
+		wg.Add(1)
+		p.Submit(func() {
+			defer wg.Done()
+			p.TimePhase(phase, func() { fn(i) })
+		})
+	}
+	wg.Wait()
+	w.Machine.WaitQuiescence()
 }
 
 // sortInto finishes the sort tree.KeyScan began over src: the one sort
@@ -608,62 +704,11 @@ func (w *World[D]) sortInto(dst, src []particle.Particle) (sorted, other []parti
 	return dst, src, moved
 }
 
-// nonFiniteError names the particle whose position has no key.
-func nonFiniteError(p *particle.Particle) error {
-	return fmt.Errorf("core: particle %d has a non-finite position %v", p.ID, p.Pos)
-}
-
-// leafShare walks every subtree's leaves on its owner and hands bucket
-// copies to the owning partitions: directly for partitions hosted on the
-// same process, by message otherwise. Buckets whose particles span several
-// partitions are split into per-partition local buckets (Fig 5).
-func (w *World[D]) leafShare() error {
-	start := time.Now()
-	m := w.Machine
-	var splitCount, totalBuckets int64
-	var countMu sync.Mutex
-	var wg sync.WaitGroup
-	for _, st := range w.Subtrees {
-		st := st
-		wg.Add(1)
-		m.Proc(st.Owner).Submit(func() {
-			defer wg.Done()
-			m.Proc(st.Owner).TimePhase(rt.PhaseLeafShare, func() {
-				splits, buckets := w.shareSubtreeLeaves(st)
-				countMu.Lock()
-				splitCount += splits
-				totalBuckets += buckets
-				countMu.Unlock()
-			})
-		})
-	}
-	wg.Wait()
-	m.WaitQuiescence()
-	w.SplitBuckets = int(splitCount)
-	w.LeafShareTime = time.Since(start)
-	_ = totalBuckets
-	return nil
-}
-
-// shareSubtreeLeaves processes one subtree, returning (split buckets,
-// total buckets emitted).
-func (w *World[D]) shareSubtreeLeaves(st *Subtree[D]) (splits, buckets int64) {
-	for _, leaf := range tree.Leaves(st.Root, nil) {
-		if leaf.Kind() != tree.KindLeaf || len(leaf.Particles) == 0 {
-			continue
-		}
-		s, b := w.shareLeaf(st, leaf)
-		splits += s
-		buckets += b
-	}
-	return splits, buckets
-}
-
 // shareLeaf hands one leaf's particles to their owning partitions:
 // directly for partitions hosted on the subtree's owner, by message
-// otherwise. Returns (split buckets, buckets emitted). Also the unit of
-// the incremental path's delta leaf share, which re-emits only dirty
-// leaves.
+// otherwise. Buckets whose particles span several partitions are split into
+// per-partition local buckets (Fig 5). Returns (split buckets, buckets
+// emitted).
 func (w *World[D]) shareLeaf(st *Subtree[D], leaf *tree.Node[D]) (splits, buckets int64) {
 	ps := leaf.Particles
 	// Count the leaf's particles per partition, partitions in order of

@@ -238,25 +238,26 @@ func TestWorldConfigExposed(t *testing.T) {
 	}
 }
 
-// TestIncrementalBuffersRotate pins the double buffer: a scratch build
-// that the next step may patch leaves both arrays allocated, and every
+// TestIncrementalBuffersRotate pins the double buffer: the first build of
+// a configuration that can patch leaves both arrays allocated, and every
 // build after it swaps them — no build after the first allocates an array
-// the size of the particle set, whichever path it takes.
+// the size of the particle set, whether it reuses subtrees or none. A
+// configuration that cannot patch keeps no second array.
 func TestIncrementalBuffersRotate(t *testing.T) {
 	_, w := newWorld(t, 2, 1, Config{BucketSize: 8, Partitions: 8, Subtrees: 4, Incremental: true})
 	ps := particle.NewClustered(4000, 11, vec.UnitBox(), 4)
 	if err := w.BuildIteration(ps); err != nil {
 		t.Fatal(err)
 	}
-	if w.inc == nil || len(w.inc.spare) != len(ps) || &w.inc.spare[0] == &w.inc.cur[0] {
-		t.Fatalf("scratch build left no second buffer: %d particles spare", len(w.inc.spare))
+	if len(w.spare) != len(ps) || &w.spare[0] == &w.cur[0] {
+		t.Fatalf("first build left no second buffer: %d particles spare", len(w.spare))
 	}
 	for step, wantMode := range []string{"incremental", "incremental", "scratch", "incremental"} {
-		cur, spare := &w.inc.cur[0], &w.inc.spare[0]
+		cur, spare := &w.cur[0], &w.spare[0]
 		// Swap two particles across the array; they keep the universe.
 		ps[10].Pos, ps[3000].Pos = ps[3000].Pos, ps[10].Pos
 		if wantMode == "scratch" {
-			ps[0].Pos = vec.Vec3{X: 2, Y: 2, Z: 2} // outside the universe: falls back
+			ps[0].Pos = vec.Vec3{X: 2, Y: 2, Z: 2} // outside the universe: nothing to reuse
 		}
 		if err := w.BuildIteration(ps); err != nil {
 			t.Fatal(err)
@@ -264,11 +265,21 @@ func TestIncrementalBuffersRotate(t *testing.T) {
 		if got := w.BuildStats().Mode; got != wantMode {
 			t.Fatalf("step %d: mode %q (%s), want %q", step, got, w.BuildStats().FallbackReason, wantMode)
 		}
-		if &w.inc.cur[0] != spare || &w.inc.spare[0] != cur {
+		if &w.cur[0] != spare || &w.spare[0] != cur {
 			t.Fatalf("step %d (%s): buffers did not swap", step, wantMode)
 		}
-		if &w.Subtrees[0].Particles[0] != &w.inc.cur[0] {
+		if &w.Subtrees[0].Particles[0] != &w.cur[0] {
 			t.Fatalf("step %d: subtrees do not alias the current buffer", step)
 		}
+	}
+
+	_, off := newWorld(t, 2, 1, Config{BucketSize: 8, Partitions: 8, Subtrees: 4})
+	for i := 0; i < 2; i++ {
+		if err := off.BuildIteration(ps); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if off.cur != nil || off.spare != nil {
+		t.Fatal("a world that cannot patch holds a second particle array")
 	}
 }

@@ -59,6 +59,19 @@ const (
 	// CCacheRetries counts fetch re-sends after a fill deadline expired.
 	CCacheRetries = "cache.retries"
 
+	// CCoreBuilds counts World.BuildIteration calls that completed.
+	CCoreBuilds = "core.builds"
+	// CCoreSubtreesPatched counts subtrees a build found resident and
+	// patched; CCoreSubtreesBuilt counts those it had to build afresh. A
+	// build that reuses nothing (see core.BuildStats.FallbackReason) adds
+	// its whole cover to the second.
+	CCoreSubtreesPatched = "core.subtrees_patched"
+	CCoreSubtreesBuilt   = "core.subtrees_built"
+	// CCoreLeavesReused counts tree leaves a build kept as they were;
+	// CCoreLeavesDirty counts those it re-bucketed and re-shared.
+	CCoreLeavesReused = "core.leaves_reused"
+	CCoreLeavesDirty  = "core.leaves_dirty"
+
 	// HCacheFetchRTT is the request-to-publish round-trip latency
 	// histogram, in nanoseconds.
 	HCacheFetchRTT = "cache.fetch_rtt_ns"

@@ -36,12 +36,6 @@ type BatchConfig struct {
 	// MaxWaves bounds concurrently running waves; full batches past the
 	// bound stay queued until a slot frees. Default 2.
 	MaxWaves int
-	// AfterFunc schedules the flush timer: it runs fn after d once, and
-	// the returned cancel stops it (reporting whether it won the race).
-	// Nil uses host timers (time.AfterFunc); the serve daemon wires
-	// Engine.TimerAfterFunc so flush deadlines ride the simulated
-	// machine's delayed self-message timers instead.
-	AfterFunc func(d time.Duration, fn func()) func() bool
 	// Registry, when non-nil, records the serve.* counters and the batch
 	// size / queue wait / wave time histograms.
 	Registry *metrics.Registry
@@ -59,12 +53,6 @@ func (c BatchConfig) withDefaults() BatchConfig {
 	}
 	if c.MaxWaves <= 0 {
 		c.MaxWaves = 2
-	}
-	if c.AfterFunc == nil {
-		c.AfterFunc = func(d time.Duration, fn func()) func() bool {
-			t := time.AfterFunc(d, fn)
-			return t.Stop
-		}
 	}
 	return c
 }
@@ -111,7 +99,7 @@ type Batcher[Req, Resp any] struct {
 	queue    []*pending[Req, Resp] // guarded by mu
 	inflight int                   // guarded by mu
 	draining bool                  // guarded by mu
-	timer    func() bool           // guarded by mu
+	timer    *time.Timer           // guarded by mu
 	timerAt  time.Time             // guarded by mu
 	timerGen uint64                // guarded by mu
 	waveWG   sync.WaitGroup
@@ -231,7 +219,7 @@ func (b *Batcher[Req, Resp]) Drain() {
 		b.cond.Wait()
 	}
 	if b.timer != nil {
-		b.timer()
+		b.timer.Stop()
 		b.timer = nil
 	}
 	b.mu.Unlock()
@@ -290,7 +278,7 @@ func (b *Batcher[Req, Resp]) pump() {
 		}
 		if b.timer == nil || due.Before(b.timerAt) {
 			if b.timer != nil {
-				b.timer()
+				b.timer.Stop()
 			}
 			d := due.Sub(now)
 			if d < 0 {
@@ -298,11 +286,11 @@ func (b *Batcher[Req, Resp]) pump() {
 			}
 			b.timerGen++
 			gen := b.timerGen
-			b.timer = b.cfg.AfterFunc(d, func() { b.onTimer(gen) })
+			b.timer = time.AfterFunc(d, func() { b.onTimer(gen) })
 			b.timerAt = due
 		}
 	} else if b.timer != nil {
-		b.timer()
+		b.timer.Stop()
 		b.timer = nil
 	}
 	b.qDepth.Set(int64(len(b.queue)))

@@ -1,16 +1,13 @@
 package serve
 
 import (
-	"encoding/binary"
 	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"paratreet"
 	"paratreet/internal/collision"
-	"paratreet/internal/core"
 	"paratreet/internal/knn"
 	"paratreet/internal/metrics"
 	"paratreet/internal/particle"
@@ -35,13 +32,6 @@ type Engine struct {
 	// the observable the race-mode acceptance test asserts on.
 	curWaves  atomic.Int64
 	peakWaves atomic.Int64
-
-	// Timer plumbing for TimerAfterFunc, riding the simulated machine's
-	// delayed self-messages.
-	timerInit sync.Once
-	timerMu   sync.Mutex
-	timerSeq  uint64            // guarded by timerMu
-	timers    map[uint64]func() // guarded by timerMu
 }
 
 // NewEngine builds the resident tree over ps (taking ownership) with the
@@ -65,9 +55,7 @@ func (e *Engine) Close() { e.sim.Close() }
 
 // Refresh rebuilds the resident tree, optionally over a replacement
 // particle set (nil keeps the current one). It excludes query waves for
-// the duration of the build; callers with a Batcher in front should let
-// the queue go idle first, since an armed flush timer from TimerAfterFunc
-// holds a quiescence pending unit the build would wait on.
+// the duration of the build.
 //
 // With Config.Incremental set, a refresh whose particles moved only
 // slightly is a delta refresh: trees are patched along dirty paths and
@@ -230,57 +218,4 @@ func answerOf(q *Query, b *traverse.Bucket) Answer {
 		})
 	}
 	return Answer{Hits: hits}
-}
-
-// serveTimerTag routes TimerAfterFunc's delayed self-messages through the
-// world's raw-message dispatcher.
-const serveTimerTag = "serve.timer"
-
-// TimerAfterFunc returns a BatchConfig.AfterFunc implementation riding
-// the simulated machine's delayed self-message timers (rt.SendSelfAfter /
-// Delayed.Cancel) — the same machinery the cache's fetch-retry deadlines
-// use — instead of host timers. Callbacks run on proc 0's communication
-// goroutine and must not block. An armed timer holds one quiescence
-// pending unit until it fires or is canceled, which is exactly why waves
-// complete via per-traversal callbacks rather than WaitQuiescence; only
-// the build path (Refresh) waits for quiescence, and it runs with the
-// batcher idle.
-func (e *Engine) TimerAfterFunc() func(time.Duration, func()) func() bool {
-	e.timerInit.Do(func() {
-		e.sim.World().SetRawHandler(func(self, from int, msg core.RawMsg) {
-			if msg.Tag != serveTimerTag || len(msg.Blob) < 8 {
-				return
-			}
-			id := binary.LittleEndian.Uint64(msg.Blob)
-			e.timerMu.Lock()
-			fn := e.timers[id]
-			delete(e.timers, id)
-			e.timerMu.Unlock()
-			if fn != nil {
-				fn()
-			}
-		})
-	})
-	return func(d time.Duration, fn func()) func() bool {
-		e.timerMu.Lock()
-		e.timerSeq++
-		id := e.timerSeq
-		if e.timers == nil {
-			e.timers = make(map[uint64]func())
-		}
-		e.timers[id] = fn
-		e.timerMu.Unlock()
-		var blob [8]byte
-		binary.LittleEndian.PutUint64(blob[:], id)
-		delayed := e.sim.Machine().Proc(0).SendSelfAfter(d, core.RawMsg{Tag: serveTimerTag, Blob: blob[:]})
-		return func() bool {
-			if !delayed.Cancel() {
-				return false
-			}
-			e.timerMu.Lock()
-			delete(e.timers, id)
-			e.timerMu.Unlock()
-			return true
-		}
-	}
 }

@@ -297,45 +297,6 @@ func TestEngineRefreshRejectsNonFinite(t *testing.T) {
 	}
 }
 
-// TestEngineTimerAfterFunc proves batch flush timers can ride the
-// simulated machine's delayed self-messages: a lone query is flushed by
-// the rt timer, and canceling an armed timer retires it cleanly.
-func TestEngineTimerAfterFunc(t *testing.T) {
-	ps := testParticles(1000)
-	eng, err := serve.NewEngine(testConfig(paratreet.DecompSFC, paratreet.CacheWaitFree), ps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	af := eng.TimerAfterFunc()
-
-	fired := make(chan struct{})
-	af(time.Millisecond, func() { close(fired) })
-	select {
-	case <-fired:
-	case <-time.After(5 * time.Second):
-		t.Fatal("rt-backed timer never fired")
-	}
-	cancel := af(time.Hour, func() { t.Error("canceled timer fired") })
-	if !cancel() {
-		t.Fatal("cancel of a far-future timer reported failure")
-	}
-
-	b := serve.NewBatcher[serve.Query, serve.Answer](serve.BatchConfig{
-		MaxBatch: 100, MaxWait: 2 * time.Millisecond, AfterFunc: af,
-	}, eng.RunBatch)
-	defer b.Drain()
-	q := testQueries(1)[0]
-	ans, tm, err := b.Submit(q, time.Time{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tm.BatchSize != 1 {
-		t.Fatalf("batch size = %d, want 1", tm.BatchSize)
-	}
-	diffAnswers(t, "rt-timer", 0, q, ans, bruteAnswer(engParticles(eng, ps), q))
-}
-
 // engParticles returns the particle set backing eng's answers; the
 // engine owns ps after NewEngine, so tests that kept no copy read
 // through this narrow door.

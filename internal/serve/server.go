@@ -106,8 +106,34 @@ type queryRequest struct {
 	Radius float64   `json:"radius,omitempty"`
 	Vel    []float64 `json:"vel,omitempty"`
 	Dt     float64   `json:"dt,omitempty"`
-	// TimeoutMs overrides the server's default per-request deadline.
-	TimeoutMs float64 `json:"timeout_ms,omitempty"`
+	// TimeoutMs overrides the server's default per-request deadline; see
+	// timeout.
+	TimeoutMs *float64 `json:"timeout_ms,omitempty"`
+}
+
+// Limits on what a peer may send. A query body is a few hundred bytes;
+// MaxBodyBytes is where the decoder stops reading (413). A timeout_ms
+// above MaxTimeout is refused rather than clamped: as a float of
+// milliseconds it can name a span a Duration cannot hold.
+const (
+	MaxBodyBytes = 1 << 20
+	MaxTimeout   = time.Hour
+)
+
+// timeout returns the request's deadline span: the server default when the
+// request names none, else its timeout_ms, which must be a positive number
+// of milliseconds no longer than MaxTimeout. The check is written as the
+// negation of "in range" so that NaN, which compares false to everything,
+// is refused too.
+func (r *queryRequest) timeout(def time.Duration) (time.Duration, error) {
+	if r.TimeoutMs == nil {
+		return def, nil
+	}
+	ms := *r.TimeoutMs
+	if !(ms > 0 && ms <= float64(MaxTimeout/time.Millisecond)) {
+		return 0, fmt.Errorf("serve: timeout_ms must be in (0, %d], got %v", MaxTimeout/time.Millisecond, ms)
+	}
+	return time.Duration(ms * float64(time.Millisecond)), nil
 }
 
 // hitJSON is one matched particle on the wire.
@@ -144,8 +170,13 @@ func (s *Server) handleQuery(kind QueryKind) http.HandlerFunc {
 			return
 		}
 		var req queryRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(&req); err != nil {
+			status := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			writeError(w, status, fmt.Errorf("bad request body: %w", err))
 			return
 		}
 		q, err := req.toQuery(kind)
@@ -153,9 +184,12 @@ func (s *Server) handleQuery(kind QueryKind) http.HandlerFunc {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		timeout := s.defaultTimeout
-		if req.TimeoutMs > 0 {
-			timeout = time.Duration(req.TimeoutMs * float64(time.Millisecond))
+		// Refused before the watchdog sees it: a bad timeout is the
+		// client's error, not a request the server failed.
+		timeout, err := req.timeout(s.defaultTimeout)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
 		}
 		id := s.reqSeq.Add(1)
 		start := time.Now()

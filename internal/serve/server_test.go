@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -228,5 +229,57 @@ func TestServerKNNMatchesLibrary(t *testing.T) {
 					p.ID, j, h.ID, h.Dist, want[j].ID, math.Sqrt(want[j].DistSq))
 			}
 		}
+	}
+}
+
+// TestServerRequestLimits: what a peer sends is bounded before it is
+// believed. An oversize body stops the decoder (413); a timeout_ms that is
+// not a positive number of milliseconds within serve.MaxTimeout is the
+// client's error (400) — 1e300 used to overflow into a deadline already
+// past, answer 504 and count against the SLO — and none of these reaches
+// the watchdog, while a valid override is honoured.
+func TestServerRequestLimits(t *testing.T) {
+	eng, err := serve.NewEngine(testConfig(paratreet.DecompSFC, paratreet.CacheWaitFree), testParticles(600))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	srv := serve.NewServer(eng, serve.ServerConfig{
+		Batch: serve.BatchConfig{MaxBatch: 8, MaxWait: time.Millisecond},
+	})
+	defer srv.Drain()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	queries := map[string]string{
+		"/query/knn":   `"pos":[0.4,0.5,0.6],"k":3`,
+		"/query/range": `"pos":[0.3,0.3,0.3],"radius":0.1`,
+		"/query/probe": `"pos":[0.5,0.5,0.5],"radius":0.02,"vel":[0.2,0,0],"dt":0.01`,
+	}
+	cases := []struct {
+		name, extra string
+		want        int
+	}{
+		{"oversize body", `,"pad":"` + strings.Repeat("x", serve.MaxBodyBytes) + `"`, http.StatusRequestEntityTooLarge},
+		{"timeout 1e300", `,"timeout_ms":1e300`, http.StatusBadRequest},
+		{"timeout negative", `,"timeout_ms":-5`, http.StatusBadRequest},
+		{"timeout zero", `,"timeout_ms":0`, http.StatusBadRequest},
+		{"timeout over the cap", fmt.Sprintf(`,"timeout_ms":%d`, serve.MaxTimeout/time.Millisecond+1), http.StatusBadRequest},
+		{"valid override", `,"timeout_ms":30000`, http.StatusOK},
+	}
+	served := int64(0)
+	for path, q := range queries {
+		for _, c := range cases {
+			resp, body := postJSON(t, ts.URL+path, "{"+q+c.extra+"}")
+			if resp.StatusCode != c.want {
+				t.Errorf("%s, %s: status %d, want %d (%.120s)", path, c.name, resp.StatusCode, c.want, body)
+			}
+			if c.want == http.StatusOK {
+				served++
+			}
+		}
+	}
+	if st := srv.Watchdog().Evaluate(); st.Requests != served || st.Errors != 0 {
+		t.Errorf("watchdog saw %d requests, %d errors; want the %d served ones and no error", st.Requests, st.Errors, served)
 	}
 }

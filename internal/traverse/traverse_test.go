@@ -127,13 +127,14 @@ func setupWorld(t *testing.T, nprocs, workers int, policy cache.Policy, n int) *
 		w.caches = append(w.caches, cache.New[countData](m.Proc(r), policy, tree.Octree, countCodec{}, 2))
 	}
 	var sums []tree.RootSummary
+	local := make([][]*tree.Node[countData], nprocs)
 	for i := 0; i < splits.Len(); i++ {
 		owner := i % nprocs
 		lo, hi := splits.Ranges[i][0], splits.Ranges[i][1]
 		root := tree.Build[countData](ps[lo:hi], splits.Boxes[i], splits.Keys[i], splits.Levels[i],
 			tree.BuildConfig{Type: tree.Octree, BucketSize: 8, Owner: int32(owner)})
 		tree.Accumulate[countData](root, countAcc{})
-		w.caches[owner].RegisterLocal(root)
+		local[owner] = append(local[owner], root)
 		sums = append(sums, tree.Summarize[countData](root, countCodec{}))
 		// The owner's partition takes copies of this subtree's leaves as
 		// its buckets (the leaf-sharing step, same-proc binding case).
@@ -150,7 +151,7 @@ func setupWorld(t *testing.T, nprocs, workers int, policy cache.Policy, n int) *
 		}
 	}
 	for r := 0; r < nprocs; r++ {
-		if err := w.caches[r].BuildViews(sums, countAcc{}); err != nil {
+		if _, err := w.caches[r].RefreshViews(sums, local[r], countAcc{}, nil); err != nil {
 			t.Fatal(err)
 		}
 		c := w.caches[r]

@@ -1,9 +1,6 @@
 package tree
 
-import (
-	"paratreet/internal/particle"
-	"paratreet/internal/sfc"
-)
+import "paratreet/internal/particle"
 
 // Incremental subtree patching (Cornerstone-style temporal coherence):
 // instead of rebuilding a subtree from scratch every timestep, PatchSubtree
@@ -11,9 +8,11 @@ import (
 // repairs only what moved. The invariant it preserves is bit-identity: a
 // patched subtree is indistinguishable — node keys, kinds, boxes, counts,
 // bucket contents, and Data — from the tree Build+Accumulate would produce
-// over the same sorted particles, because every decision (bucket cutoff,
-// octant boundaries, fold order) replays the build's exactly, and clean
-// subtrees keep Data that is a pure function of unchanged inputs.
+// over the same sorted particles, because every decision is the build's
+// own — patch and build call the same BuildConfig.shape (bucket cutoff)
+// and BuildConfig.octants (split rule) and fold children in the same
+// order — and clean subtrees keep Data that is a pure function of
+// unchanged inputs.
 //
 // Node objects are mutated in place rather than replaced, so the subtree
 // root's identity survives the patch. That is what lets the software cache
@@ -45,38 +44,36 @@ type PatchResult[D any] struct {
 }
 
 // PatchSubtree repairs the subtree rooted at root so it exactly matches
-// what Build+Accumulate would produce for ps (Morton-sorted within the
-// root's box, keys current). Leaves are re-pointed at subslices of ps —
-// clean or dirty — so after the patch the subtree aliases only ps, never
-// the previous step's array. Octree-only: the caller guarantees
-// cfg.Type == Octree and sorted Morton keys.
+// what Build+Accumulate would produce for ps (sorted within the root's
+// box, keys current). Leaves are re-pointed at subslices of ps — clean or
+// dirty — so after the patch the subtree aliases only ps, never the
+// previous step's array. Octree-only. A root that is a bare empty leaf
+// has nothing to reuse: patching it is the from-scratch build, reported
+// as Changed with every bucket-bearing leaf dirty.
 func PatchSubtree[D any](root *Node[D], ps []particle.Particle, cfg BuildConfig, acc Accumulator[D]) *PatchResult[D] {
-	c := cfg.withDefaults()
+	b := newBuilder[D](cfg, root.Level)
 	res := &PatchResult[D]{}
-	res.Changed = patchNode(root, ps, 0, &c, acc, res)
+	res.Changed = patchNode(root, ps, b, acc, res)
 	return res
 }
 
 // patchNode reconciles node n with the sorted slice ps, returning whether
-// anything under n changed. depth is relative to the subtree root,
-// mirroring the build recursion's MaxDepth accounting.
-func patchNode[D any](n *Node[D], ps []particle.Particle, depth int, cfg *BuildConfig, acc Accumulator[D], res *PatchResult[D]) bool {
-	// Replay the build's shape decision for this slice.
-	var want Kind
-	switch {
-	case len(ps) == 0:
-		want = KindEmptyLeaf
-	case len(ps) <= cfg.BucketSize || depth >= cfg.MaxDepth:
-		want = KindLeaf
-	default:
-		want = KindInternal
-	}
+// anything under n changed.
+func patchNode[D any](n *Node[D], ps []particle.Particle, b *builder[D], acc Accumulator[D], res *PatchResult[D]) bool {
+	switch want := b.cfg.shape(len(ps), n.Level); {
+	case want != n.Kind():
+		// Shape transition (leaf gained enough particles to split, an
+		// internal region drained below the bucket cutoff, a leaf emptied,
+		// an empty octant filled): rebuild this region from scratch and
+		// graft it into the existing node object.
+		res.RemovedLeafKeys = BucketLeafKeys(n, res.RemovedLeafKeys)
+		graftRebuild(n, ps, b, acc, res)
+		return true
 
-	switch k := n.Kind(); {
-	case want == KindEmptyLeaf && k == KindEmptyLeaf:
+	case want == KindEmptyLeaf:
 		return false
 
-	case want == KindLeaf && k == KindLeaf:
+	case want == KindLeaf:
 		if particlesEqual(n.Particles, ps) {
 			// Clean leaf: re-point the bucket at the new array (values are
 			// identical) so the old array can be recycled, and keep Data.
@@ -90,18 +87,11 @@ func patchNode[D any](n *Node[D], ps []particle.Particle, depth int, cfg *BuildC
 		res.DirtyLeaves = append(res.DirtyLeaves, n)
 		return true
 
-	case want == KindInternal && k == KindInternal:
-		var bounds [9]int
-		if n.Level < sfc.Bits {
-			// Same boundaries the build derives (prefix search and octant
-			// scan agree on Morton-sorted input; see parallel_test.go).
-			bounds = prefixPartition(ps, n.Key, n.Level)
-		} else {
-			bounds = octantPartition(ps, n.Box)
-		}
+	default:
+		bounds := b.cfg.octants(ps, n.Box, n.Key, n.Level)
 		changed := false
 		for i := 0; i < 8; i++ {
-			if patchNode(n.Child(i), ps[bounds[i]:bounds[i+1]], depth+1, cfg, acc, res) {
+			if patchNode(n.Child(i), ps[bounds[i]:bounds[i+1]], b, acc, res) {
 				changed = true
 			}
 		}
@@ -117,28 +107,20 @@ func patchNode[D any](n *Node[D], ps []particle.Particle, depth int, cfg *BuildC
 			n.Data = d
 		}
 		return changed
-
-	default:
-		// Shape transition (leaf gained enough particles to split, an
-		// internal region drained below the bucket cutoff, a leaf emptied,
-		// an empty octant filled): rebuild this region from scratch and
-		// graft it into the existing node object.
-		collectRemovedLeaves(n, res)
-		graftRebuild(n, ps, depth, cfg, acc, res)
-		return true
 	}
 }
 
-// collectRemovedLeaves records the keys of every bucket-bearing leaf under
-// n; callers invoke it before restructuring n so the stale buckets can be
-// dropped during the delta leaf share.
-func collectRemovedLeaves[D any](n *Node[D], res *PatchResult[D]) {
+// BucketLeafKeys appends the key of every bucket-bearing leaf under n to
+// dst: the buckets that go stale when n is restructured or its subtree
+// retired.
+func BucketLeafKeys[D any](n *Node[D], dst []uint64) []uint64 {
 	Walk(n, func(m *Node[D]) bool {
 		if m.Kind() == KindLeaf && len(m.Particles) > 0 {
-			res.RemovedLeafKeys = append(res.RemovedLeafKeys, m.Key)
+			dst = append(dst, m.Key)
 		}
 		return true
 	})
+	return dst
 }
 
 // graftRebuild replaces n's contents with a freshly built (and
@@ -146,9 +128,9 @@ func collectRemovedLeaves[D any](n *Node[D], res *PatchResult[D]) {
 // fresh root's kind, children, bucket, count, and Data are moved into n
 // and the children reparented. Every bucket-bearing leaf of the rebuilt
 // region is dirty by construction.
-func graftRebuild[D any](n *Node[D], ps []particle.Particle, depth int, cfg *BuildConfig, acc Accumulator[D], res *PatchResult[D]) {
-	fresh := build[D](ps, n.Box, n.Key, n.Level, depth, cfg)
-	Accumulate(fresh, acc)
+func graftRebuild[D any](n *Node[D], ps []particle.Particle, b *builder[D], acc Accumulator[D], res *PatchResult[D]) {
+	fresh := b.build(ps, n.Box, n.Key, n.Level)
+	AccumulateParallel(fresh, acc, b.cfg.Workers)
 	n.SetKind(fresh.Kind())
 	n.children = fresh.children
 	for i := range n.children {

@@ -92,6 +92,8 @@ func TestMetricsRegressionTinyRun(t *testing.T) {
 		"cache.fetches":    0,
 		"cache.fills":      0,
 		"cache.inserts":    0,
+		// One build with nothing resident: every subtree built, every leaf dirty.
+		"core.builds": 1, "core.subtrees_built": int64(len(sim.World().Subtrees)), "core.subtrees_patched": 0, "core.leaves_dirty": leaves, "core.leaves_reused": 0,
 	}
 	for name, want := range expect {
 		if got := snap.Counter(name); got != want {

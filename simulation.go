@@ -196,9 +196,10 @@ func (s *Simulation[D]) balanceLoad() error {
 	return s.world.SetHomes(homes)
 }
 
-// BuildStats returns what the most recent iteration's build did: which
-// path ran (scratch or incremental, with the fallback reason) and, for
-// incremental builds, how much work the patch avoided.
+// BuildStats returns what the most recent iteration's build did: whether
+// it reused resident subtrees ("incremental") or none ("scratch", with
+// the reason when Config.Incremental asked for reuse), and how much work
+// the reuse avoided.
 func (s *Simulation[D]) BuildStats() BuildStats { return s.world.BuildStats() }
 
 // Iter returns the number of completed iterations.
