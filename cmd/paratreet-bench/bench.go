@@ -416,7 +416,7 @@ func benchServeQuery(n int, seed int64) (benchResult, error) {
 	}
 	defer eng.Close()
 	qs := experiments.NewQuerySet(nq, seed+1, box, 16, 0.05)
-	bcfg := serve.BatchConfig{MaxBatch: 32, MaxWait: 200 * time.Microsecond, Registry: reg}
+	bcfg := serve.BatchConfig{MaxBatch: 32, Registry: reg}
 	var out benchResult
 	var benchErr error
 	out.r = testing.Benchmark(func(b *testing.B) {

@@ -60,7 +60,6 @@ type options struct {
 	bucket     int
 
 	batch       int
-	batchWait   time.Duration
 	queueCap    int
 	waves       int
 	timeout     time.Duration
@@ -105,7 +104,6 @@ func main() {
 	flag.StringVar(&o.policy, "policy", "waitfree", "cache policy: waitfree, xwrite, single, perthread")
 	flag.IntVar(&o.bucket, "bucket", 16, "max particles per leaf")
 	flag.IntVar(&o.batch, "batch", 32, "max queries coalesced into one wave")
-	flag.DurationVar(&o.batchWait, "batch-wait", 2*time.Millisecond, "max time a query waits for co-batching")
 	flag.IntVar(&o.queueCap, "queue", 0, "admission queue bound (0 = 4x batch)")
 	flag.IntVar(&o.waves, "waves", 2, "max concurrently running waves")
 	flag.DurationVar(&o.timeout, "timeout", 2*time.Second, "default per-request deadline")
@@ -176,7 +174,6 @@ func run(o options) error {
 	scfg := serve.ServerConfig{
 		Batch: serve.BatchConfig{
 			MaxBatch: o.batch,
-			MaxWait:  o.batchWait,
 			MaxQueue: o.queueCap,
 			MaxWaves: o.waves,
 		},

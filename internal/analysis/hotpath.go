@@ -18,14 +18,36 @@ import (
 // Propagation stops at //paratreet:coldpath functions (miss paths, error
 // paths), at cross-package calls (each package marks its own hot surface),
 // and at dynamic calls (interface methods, func values).
+//
+// In the event-driven packages (see eventDriven) it also flags time.Sleep
+// inside a loop, in any function, marked or not: that is a poll, and a
+// poll's latency is the host timer's (a 5µs sleep returned after a median
+// 1064µs where this rule was written), not the event's.
 var HotPathAnalyzer = &Analyzer{
 	Name: "hotpath",
-	Doc:  "checks that //paratreet:hotpath functions (and intra-package callees) avoid clocks, fmt, map allocation, closures, defer, and go",
+	Doc:  "checks that //paratreet:hotpath functions (and intra-package callees) avoid clocks, fmt, map allocation, closures, defer, and go, and that the event-driven packages never sleep-poll",
 	Run:  runHotPath,
+}
+
+// eventDriven lists the packages between a request and its answer. Their
+// goroutines block on channels and condition variables and are woken by
+// the event they wait for; none may wait by sleeping in a loop.
+var eventDriven = map[string]bool{
+	"paratreet/internal/rt":       true,
+	"paratreet/internal/serve":    true,
+	"paratreet/internal/cache":    true,
+	"paratreet/internal/traverse": true,
+	"testdata/hotpathdata":        true, // the golden package
 }
 
 func runHotPath(pass *Pass) error {
 	info := pass.TypesInfo()
+
+	if eventDriven[pass.TypesPkg().Path()] {
+		for _, file := range pass.Files() {
+			checkSleepPolls(pass, info, file)
+		}
+	}
 
 	// Conflicting marks are their own finding; a function marked both is
 	// treated as cold (propagation stops there).
@@ -106,6 +128,36 @@ func checkHotBody(pass *Pass, info *types.Info, fd *ast.FuncDecl, where string) 
 			}
 		}
 		return true
+	})
+}
+
+// checkSleepPolls reports every time.Sleep that sits inside a loop under
+// root. A closure in a loop body starts over: it runs when it is called,
+// not once per iteration.
+func checkSleepPolls(pass *Pass, info *types.Info, root ast.Node) {
+	ast.Inspect(root, func(n ast.Node) bool {
+		var body *ast.BlockStmt
+		switch n := n.(type) {
+		case *ast.ForStmt:
+			body = n.Body
+		case *ast.RangeStmt:
+			body = n.Body
+		default:
+			return true
+		}
+		ast.Inspect(body, func(m ast.Node) bool {
+			switch m := m.(type) {
+			case *ast.FuncLit:
+				checkSleepPolls(pass, info, m.Body)
+				return false
+			case *ast.CallExpr:
+				if fn := staticCallee(info, m); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "time" && fn.Name() == "Sleep" {
+					pass.Reportf(m.Pos(), "time.Sleep in a loop polls by the host timer; block on a channel or sync.Cond and have the producer wake it")
+				}
+			}
+			return true
+		})
+		return false // the inner Inspect covered nested loops
 	})
 }
 

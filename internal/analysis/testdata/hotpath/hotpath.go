@@ -80,9 +80,43 @@ func closureOnly() func() time.Time {
 //paratreet:coldpath
 func conflicted() {} // want `marked both`
 
+// poll waits by the clock: flagged in any function of an event-driven
+// package, hot or not, however deep the loop nesting.
+func poll(ready func() bool) {
+	for !ready() {
+		time.Sleep(time.Microsecond) // want `time\.Sleep in a loop polls by the host timer`
+	}
+	for range 3 {
+		if !ready() {
+			for {
+				time.Sleep(time.Millisecond) // want `time\.Sleep in a loop`
+			}
+		}
+	}
+}
+
+// pause sleeps once, outside any loop (rt.deliver's injected fault pause
+// has this shape), and a closure made in a loop runs when it is called,
+// not per iteration: neither is a poll. A loop inside that closure is.
+func pause(d time.Duration) []func() {
+	time.Sleep(d)
+	var fs []func()
+	for i := 0; i < 2; i++ {
+		fs = append(fs, func() { time.Sleep(d) })
+		fs = append(fs, func() {
+			for {
+				time.Sleep(d) // want `time\.Sleep in a loop`
+			}
+		})
+	}
+	return fs
+}
+
 var _ = []any{visit([]int{1}), visitWithMiss(nil), notHot(), closureOnly()}
 
 func init() {
 	spawny()
 	conflicted()
+	poll(func() bool { return true })
+	pause(0)
 }

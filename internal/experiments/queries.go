@@ -132,7 +132,7 @@ func RunServe(opts Options) (*Result, error) {
 			return nil, err
 		}
 		singleDur := time.Since(t0)
-		bcfg := serve.BatchConfig{MaxBatch: 32, MaxWait: time.Millisecond, MaxWaves: 2, Registry: reg}
+		bcfg := serve.BatchConfig{MaxBatch: 32, MaxWaves: 2, Registry: reg}
 		t0 = time.Now()
 		batched, err := RunBatched(eng, bcfg, qs, 32)
 		if err != nil {

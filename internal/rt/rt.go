@@ -175,7 +175,7 @@ func (s *Stats) Snapshot() StatsSnapshot {
 }
 
 // reset zeroes every counter with atomic stores (safe while workers are
-// idle-spinning, unlike overwriting the struct). Tests enforce by
+// live, unlike overwriting the struct). Tests enforce by
 // reflection that every field is covered.
 func (s *Stats) reset() {
 	s.MessagesSent.Store(0)
@@ -556,7 +556,7 @@ type Proc struct {
 func newProc(m *Machine, rank, nworkers int) *Proc {
 	p := &Proc{machine: m, rank: rank, inboxNew: make(chan struct{}, 1)}
 	for w := 0; w < nworkers; w++ {
-		p.workers = append(p.workers, &worker{proc: p, id: w})
+		p.workers = append(p.workers, &worker{proc: p, id: w, wake: make(chan struct{}, 1)})
 	}
 	return p
 }
@@ -787,18 +787,21 @@ func (p *Proc) notifyInbox() {
 }
 
 // Submit enqueues task on the currently least busy worker of this process
-// (the paper's placement policy for remote fill handling).
+// (the paper's placement policy for remote fill handling): a parked worker
+// if there is one — an empty queue alone does not mean idle, its owner may
+// be deep in a long task — else the shortest queue.
 //
 //paratreet:hotpath
 func (p *Proc) Submit(task func()) {
 	best := 0
 	bestLen := int64(1 << 62)
 	for i, w := range p.workers {
+		if w.parked.Load() {
+			best = i
+			break
+		}
 		if l := w.qlen.Load(); l < bestLen {
 			best, bestLen = i, l
-			if l == 0 {
-				break
-			}
 		}
 	}
 	p.submitShared(best, task)
@@ -984,10 +987,11 @@ func (q *msgHeap) pop() message {
 }
 
 // worker is one simulated core: it drains its own queues, steals from
-// siblings when idle, and accounts idle time. The pinned queue holds tasks
-// directed at this specific worker (SubmitTo) which must never be stolen —
-// the Sequential cache model relies on their serialization; the shared
-// queue holds least-busy-placed tasks that siblings may steal.
+// siblings when idle, parks when there is nothing to steal, and accounts
+// idle time. The pinned queue holds tasks directed at this specific worker
+// (SubmitTo) which must never be stolen — the Sequential cache model relies
+// on their serialization; the shared queue holds least-busy-placed tasks
+// that siblings may steal.
 type worker struct {
 	proc *Proc
 	id   int
@@ -996,6 +1000,12 @@ type worker struct {
 	pinned []func() // guarded by mu
 	queue  []func() // guarded by mu
 	qlen   atomic.Int64
+
+	// parked is set by the worker before its last look at the queues and
+	// cleared by whoever wakes it (or by the worker, when that look found
+	// work); wake carries the token. See run and unpark.
+	parked atomic.Bool
+	wake   chan struct{}
 
 	// busy accumulates task-execution nanos, the basis of the virtual
 	// makespan metric (see Machine.MaxBusy). idle and tasks feed the
@@ -1016,6 +1026,36 @@ func (w *worker) push(task func(), pin bool) {
 	}
 	w.mu.Unlock()
 	w.qlen.Add(1)
+	// Token after publish: the task and its count are visible before parked
+	// is read, and a parking worker sets parked before its last look, so
+	// one side always sees the other and a wake cannot be lost. A stealable
+	// task behind a running owner wakes one parked sibling to steal it.
+	if w.unpark() || pin {
+		return
+	}
+	for _, v := range w.proc.workers {
+		if v.unpark() {
+			return
+		}
+	}
+}
+
+// unpark wakes w if it is parked. The CAS elects one waker per park, so a
+// burst of pushes costs one channel send and Submit sees the worker as
+// taken at once; the send cannot block because only a token left over from
+// a park that found work on its last look can occupy the slot, and that
+// token wakes the worker just as well.
+//
+//paratreet:hotpath
+func (w *worker) unpark() bool {
+	if !w.parked.Load() || !w.parked.CompareAndSwap(true, false) {
+		return false
+	}
+	select {
+	case w.wake <- struct{}{}:
+	default:
+	}
+	return true
 }
 
 // pop takes from the front of the own queues (FIFO for fairness), pinned
@@ -1087,26 +1127,36 @@ func (w *worker) next() func() {
 
 func (w *worker) run(wg *sync.WaitGroup) {
 	defer wg.Done()
+	m := w.proc.machine
 	// tracer is resolved once per worker lifetime; the per-task emits below
 	// reuse the clock reads the loop already takes for busy/idle accounting,
 	// so the tracing-off cost is one nil check per task or idle gap.
-	tr := w.proc.machine.tracer
+	tr := m.tracer
 	idleSince := time.Time{}
-	sleep := time.Duration(0)
 	//paratreet:allow(pendingbalance) each iteration retires the unit of the one task it runs
-	for !w.proc.machine.stop.Load() {
+	for !m.stop.Load() {
 		t := w.next()
 		if t == nil {
 			if idleSince.IsZero() {
 				idleSince = time.Now()
 			}
-			// Escalating backoff: spin, then sleep briefly. Idle time is
-			// accounted so utilization profiles (Fig 9) see it.
-			if sleep < 100*time.Microsecond {
-				sleep += 5 * time.Microsecond
+			// Park: announce, look once more (a push that missed the
+			// announcement is caught here), then block until a push or Stop
+			// wakes us. Idle time is accounted when the next task arrives,
+			// so utilization profiles (Fig 9) see it.
+			w.parked.Store(true)
+			if t = w.next(); t == nil {
+				select {
+				case <-w.wake:
+				case <-m.stopCh:
+				}
 			}
-			time.Sleep(sleep)
-			continue
+			// Our own clear covers the wakes no waker's CAS paid for: the
+			// look that found work, Stop, and a leftover token.
+			w.parked.Store(false)
+			if t == nil {
+				continue
+			}
 		}
 		if !idleSince.IsZero() {
 			d := time.Since(idleSince)
@@ -1115,17 +1165,16 @@ func (w *worker) run(wg *sync.WaitGroup) {
 			tr.Emit(metrics.EvIdle, "idle", w.proc.rank, w.id, 0, idleSince, d)
 			idleSince = time.Time{}
 		}
-		sleep = 0
 		taskStart := time.Now()
 		t()
 		dur := time.Since(taskStart)
 		w.busy.Add(int64(dur))
 		w.tasks.Add(1)
-		w.proc.machine.taskHist.Observe(int64(dur))
-		w.proc.machine.taskQ.Observe(int64(dur))
+		m.taskHist.Observe(int64(dur))
+		m.taskQ.Observe(int64(dur))
 		tr.Emit(metrics.EvTask, "task", w.proc.rank, w.id, 0, taskStart, dur)
 		w.proc.stats.TasksRun.Add(1)
-		w.proc.machine.pendingDone()
+		m.pendingDone()
 	}
 }
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -24,17 +25,18 @@ var (
 
 // BatchConfig parameterizes a Batcher.
 type BatchConfig struct {
-	// MaxBatch flushes the queue into a wave once this many requests are
-	// pending (size trigger). Default 32.
+	// MaxBatch caps the requests one wave takes from the queue. Default 32.
 	MaxBatch int
-	// MaxWait flushes a nonempty queue this long after its oldest request
-	// arrived (latency trigger). Default 2ms.
+	// MaxWait is ignored: a wave launches the moment a request is queued
+	// and a wave slot is free, so there is no flush window to bound.
+	//
+	// Deprecated: kept only until the frozen benchmark stops setting it.
 	MaxWait time.Duration
 	// MaxQueue bounds the pending queue; submissions beyond it are
 	// rejected with ErrOverloaded. Default 4*MaxBatch.
 	MaxQueue int
-	// MaxWaves bounds concurrently running waves; full batches past the
-	// bound stay queued until a slot frees. Default 2.
+	// MaxWaves bounds concurrently running waves; requests arriving while
+	// every slot is busy coalesce in the queue until one frees. Default 2.
 	MaxWaves int
 	// Registry, when non-nil, records the serve.* counters and the batch
 	// size / queue wait / wave time histograms.
@@ -44,9 +46,6 @@ type BatchConfig struct {
 func (c BatchConfig) withDefaults() BatchConfig {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 32
-	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = 2 * time.Millisecond
 	}
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 4 * c.MaxBatch
@@ -86,10 +85,12 @@ type pending[Req, Resp any] struct {
 // batch through one call of the wave executor. It is the request-level
 // analogue of the transposed traversal loop: where the engine amortizes
 // one tree walk across a partition's buckets, the batcher amortizes one
-// wave across in-flight requests.
+// wave across in-flight requests. No clock is involved: a queued request
+// launches at once while a wave slot is free, and batches form only from
+// back-pressure, out of what arrived while MaxWaves waves were running.
 //
-// All state transitions happen in pump, under mu; Submit, the flush
-// timer, wave completion, and Drain all converge there.
+// All state transitions happen in pump, under mu; Submit, wave completion
+// and Drain all converge there.
 type Batcher[Req, Resp any] struct {
 	cfg BatchConfig
 	run func([]Req) ([]Resp, error)
@@ -99,9 +100,6 @@ type Batcher[Req, Resp any] struct {
 	queue    []*pending[Req, Resp] // guarded by mu
 	inflight int                   // guarded by mu
 	draining bool                  // guarded by mu
-	timer    *time.Timer           // guarded by mu
-	timerAt  time.Time             // guarded by mu
-	timerGen uint64                // guarded by mu
 	waveWG   sync.WaitGroup
 
 	// Metrics handles, resolved once; all nil-safe when Registry is nil.
@@ -177,8 +175,9 @@ func (b *Batcher[Req, Resp]) InFlight() int {
 
 // Submit enqueues one request and blocks until its wave completes (or it
 // is rejected). deadline zero means no deadline; a request whose deadline
-// passes while queued is rejected with ErrDeadlineExceeded before any
-// wave runs it. The returned Timing is valid whenever err is nil.
+// passes while queued is rejected with ErrDeadlineExceeded, at the next
+// pump, before any wave runs it. The returned Timing is valid whenever err
+// is nil.
 func (b *Batcher[Req, Resp]) Submit(req Req, deadline time.Time) (Resp, Timing, error) {
 	var zero Resp
 	p := &pending[Req, Resp]{
@@ -206,8 +205,8 @@ func (b *Batcher[Req, Resp]) Submit(req Req, deadline time.Time) (Resp, Timing, 
 	return out.resp, out.timing, out.err
 }
 
-// Drain stops intake (new Submits fail with ErrDraining), flushes every
-// queued request through its wave, and blocks until all in-flight waves
+// Drain stops intake (new Submits fail with ErrDraining) and blocks until
+// every queued request has gone through its wave and all in-flight waves
 // have delivered. Safe to call more than once.
 func (b *Batcher[Req, Resp]) Drain() {
 	b.mu.Lock()
@@ -218,105 +217,48 @@ func (b *Batcher[Req, Resp]) Drain() {
 	for len(b.queue) > 0 || b.inflight > 0 {
 		b.cond.Wait()
 	}
-	if b.timer != nil {
-		b.timer.Stop()
-		b.timer = nil
-	}
 	b.mu.Unlock()
 	b.waveWG.Wait()
 }
 
-// pump advances the batcher state machine: it expires overdue requests,
-// launches due batches into free wave slots, and keeps the flush timer
-// armed for the next edge. It is the single place guarded state changes,
-// and every path converges here — Submit, the flush timer, wave
-// completion, and Drain — so it must be safe to call at any time from any
-// goroutine (extra calls are no-ops).
+// pump advances the batcher state machine: it expires overdue requests
+// and launches the queue, MaxBatch at a time, into free wave slots. It is
+// the single place guarded state changes, and every path converges here —
+// Submit, wave completion, and Drain — so it must be safe to call at any
+// time from any goroutine (extra calls are no-ops).
 func (b *Batcher[Req, Resp]) pump() {
 	now := time.Now()
 	var launches [][]*pending[Req, Resp]
 	b.mu.Lock()
 	// Reject requests whose deadline passed while queued, before their
 	// wave launches.
-	keep := b.queue[:0]
-	for _, p := range b.queue {
-		if !p.deadline.IsZero() && !now.Before(p.deadline) {
-			b.rejectedDeadline.Inc(0)
-			p.done <- outcome[Resp]{err: ErrDeadlineExceeded}
-			continue
+	b.queue = slices.DeleteFunc(b.queue, func(p *pending[Req, Resp]) bool {
+		if p.deadline.IsZero() || now.Before(p.deadline) {
+			return false
 		}
-		keep = append(keep, p)
-	}
-	b.queue = keep
-	// Launch while a batch is due (full, overdue, or draining) and a wave
-	// slot is free.
-	for len(b.queue) > 0 && b.inflight < b.cfg.MaxWaves &&
-		(len(b.queue) >= b.cfg.MaxBatch || b.draining || !now.Before(b.queue[0].enqueued.Add(b.cfg.MaxWait))) {
-		n := len(b.queue)
-		if n > b.cfg.MaxBatch {
-			n = b.cfg.MaxBatch
-		}
-		batch := make([]*pending[Req, Resp], n)
-		copy(batch, b.queue[:n])
-		rest := copy(b.queue, b.queue[n:])
-		for i := rest; i < len(b.queue); i++ {
-			b.queue[i] = nil
-		}
-		b.queue = b.queue[:rest]
+		b.rejectedDeadline.Inc(0)
+		p.done <- outcome[Resp]{err: ErrDeadlineExceeded}
+		return true
+	})
+	// Launch while anything is queued and a wave slot is free.
+	for len(b.queue) > 0 && b.inflight < b.cfg.MaxWaves {
+		n := min(len(b.queue), b.cfg.MaxBatch)
+		launches = append(launches, slices.Clone(b.queue[:n]))
+		b.queue = slices.Delete(b.queue, 0, n)
 		b.inflight++
 		b.waves.Inc(0)
-		launches = append(launches, batch)
-	}
-	// Keep the flush timer armed for the earliest future edge: the oldest
-	// request's MaxWait flush or the earliest queued deadline.
-	if len(b.queue) > 0 {
-		due := b.queue[0].enqueued.Add(b.cfg.MaxWait)
-		for _, p := range b.queue {
-			if !p.deadline.IsZero() && p.deadline.Before(due) {
-				due = p.deadline
-			}
-		}
-		if b.timer == nil || due.Before(b.timerAt) {
-			if b.timer != nil {
-				b.timer.Stop()
-			}
-			d := due.Sub(now)
-			if d < 0 {
-				d = 0
-			}
-			b.timerGen++
-			gen := b.timerGen
-			b.timer = time.AfterFunc(d, func() { b.onTimer(gen) })
-			b.timerAt = due
-		}
-	} else if b.timer != nil {
-		b.timer.Stop()
-		b.timer = nil
 	}
 	b.qDepth.Set(int64(len(b.queue)))
 	b.inflightG.Set(int64(b.inflight))
 	b.cond.Broadcast()
 	b.mu.Unlock()
 	for _, batch := range launches {
-		batch := batch
 		b.waveWG.Add(1)
 		go func() {
 			defer b.waveWG.Done()
 			b.runWave(batch)
 		}()
 	}
-}
-
-// onTimer is the flush timer callback: it retires the armed-timer record
-// (unless a newer timer superseded it) and pumps.
-func (b *Batcher[Req, Resp]) onTimer(gen uint64) {
-	b.mu.Lock()
-	if gen == b.timerGen {
-		b.timer = nil
-		b.timerAt = time.Time{}
-	}
-	b.mu.Unlock()
-	b.pump()
 }
 
 // runWave executes one batch through the wave executor and delivers each

@@ -3,6 +3,7 @@ package serve_test
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -140,7 +141,7 @@ func TestEngineDifferential(t *testing.T) {
 				for i := range qs {
 					diffAnswers(t, "single-shot", i, qs[i], single[i], want[i])
 				}
-				bcfg := serve.BatchConfig{MaxBatch: 16, MaxWait: time.Millisecond, MaxWaves: 2}
+				bcfg := serve.BatchConfig{MaxBatch: 16, MaxWaves: 2}
 				batched, err := experiments.RunBatched(eng, bcfg, qs, 16)
 				if err != nil {
 					t.Fatal(err)
@@ -305,8 +306,10 @@ func engParticles(_ *serve.Engine, ps []paratreet.Particle) []paratreet.Particle
 }
 
 // TestBatcherMetrics proves the serve.* instruments fill in under
-// batched concurrent load: batch sizes above 1, queue waits recorded,
-// and an EvBatch span per wave.
+// back-pressure: batch sizes above 1, queue waits recorded, and an
+// EvBatch span per wave. The first waves are held until every other
+// request has queued behind them, so coalescing does not depend on how
+// fast this host runs a wave.
 func TestBatcherMetrics(t *testing.T) {
 	// Roomy ring: wave traversals emit task/message spans too, and the
 	// EvBatch-per-wave check below needs none of them overwritten.
@@ -319,10 +322,30 @@ func TestBatcherMetrics(t *testing.T) {
 	}
 	defer eng.Close()
 	qs := testQueries(64)
-	bcfg := serve.BatchConfig{MaxBatch: 16, MaxWait: time.Millisecond, MaxWaves: 2, Registry: reg}
-	if _, err := experiments.RunBatched(eng, bcfg, qs, 32); err != nil {
-		t.Fatal(err)
+	const maxWaves = 2
+	held := make(chan struct{})
+	b := serve.NewBatcher[serve.Query, serve.Answer](
+		serve.BatchConfig{MaxBatch: 16, MaxWaves: maxWaves, Registry: reg},
+		func(batch []serve.Query) ([]serve.Answer, error) {
+			<-held
+			return eng.RunBatch(batch)
+		})
+	var wg sync.WaitGroup
+	for _, q := range qs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, _, err := b.Submit(q, time.Time{}); err != nil {
+				t.Error(err)
+			}
+		}()
 	}
+	for b.QueueDepth() != len(qs)-maxWaves {
+		runtime.Gosched()
+	}
+	close(held)
+	wg.Wait()
+	b.Drain()
 	snap := eng.Snapshot()
 	if got := snap.Counter(metrics.CServeRequests); got != int64(len(qs)) {
 		t.Errorf("%s = %d, want %d", metrics.CServeRequests, got, len(qs))

@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"paratreet"
 	"paratreet/internal/particle"
@@ -81,7 +80,7 @@ func TestEngineStatsDuringRefresh(t *testing.T) {
 	}
 	defer eng.Close()
 	srv := serve.NewServer(eng, serve.ServerConfig{
-		Batch: serve.BatchConfig{MaxBatch: 8, MaxWait: time.Millisecond},
+		Batch: serve.BatchConfig{MaxBatch: 8},
 	})
 	defer srv.Drain()
 	ts := httptest.NewServer(srv.Handler())

@@ -5,8 +5,9 @@
 // collision-probe queries by coalescing them into traversal waves (the
 // reentrant query path). The Batcher applies the paper's core
 // amortization idea — one tree walk serves many buckets — at request
-// granularity: queries arriving within a size/max-wait window become
-// buckets of a single transposed top-down wave, with admission control
+// granularity: queries arriving while every wave slot is busy become
+// buckets of a single transposed top-down wave (a query that finds a slot
+// free launches at once, on no timer), with admission control
 // (bounded queue, bounded in-flight waves), per-request deadlines, and a
 // per-request timing breakdown returned to callers. Server exposes the
 // whole thing over HTTP/JSON, with graceful drain and the instance-scoped

@@ -57,7 +57,7 @@ func TestServerEndpoints(t *testing.T) {
 	}
 	defer eng.Close()
 	srv := serve.NewServer(eng, serve.ServerConfig{
-		Batch: serve.BatchConfig{MaxBatch: 8, MaxWait: time.Millisecond},
+		Batch: serve.BatchConfig{MaxBatch: 8},
 	})
 	defer srv.Drain()
 	ts := httptest.NewServer(srv.Handler())
@@ -196,7 +196,7 @@ func TestServerKNNMatchesLibrary(t *testing.T) {
 	}
 	defer eng.Close()
 	srv := serve.NewServer(eng, serve.ServerConfig{
-		Batch: serve.BatchConfig{MaxBatch: 8, MaxWait: time.Millisecond},
+		Batch: serve.BatchConfig{MaxBatch: 8},
 	})
 	defer srv.Drain()
 	ts := httptest.NewServer(srv.Handler())
@@ -245,7 +245,7 @@ func TestServerRequestLimits(t *testing.T) {
 	}
 	defer eng.Close()
 	srv := serve.NewServer(eng, serve.ServerConfig{
-		Batch: serve.BatchConfig{MaxBatch: 8, MaxWait: time.Millisecond},
+		Batch: serve.BatchConfig{MaxBatch: 8},
 	})
 	defer srv.Drain()
 	ts := httptest.NewServer(srv.Handler())

@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -33,21 +34,24 @@ func getJSON(t *testing.T, url string) (*http.Response, []byte) {
 }
 
 // TestReadyzDrainMidRequest is the liveness/readiness split regression:
-// a request is parked in the batcher queue, drain begins mid-request,
-// and /readyz must flip to 503 while /healthz stays 200 and the parked
-// request still completes successfully.
+// a request is held half-received in its handler (the test owns the rest
+// of its body, so no clock decides how long it stays there), drain begins
+// mid-request, and /readyz must flip to 503 while /healthz stays 200 and
+// the held request still completes successfully.
 func TestReadyzDrainMidRequest(t *testing.T) {
 	eng, err := serve.NewEngine(testConfig(paratreet.DecompSFC, paratreet.CacheWaitFree), testParticles(1000))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	srv := serve.NewServer(eng, serve.ServerConfig{
-		// A long MaxWait and large MaxBatch park the request in the queue
-		// until drain forces the flush.
-		Batch: serve.BatchConfig{MaxBatch: 64, MaxWait: time.Minute},
-	})
-	ts := httptest.NewServer(srv.Handler())
+	srv := serve.NewServer(eng, serve.ServerConfig{Batch: serve.BatchConfig{MaxBatch: 64}})
+	entered := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/query/knn" {
+			close(entered)
+		}
+		srv.Handler().ServeHTTP(w, r)
+	}))
 	defer ts.Close()
 
 	resp, body := getJSON(t, ts.URL+"/readyz")
@@ -55,18 +59,22 @@ func TestReadyzDrainMidRequest(t *testing.T) {
 		t.Fatalf("pre-drain /readyz: %d %s, want 200", resp.StatusCode, body)
 	}
 
+	bodyR, bodyW := io.Pipe()
 	done := make(chan int, 1)
 	go func() {
-		r, _ := postJSON(t, ts.URL+"/query/knn", `{"pos":[0.5,0.5,0.5],"k":3}`)
+		r, err := http.Post(ts.URL+"/query/knn", "application/json", bodyR)
+		if err != nil {
+			t.Error(err)
+			done <- 0
+			return
+		}
+		r.Body.Close()
 		done <- r.StatusCode
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Batcher().QueueDepth() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("request never queued")
-		}
-		time.Sleep(time.Millisecond)
+	if _, err := io.WriteString(bodyW, `{"pos":[0.5,0.5,0.5],`); err != nil {
+		t.Fatal(err)
 	}
+	<-entered
 
 	srv.BeginDrain()
 	resp, body = getJSON(t, ts.URL+"/readyz")
@@ -88,17 +96,21 @@ func TestReadyzDrainMidRequest(t *testing.T) {
 		t.Fatalf("mid-drain /healthz: %d, want 200 (liveness is not readiness)", resp.StatusCode)
 	}
 
-	// Drain flushes the parked request through its wave: it must succeed,
-	// not be rejected.
-	srv.Drain()
+	// BeginDrain does not stop intake: the held request goes through its
+	// wave and must succeed, not be rejected. Drain then finds nothing left.
+	if _, err := io.WriteString(bodyW, `"k":3}`); err != nil {
+		t.Fatal(err)
+	}
+	bodyW.Close()
 	select {
 	case code := <-done:
 		if code != http.StatusOK {
-			t.Fatalf("parked request finished %d, want 200", code)
+			t.Fatalf("held request finished %d, want 200", code)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("parked request never completed")
+		t.Fatal("held request never completed")
 	}
+	srv.Drain()
 	if resp, _ = getJSON(t, ts.URL+"/readyz"); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("post-drain /readyz: %d, want 503", resp.StatusCode)
 	}
@@ -113,7 +125,7 @@ func TestReadyzSLOBreach(t *testing.T) {
 	}
 	defer eng.Close()
 	srv := serve.NewServer(eng, serve.ServerConfig{
-		Batch: serve.BatchConfig{MaxBatch: 4, MaxWait: time.Millisecond},
+		Batch: serve.BatchConfig{MaxBatch: 4},
 		SLO: serve.SLOConfig{
 			Window: time.Minute, Interval: time.Second,
 			MaxP99: time.Nanosecond, MinSamples: 1, // every real request breaches
@@ -150,7 +162,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	defer eng.Close()
 	srv := serve.NewServer(eng, serve.ServerConfig{
-		Batch: serve.BatchConfig{MaxBatch: 4, MaxWait: time.Millisecond},
+		Batch: serve.BatchConfig{MaxBatch: 4},
 	})
 	defer srv.Drain()
 	ts := httptest.NewServer(srv.Handler())
@@ -197,7 +209,7 @@ func TestStatsQuantiles(t *testing.T) {
 	}
 	defer eng.Close()
 	srv := serve.NewServer(eng, serve.ServerConfig{
-		Batch: serve.BatchConfig{MaxBatch: 4, MaxWait: time.Millisecond},
+		Batch: serve.BatchConfig{MaxBatch: 4},
 	})
 	defer srv.Drain()
 	ts := httptest.NewServer(srv.Handler())

@@ -41,6 +41,14 @@ echo "==> benchmark harness guard tests"
 echo "==> go test -race -short"
 go test -race -short ./...
 
+echo "==> rt wake protocol (lost-wakeup stress)"
+# Workers park on a channel instead of polling, so a push whose wake is
+# lost strands its task forever. Full-length rounds (the -short pass above
+# runs a tenth) of producers racing Submit/SubmitTo/Send into parked
+# workers at GOMAXPROCS 1 and 2, plus steal-by-wake, Stop with everyone
+# parked, and idle accounting across a park.
+go test -race -count=1 -run 'TestWake|TestSubmitPrefersParkedWorker|TestStopWithAllWorkersParked|TestIdleAccruesAcrossPark' ./internal/rt/
+
 echo "==> chaos (differential fault injection)"
 # The fault-injection differential gate: gravity and kNN results must be
 # unchanged by dropped/duplicated/jittered delivery (fixed seed inside the

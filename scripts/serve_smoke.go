@@ -57,7 +57,7 @@ func run() error {
 // banner) for the caller to keep draining.
 func startDaemon(bin string, extra ...string) (*exec.Cmd, string, *bufio.Scanner, error) {
 	args := append([]string{"-addr", "127.0.0.1:0", "-n", "4000", "-procs", "2", "-wpp", "2",
-		"-batch", "8", "-batch-wait", "1ms"}, extra...)
+		"-batch", "8"}, extra...)
 	daemon := exec.Command(bin, args...)
 	stdout, err := daemon.StdoutPipe()
 	if err != nil {
