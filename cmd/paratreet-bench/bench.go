@@ -309,7 +309,13 @@ func benchIncBuild(n int, seed int64, incremental bool) (benchResult, error) {
 			rng := rand.New(rand.NewSource(seed + step))
 			step++
 			for m := 0; m < movers; m++ {
-				j := rng.Intn(interior)
+				// ps is in tree order, so the corner anchors (IDs from
+				// interior up) sit anywhere in it: moving one would change
+				// the universe and force a scratch build.
+				j := rng.Intn(len(ps))
+				if ps[j].ID >= int64(interior) {
+					continue
+				}
 				ps[j].Pos.X = driftClamp(ps[j].Pos.X + (rng.Float64()-0.5)*0.02)
 				ps[j].Pos.Y = driftClamp(ps[j].Pos.Y + (rng.Float64()-0.5)*0.02)
 				ps[j].Pos.Z = driftClamp(ps[j].Pos.Z + (rng.Float64()-0.5)*0.02)

@@ -14,7 +14,7 @@ import (
 //
 //	/debug/pprof/  net/http/pprof profiles (CPU, heap, goroutine, ...)
 //	/debug/vars    expvar-style JSON, including a "paratreet" var holding
-//	               the live registry's counters/histograms/spans
+//	               the live registry's counters/sketches/spans
 //	/snapshot      the live registry's snapshot as indented JSON
 //
 // "Live" means the registry of the most recently started simulation run;

@@ -134,7 +134,7 @@ func main() {
 	if opts.Metrics != nil {
 		snaps := opts.Metrics.Snapshots()
 		warnDroppedSpans(os.Stderr, snaps, *traceCap)
-		writeHistogramTails(os.Stderr, snaps)
+		writeTails(os.Stderr, snaps)
 		if *traceOut != "" {
 			if err := writeChromeTrace(*traceOut, snaps); err != nil {
 				fatal(err)
@@ -279,29 +279,29 @@ func stripSpans(snaps []*paratreet.MetricsSnapshot) []*paratreet.MetricsSnapshot
 	return out
 }
 
-// writeHistogramTails prints per-run histogram tail quantiles to stderr
-// when -metrics is on: bucket-interpolated p50/p90/p99 of every recorded
-// latency histogram (HistogramSnapshot.Quantile), a human-readable tail
-// summary next to the machine-readable JSON the run emits.
-func writeHistogramTails(w io.Writer, snaps []*paratreet.MetricsSnapshot) {
+// writeTails prints per-run tail quantiles to stderr when -metrics is
+// on: the sketch p50/p90/p99/p999 of every recorded distribution, a
+// human-readable tail summary next to the machine-readable JSON the run
+// emits.
+func writeTails(w io.Writer, snaps []*paratreet.MetricsSnapshot) {
 	for run, s := range snaps {
-		if s == nil || len(s.Histograms) == 0 {
+		if s == nil || len(s.Sketches) == 0 {
 			continue
 		}
-		names := make([]string, 0, len(s.Histograms))
-		for name := range s.Histograms {
+		names := make([]string, 0, len(s.Sketches))
+		for name := range s.Sketches {
 			names = append(names, name)
 		}
 		sort.Strings(names)
-		fmt.Fprintf(w, "histogram tails (run %d):\n", run)
-		fmt.Fprintf(w, "  %-24s %10s %12s %12s %12s\n", "histogram", "count", "p50", "p90", "p99")
+		fmt.Fprintf(w, "tails (run %d):\n", run)
+		fmt.Fprintf(w, "  %-24s %10s %12s %12s %12s %12s\n", "series", "count", "p50", "p90", "p99", "p999")
 		for _, name := range names {
-			h := s.Histograms[name]
-			if h.Count == 0 {
+			sk := s.Sketches[name]
+			if sk.Count == 0 {
 				continue
 			}
-			fmt.Fprintf(w, "  %-24s %10d %12.0f %12.0f %12.0f\n",
-				name, h.Count, h.Quantile(0.50), h.Quantile(0.90), h.Quantile(0.99))
+			fmt.Fprintf(w, "  %-24s %10d %12d %12d %12d %12d\n",
+				name, sk.Count, sk.P50, sk.P90, sk.P99, sk.P999)
 		}
 	}
 }

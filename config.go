@@ -85,7 +85,7 @@ type Config struct {
 	FetchTimeout time.Duration
 
 	// Metrics, when non-nil, enables the runtime observability layer: the
-	// runtime, cache, and traversal engines record counters, histograms,
+	// runtime, cache, and traversal engines record counters, sketches,
 	// utilization profiles, and (optionally) trace spans into the registry.
 	// Nil (the default) disables all collection at near-zero cost.
 	Metrics *metrics.Registry

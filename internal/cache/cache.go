@@ -205,12 +205,11 @@ type cacheMetrics struct {
 	inserts    *metrics.Counter
 	staleFills *metrics.Counter
 	retries    *metrics.Counter
-	fetchRTT   *metrics.Histogram
-	fetchRTTQ  *metrics.Sketch
-	insertNs   *metrics.Histogram
+	fetchRTT   *metrics.Sketch
+	insertNs   *metrics.Sketch
 	tracer     *metrics.Tracer
 	// reqAt maps in-flight (key, view) to the request issue time and trace
-	// flow id, for the fetch round-trip histogram and the fetch→fill flow
+	// flow id, for the fetch round-trip sketch and the fetch→fill flow
 	// arrow. A plain map under its own mutex: the previous sync.Map had to
 	// be "cleared" in Reset by assigning a fresh sync.Map over the old one,
 	// which copies the internal mutex and races with concurrent
@@ -299,9 +298,8 @@ func New[D any](proc *rt.Proc, policy Policy, t tree.Type, codec tree.DataCodec[
 		c.mx.inserts = reg.Counter(metrics.CCacheInserts)
 		c.mx.staleFills = reg.Counter(metrics.CCacheStaleFills)
 		c.mx.retries = reg.Counter(metrics.CCacheRetries)
-		c.mx.fetchRTT = reg.Histogram(metrics.HCacheFetchRTT)
-		c.mx.fetchRTTQ = reg.Sketch(metrics.HCacheFetchRTT)
-		c.mx.insertNs = reg.Histogram(metrics.HCacheInsert)
+		c.mx.fetchRTT = reg.Sketch(metrics.HCacheFetchRTT)
+		c.mx.insertNs = reg.Sketch(metrics.HCacheInsert)
 		c.mx.tracer = reg.Tracer()
 	}
 	return c
@@ -500,9 +498,7 @@ func (c *Cache[D]) HandleFill(msg FillMsg) {
 			c.mx.insertNs.Observe(int64(dur))
 			var flow uint64
 			if info, ok := c.mx.takeRequest(reqID{msg.Key, msg.View}); ok {
-				rtt := int64(time.Since(info.at))
-				c.mx.fetchRTT.Observe(rtt)
-				c.mx.fetchRTTQ.Observe(rtt)
+				c.mx.fetchRTT.Observe(int64(time.Since(info.at)))
 				flow = info.flow
 			}
 			c.mx.tracer.Emit(metrics.EvFill, "fill", c.proc.Rank(), -1, flow, start, dur)

@@ -147,10 +147,7 @@ func RunServe(opts Options) (*Result, error) {
 			}
 		}
 		snap := eng.Snapshot()
-		meanBatch := 0.0
-		if h, ok := snap.Histograms[metrics.HServeBatchSize]; ok {
-			meanBatch = h.Mean()
-		}
+		meanBatch := snap.Sketches[metrics.HServeBatchSize].Mean()
 		opts.Metrics.collect(fmt.Sprintf("serve/w%d", workers), snap)
 		eng.Close()
 		res.Rows = append(res.Rows, Row{X: workers, Values: map[string]float64{

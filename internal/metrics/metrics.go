@@ -1,14 +1,15 @@
 // Package metrics is the runtime observability layer: low-overhead,
-// concurrency-safe counters, histograms, and an event tracer that the
-// runtime (internal/rt), the software cache (internal/cache), and the
-// traversal engines (internal/traverse) report into. It reproduces the
-// kind of built-in per-phase, per-worker accounting the paper's evaluation
-// is made of — cache hit ratios (Fig 3), per-phase utilization (Fig 9),
-// traversal open/prune volumes — without ad-hoc printf instrumentation.
+// concurrency-safe counters, gauges, quantile sketches, and an event
+// tracer that the runtime (internal/rt), the software cache
+// (internal/cache), and the traversal engines (internal/traverse) report
+// into. It reproduces the kind of built-in per-phase, per-worker
+// accounting the paper's evaluation is made of — cache hit ratios
+// (Fig 3), per-phase utilization (Fig 9), traversal open/prune volumes —
+// without ad-hoc printf instrumentation.
 //
 // The layer is disabled by default and must cost (nearly) nothing then:
 // a nil *Registry is a valid, fully disabled registry, and every handle
-// it hands out (nil *Counter, nil *Histogram, nil *Tracer) is safe to
+// it hands out (nil *Counter, nil *Sketch, nil *Tracer) is safe to
 // call. Producers resolve their handles once at construction time, so the
 // disabled hot path is a single nil/bool check. Counters are sharded
 // across cache-line-padded cells to keep enabled-mode contention low;
@@ -16,8 +17,6 @@
 package metrics
 
 import (
-	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -73,12 +72,16 @@ const (
 	CCoreLeavesDirty  = "core.leaves_dirty"
 
 	// HCacheFetchRTT is the request-to-publish round-trip latency
-	// histogram, in nanoseconds.
+	// sketch, in nanoseconds.
 	HCacheFetchRTT = "cache.fetch_rtt_ns"
-	// HCacheInsert is the fill deserialize+splice time histogram.
+	// HCacheInsert is the fill deserialize+splice time sketch (ns).
 	HCacheInsert = "cache.insert_ns"
-	// HRTTask is the per-task execution time histogram.
+	// HRTTask is the per-task execution time sketch (ns).
 	HRTTask = "rt.task_ns"
+
+	// CTraceSpansDropped is the tracer ring's overwritten-span count,
+	// published by Registry.Snapshot when tracing is on.
+	CTraceSpansDropped = "trace.spans_dropped"
 
 	// CServeRequests counts queries admitted into the serve batcher.
 	CServeRequests = "serve.requests"
@@ -94,14 +97,15 @@ const (
 	// was draining for shutdown (the HTTP layer's 503).
 	CServeRejectedDraining = "serve.rejected_draining"
 
-	// HServeBatchSize is the per-wave coalesced batch size histogram.
+	// HServeBatchSize is the per-wave coalesced batch size sketch (exact:
+	// batches stay below the sketch's exact range of 128).
 	HServeBatchSize = "serve.batch_size"
-	// HServeQueueWait is the enqueue-to-wave-launch wait histogram (ns).
+	// HServeQueueWait is the enqueue-to-wave-launch wait sketch (ns).
 	HServeQueueWait = "serve.queue_wait_ns"
-	// HServeWave is the wave execution time histogram (ns).
+	// HServeWave is the wave execution time sketch (ns).
 	HServeWave = "serve.wave_ns"
 	// HServeRequest is the end-to-end request latency (queue wait + wave)
-	// histogram and sketch name (ns).
+	// sketch (ns).
 	HServeRequest = "serve.request_ns"
 
 	// CServeSLOBreaches counts healthy->breached transitions of the SLO
@@ -237,164 +241,6 @@ func (g *Gauge) Value() int64 {
 
 func (g *Gauge) reset() { g.v.Store(0) }
 
-// histBuckets is the number of power-of-two histogram buckets: bucket i
-// holds values v with bits.Len64(v) == i, i.e. 2^(i-1) <= v < 2^i, with
-// bucket 0 holding v <= 0.
-const histBuckets = 64
-
-// Histogram is a lock-free power-of-two-bucketed histogram of int64
-// values (typically nanoseconds). A nil *Histogram is disabled.
-//
-//paratreet:nilsafe
-type Histogram struct {
-	counts [histBuckets]atomic.Int64
-	sum    atomic.Int64
-	count  atomic.Int64
-	min    atomic.Int64
-	max    atomic.Int64
-}
-
-func newHistogram() *Histogram {
-	h := &Histogram{}
-	h.min.Store(int64(1)<<62 - 1)
-	h.max.Store(-(int64(1)<<62 - 1))
-	return h
-}
-
-// Observe records one value.
-//
-//paratreet:hotpath
-func (h *Histogram) Observe(v int64) {
-	if h == nil {
-		return
-	}
-	b := 0
-	if v > 0 {
-		b = bits.Len64(uint64(v))
-	}
-	if b >= histBuckets {
-		b = histBuckets - 1
-	}
-	h.counts[b].Add(1)
-	h.sum.Add(v)
-	h.count.Add(1)
-	for {
-		cur := h.min.Load()
-		if v >= cur || h.min.CompareAndSwap(cur, v) {
-			break
-		}
-	}
-	for {
-		cur := h.max.Load()
-		if v <= cur || h.max.CompareAndSwap(cur, v) {
-			break
-		}
-	}
-}
-
-func (h *Histogram) reset() {
-	for i := range h.counts {
-		h.counts[i].Store(0)
-	}
-	h.sum.Store(0)
-	h.count.Store(0)
-	h.min.Store(int64(1)<<62 - 1)
-	h.max.Store(-(int64(1)<<62 - 1))
-}
-
-// HistogramBucket is one exported histogram bucket: Count values were
-// observed with value <= Le (and greater than the previous bucket's Le).
-type HistogramBucket struct {
-	Le    int64 `json:"le"`
-	Count int64 `json:"count"`
-}
-
-// HistogramSnapshot is a plain-value copy of a Histogram.
-type HistogramSnapshot struct {
-	Count   int64             `json:"count"`
-	Sum     int64             `json:"sum"`
-	Min     int64             `json:"min"`
-	Max     int64             `json:"max"`
-	Buckets []HistogramBucket `json:"buckets,omitempty"`
-}
-
-// Mean returns the mean observed value (0 when empty).
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
-}
-
-// Quantile estimates the q-quantile (q in [0,1]) by linear interpolation
-// within the power-of-two bucket holding the target rank, clamped into
-// [Min, Max]. The buckets are coarse (each spans a factor of two), so the
-// estimate can be off by up to ~1/3 of the value; it is the honest tail
-// readout available from a plain histogram snapshot — the streaming
-// sketches carry the tight (<=1/64 relative error) quantiles. Returns 0
-// when the snapshot is empty.
-func (s HistogramSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 || len(s.Buckets) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(s.Count)
-	var cum int64
-	for _, b := range s.Buckets {
-		// Bucket le = 2^i - 1 covers [2^(i-1), 2^i - 1]; bucket le = 0
-		// holds v <= 0.
-		lo := 0.0
-		if b.Le > 0 {
-			lo = float64((b.Le + 1) / 2)
-		}
-		hi := float64(b.Le)
-		inBucket := float64(b.Count)
-		if rank <= float64(cum)+inBucket {
-			frac := 0.0
-			if inBucket > 0 {
-				frac = (rank - float64(cum)) / inBucket
-			}
-			v := lo + frac*(hi-lo)
-			// The exact extrema tighten the first and last buckets.
-			if v < float64(s.Min) {
-				v = float64(s.Min)
-			}
-			if v > float64(s.Max) {
-				v = float64(s.Max)
-			}
-			return v
-		}
-		cum += b.Count
-	}
-	return float64(s.Max)
-}
-
-// Snapshot copies the histogram's state, omitting empty buckets.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	if h == nil {
-		return HistogramSnapshot{}
-	}
-	s := HistogramSnapshot{Count: h.count.Load(), Sum: h.sum.Load()}
-	if s.Count > 0 {
-		s.Min, s.Max = h.min.Load(), h.max.Load()
-	}
-	for i := range h.counts {
-		if n := h.counts[i].Load(); n > 0 {
-			le := int64(0)
-			if i > 0 {
-				le = int64(1)<<uint(i) - 1
-			}
-			s.Buckets = append(s.Buckets, HistogramBucket{Le: le, Count: n})
-		}
-	}
-	return s
-}
-
 // Options configures a Registry.
 type Options struct {
 	// Shards is the counter shard count (rounded up to a power of two).
@@ -405,9 +251,9 @@ type Options struct {
 	TraceCapacity int
 }
 
-// Registry owns a named set of counters and histograms plus an optional
-// tracer. A nil *Registry is the disabled layer: every method is a no-op
-// returning nil/zero handles that are themselves safe to use.
+// Registry owns a named set of counters, gauges, and sketches plus an
+// optional tracer. A nil *Registry is the disabled layer: every method is
+// a no-op returning nil/zero handles that are themselves safe to use.
 //
 //paratreet:nilsafe
 type Registry struct {
@@ -415,10 +261,9 @@ type Registry struct {
 	tracer *Tracer
 
 	mu       sync.Mutex
-	counters map[string]*Counter   // guarded by mu
-	hists    map[string]*Histogram // guarded by mu
-	gauges   map[string]*Gauge     // guarded by mu
-	sketches map[string]*Sketch    // guarded by mu
+	counters map[string]*Counter // guarded by mu
+	gauges   map[string]*Gauge   // guarded by mu
+	sketches map[string]*Sketch  // guarded by mu
 }
 
 // NewRegistry constructs an enabled registry.
@@ -429,7 +274,6 @@ func NewRegistry(opts Options) *Registry {
 	r := &Registry{
 		opts:     opts,
 		counters: make(map[string]*Counter),
-		hists:    make(map[string]*Histogram),
 		gauges:   make(map[string]*Gauge),
 		sketches: make(map[string]*Sketch),
 	}
@@ -455,21 +299,6 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Histogram returns the named histogram, creating it on first use.
-func (r *Registry) Histogram(name string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = newHistogram()
-		r.hists[name] = h
-	}
-	return h
-}
-
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
@@ -485,10 +314,9 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Sketch returns the named streaming quantile sketch, creating it on
-// first use. By convention a sketch shares its name with the histogram
-// observing the same series (e.g. "serve.wave_ns"): the histogram keeps
-// the cheap distribution shape, the sketch the tight tail quantiles.
+// Sketch returns the named quantile sketch, creating it on first use:
+// the one instrument per distribution series (e.g. "serve.wave_ns"),
+// observed once per event.
 func (r *Registry) Sketch(name string) *Sketch {
 	if r == nil {
 		return nil
@@ -497,7 +325,7 @@ func (r *Registry) Sketch(name string) *Sketch {
 	defer r.mu.Unlock()
 	s, ok := r.sketches[name]
 	if !ok {
-		s = newSketch()
+		s = NewSketch()
 		r.sketches[name] = s
 	}
 	return s
@@ -514,7 +342,7 @@ func (r *Registry) Tracer() *Tracer {
 // Enabled reports whether the registry records anything.
 func (r *Registry) Enabled() bool { return r != nil }
 
-// Reset zeroes every counter and histogram and drops all recorded spans.
+// Reset zeroes every instrument and drops all recorded spans.
 // Instruments stay registered, so held handles remain valid.
 func (r *Registry) Reset() {
 	if r == nil {
@@ -523,9 +351,6 @@ func (r *Registry) Reset() {
 	r.mu.Lock()
 	for _, c := range r.counters {
 		c.reset()
-	}
-	for _, h := range r.hists {
-		h.reset()
 	}
 	for _, g := range r.gauges {
 		g.reset()
@@ -538,26 +363,17 @@ func (r *Registry) Reset() {
 }
 
 // Snapshot captures every registered instrument into a plain-value
-// Snapshot. Returns nil on a nil registry.
+// Snapshot. When tracing, the ring's drop count is published as counter
+// CTraceSpansDropped, so a wrapped ring shows on /metrics too. Returns
+// nil on a nil registry.
 func (r *Registry) Snapshot() *Snapshot {
 	if r == nil {
 		return nil
 	}
-	s := &Snapshot{
-		Counters:   map[string]int64{},
-		Histograms: map[string]HistogramSnapshot{},
-	}
+	s := &Snapshot{Counters: map[string]int64{}}
 	r.mu.Lock()
-	names := make([]string, 0, len(r.counters))
-	for name := range r.counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		s.Counters[name] = r.counters[name].Value()
-	}
-	for name, h := range r.hists {
-		s.Histograms[name] = h.Snapshot()
+	for name, c := range r.counters {
+		s.Counters[name] = c.Value()
 	}
 	if len(r.gauges) > 0 {
 		s.Gauges = make(map[string]int64, len(r.gauges))
@@ -575,6 +391,7 @@ func (r *Registry) Snapshot() *Snapshot {
 	if r.tracer != nil {
 		s.Spans = r.tracer.Spans()
 		s.SpansDropped = r.tracer.Dropped()
+		s.Counters[CTraceSpansDropped] = s.SpansDropped
 	}
 	return s
 }

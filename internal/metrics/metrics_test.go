@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/bits"
 	"strings"
 	"sync"
 	"testing"
@@ -48,8 +49,8 @@ func TestCounterSameNameSameCounter(t *testing.T) {
 	if reg.Counter("y") == a {
 		t.Fatal("distinct names returned the same counter")
 	}
-	if h := reg.Histogram("x"); h == nil || h != reg.Histogram("x") {
-		t.Fatal("histogram identity broken")
+	if sk := reg.Sketch("x"); sk == nil || sk != reg.Sketch("x") {
+		t.Fatal("sketch identity broken")
 	}
 }
 
@@ -66,10 +67,10 @@ func TestNilDisabled(t *testing.T) {
 	if c.Value() != 0 {
 		t.Fatal("nil counter has a value")
 	}
-	h := reg.Histogram("b")
-	h.Observe(42)
-	if s := h.Snapshot(); s.Count != 0 {
-		t.Fatal("nil histogram recorded")
+	sk := reg.Sketch("b")
+	sk.Observe(42)
+	if s := sk.Snapshot(); s.Count != 0 {
+		t.Fatal("nil sketch recorded")
 	}
 	tr := reg.Tracer()
 	tr.Emit(EvTask, "x", 0, 0, 0, time.Now(), time.Millisecond)
@@ -85,16 +86,19 @@ func TestNilDisabled(t *testing.T) {
 	}
 }
 
+// TestHistogram checks the sketch snapshot's power-of-two histogram
+// view: every value lands in the bucket Le = 2^bits.Len64(v) - 1, the
+// buckets partition Count, and the aggregates are exact.
 func TestHistogram(t *testing.T) {
 	reg := NewRegistry(Options{})
-	h := reg.Histogram("h")
-	vals := []int64{0, 1, 2, 3, 4, 7, 8, 1000, 1 << 40}
+	sk := reg.Sketch("h")
+	vals := []int64{0, 1, 2, 3, 4, 7, 8, 127, 128, 1000, 1 << 40}
 	var sum int64
 	for _, v := range vals {
-		h.Observe(v)
+		sk.Observe(v)
 		sum += v
 	}
-	s := h.Snapshot()
+	s := sk.Snapshot()
 	if s.Count != int64(len(vals)) || s.Sum != sum {
 		t.Fatalf("count/sum = %d/%d, want %d/%d", s.Count, s.Sum, len(vals), sum)
 	}
@@ -104,27 +108,24 @@ func TestHistogram(t *testing.T) {
 	if got, want := s.Mean(), float64(sum)/float64(len(vals)); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("mean = %g, want %g", got, want)
 	}
-	var bucketTotal int64
-	for _, b := range s.Buckets {
-		bucketTotal += b.Count
+	want := map[int64]int64{}
+	for _, v := range vals {
+		want[int64(1)<<bits.Len64(uint64(v))-1]++
 	}
-	if bucketTotal != s.Count {
-		t.Fatalf("bucket counts sum to %d, want %d", bucketTotal, s.Count)
+	if len(s.Buckets) != len(want) {
+		t.Fatalf("buckets %+v, want %v", s.Buckets, want)
 	}
-	// v=1000 has bits.Len64 = 10, so it lands in the bucket with Le 1023.
-	found := false
 	for _, b := range s.Buckets {
-		if b.Le == 1023 && b.Count == 1 {
-			found = true
+		if want[b.Le] != b.Count {
+			t.Fatalf("bucket le=%d count %d, want %d (%+v)", b.Le, b.Count, want[b.Le], s.Buckets)
 		}
-	}
-	if !found {
-		t.Fatalf("1000 not in Le=1023 bucket: %+v", s.Buckets)
 	}
 }
 
+// TestHistogramConcurrent checks exact aggregates and a bucket view that
+// partitions Count after many concurrent observers.
 func TestHistogramConcurrent(t *testing.T) {
-	h := newHistogram()
+	sk := NewSketch()
 	const goroutines = 8
 	const perG = 5000
 	var wg sync.WaitGroup
@@ -133,12 +134,12 @@ func TestHistogramConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 1; i <= perG; i++ {
-				h.Observe(int64(i))
+				sk.Observe(int64(i))
 			}
 		}(g)
 	}
 	wg.Wait()
-	s := h.Snapshot()
+	s := sk.Snapshot()
 	if s.Count != goroutines*perG {
 		t.Fatalf("count = %d, want %d", s.Count, goroutines*perG)
 	}
@@ -147,6 +148,13 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 	if want := int64(goroutines) * perG * (perG + 1) / 2; s.Sum != want {
 		t.Fatalf("sum = %d, want %d", s.Sum, want)
+	}
+	var total int64
+	for _, b := range s.Buckets {
+		total += b.Count
+	}
+	if total != s.Count {
+		t.Fatalf("buckets sum to %d, want %d", total, s.Count)
 	}
 }
 
@@ -190,15 +198,15 @@ func TestRegistrySnapshotAndReset(t *testing.T) {
 	reg := NewRegistry(Options{TraceCapacity: 8})
 	reg.Counter("a").Add(0, 7)
 	reg.Counter("b").Inc(1)
-	reg.Histogram("h").Observe(100)
+	reg.Sketch("h").Observe(100)
 	reg.Tracer().Emit(EvFill, "span", 1, 2, 3, time.Now(), time.Microsecond)
 
 	s := reg.Snapshot()
 	if s.Counter("a") != 7 || s.Counter("b") != 1 || s.Counter("absent") != 0 {
 		t.Fatalf("counters wrong: %+v", s.Counters)
 	}
-	if s.Histograms["h"].Count != 1 {
-		t.Fatalf("histogram missing: %+v", s.Histograms)
+	if s.Sketches["h"].Count != 1 {
+		t.Fatalf("sketch missing: %+v", s.Sketches)
 	}
 	if len(s.Spans) != 1 || s.Spans[0].Name != "span" ||
 		s.Spans[0].Kind != EvFill || s.Spans[0].Flow != 3 {
@@ -207,7 +215,7 @@ func TestRegistrySnapshotAndReset(t *testing.T) {
 
 	reg.Reset()
 	s2 := reg.Snapshot()
-	if s2.Counter("a") != 0 || s2.Histograms["h"].Count != 0 || len(s2.Spans) != 0 {
+	if s2.Counter("a") != 0 || s2.Sketches["h"].Count != 0 || len(s2.Spans) != 0 {
 		t.Fatalf("reset left residue: %+v", s2)
 	}
 	// Handles held before Reset must stay live.
@@ -224,8 +232,8 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 		Label:    "test",
 		Config:   map[string]string{"tree": "oct"},
 		Counters: map[string]int64{"cache.hits": 5},
-		Histograms: map[string]HistogramSnapshot{
-			"h": {Count: 2, Sum: 10, Min: 3, Max: 7, Buckets: []HistogramBucket{{Le: 7, Count: 2}}},
+		Sketches: map[string]SketchSnapshot{
+			"h": {Count: 2, Sum: 10, Min: 3, Max: 7, P50: 7, Buckets: []Bucket{{Le: 3, Count: 1}, {Le: 7, Count: 1}}},
 		},
 		PhasesNs: map[string]int64{"idle": 123},
 		Workers:  []WorkerUtil{{Proc: 0, Worker: 1, BusyNs: 75, IdleNs: 25, Tasks: 4}},
@@ -243,7 +251,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	if back.Counter("cache.hits") != 5 || back.Workers[0].Tasks != 4 ||
 		back.Comm[0].Bytes != 100 || back.Spans[0].DurNs != 2 ||
 		back.Spans[0].Kind != EvFetch || back.Spans[0].Flow != 9 ||
-		back.PhasesNs["idle"] != 123 || back.Histograms["h"].Sum != 10 {
+		back.PhasesNs["idle"] != 123 || back.Sketches["h"].Sum != 10 || back.Sketches["h"].Buckets[1].Le != 7 {
 		t.Fatalf("round-trip mismatch: %+v", back)
 	}
 	if u := back.Workers[0].Utilization(); math.Abs(u-0.75) > 1e-12 {
@@ -253,11 +261,11 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 
 func TestSnapshotCSV(t *testing.T) {
 	s := &Snapshot{
-		Counters:   map[string]int64{"b": 2, "a": 1},
-		Histograms: map[string]HistogramSnapshot{"h": {Count: 2, Sum: 10}},
-		PhasesNs:   map[string]int64{"idle": 9},
-		Workers:    []WorkerUtil{{Proc: 0, Worker: 0, BusyNs: 1, IdleNs: 1}},
-		Comm:       []CommEdge{{From: 0, To: 1, Bytes: 7}},
+		Counters: map[string]int64{"b": 2, "a": 1},
+		Sketches: map[string]SketchSnapshot{"h": {Count: 2, Sum: 10, P99: 7}},
+		PhasesNs: map[string]int64{"idle": 9},
+		Workers:  []WorkerUtil{{Proc: 0, Worker: 0, BusyNs: 1, IdleNs: 1}},
+		Comm:     []CommEdge{{From: 0, To: 1, Bytes: 7}},
 	}
 	var buf bytes.Buffer
 	if err := s.WriteCSV(&buf); err != nil {
@@ -267,7 +275,7 @@ func TestSnapshotCSV(t *testing.T) {
 	for _, want := range []string{
 		"kind,name,value\n",
 		"counter,a,1\n", "counter,b,2\n",
-		"hist_count,h,2\n", "hist_mean,h,5.0\n",
+		"hist_count,h,2\n", "hist_mean,h,5.0\n", "quantile_p99,h,7\n",
 		"phase_ns,idle,9\n",
 		"worker_util,p0w0,0.5000\n",
 		"comm_bytes,0->1,7\n",

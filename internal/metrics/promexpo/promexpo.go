@@ -3,21 +3,19 @@
 // standard library. Every instrument class maps to its natural
 // Prometheus type:
 //
-//	counters   -> counter families, "_total"-suffixed per convention
-//	gauges     -> gauge families
-//	histograms -> histogram families: cumulative "_bucket" series with
-//	              "le" labels at the power-of-two boundaries, plus
-//	              "_sum" and "_count"
-//	sketches   -> summary families: "quantile"-labeled p50/p90/p99/p999
-//	              series plus "_sum" and "_count"
+//	counters -> counter families, "_total"-suffixed per convention
+//	gauges   -> gauge families
+//	sketches -> two views of one instrument: a histogram family
+//	            (cumulative "_bucket" series with "le" labels at the
+//	            power-of-two boundaries, plus "_sum" and "_count") and a
+//	            "_summary"-suffixed summary family ("quantile"-labeled
+//	            p50/p90/p99/p999 series plus "_sum" and "_count")
 //
 // Instrument names are sanitized into the Prometheus grammar (dots and
 // other invalid runes become underscores: "serve.queue_wait_ns" scrapes
-// as "serve_queue_wait_ns"). When a sketch shares its name with a
-// histogram — the repo convention for latency series — the summary
-// family takes a "_summary" suffix so the two families never collide.
-// Output is deterministically ordered (sorted by family name within each
-// class), so the encoding is byte-stable for a given snapshot and
+// as "serve_queue_wait_ns" and "serve_queue_wait_ns_summary"). Output is
+// deterministically ordered (sorted by family name within each class),
+// so the encoding is byte-stable for a given snapshot and
 // golden-testable.
 package promexpo
 
@@ -61,16 +59,41 @@ func Write(w io.Writer, s *metrics.Snapshot) error {
 	if s == nil {
 		return fmt.Errorf("promexpo: nil snapshot")
 	}
-	if err := writeCounters(w, s.Counters); err != nil {
-		return err
+	var b strings.Builder
+	for _, name := range sortedKeys(s.Counters) {
+		fam := SanitizeName(name) + "_total"
+		fmt.Fprintf(&b, "# HELP %s paratreet counter %q\n# TYPE %s counter\n%s %d\n",
+			fam, name, fam, fam, s.Counters[name])
 	}
-	if err := writeGauges(w, s.Gauges); err != nil {
-		return err
+	for _, name := range sortedKeys(s.Gauges) {
+		fam := SanitizeName(name)
+		fmt.Fprintf(&b, "# HELP %s paratreet gauge %q\n# TYPE %s gauge\n%s %d\n",
+			fam, name, fam, fam, s.Gauges[name])
 	}
-	if err := writeHistograms(w, s.Histograms); err != nil {
-		return err
+	sketches := sortedKeys(s.Sketches)
+	for _, name := range sketches {
+		sk := s.Sketches[name]
+		fam := SanitizeName(name)
+		fmt.Fprintf(&b, "# HELP %s paratreet histogram %q (power-of-two buckets)\n# TYPE %s histogram\n",
+			fam, name, fam)
+		var cum int64
+		for _, bk := range sk.Buckets {
+			cum += bk.Count
+			fmt.Fprintf(&b, "%s_bucket{le=\"%d\"} %d\n", fam, bk.Le, cum)
+		}
+		fmt.Fprintf(&b, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %d\n%s_count %d\n",
+			fam, sk.Count, fam, sk.Sum, fam, sk.Count)
 	}
-	return writeSketches(w, s)
+	for _, name := range sketches {
+		sk := s.Sketches[name]
+		fam := SanitizeName(name) + "_summary"
+		fmt.Fprintf(&b, "# HELP %s paratreet quantile sketch %q\n# TYPE %s summary\n", fam, name, fam)
+		fmt.Fprintf(&b, "%s{quantile=\"0.5\"} %d\n%s{quantile=\"0.9\"} %d\n%s{quantile=\"0.99\"} %d\n%s{quantile=\"0.999\"} %d\n",
+			fam, sk.P50, fam, sk.P90, fam, sk.P99, fam, sk.P999)
+		fmt.Fprintf(&b, "%s_sum %d\n%s_count %d\n", fam, sk.Sum, fam, sk.Count)
+	}
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
 func sortedKeys[V any](m map[string]V) []string {
@@ -80,79 +103,6 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-func writeCounters(w io.Writer, counters map[string]int64) error {
-	for _, name := range sortedKeys(counters) {
-		fam := SanitizeName(name) + "_total"
-		if _, err := fmt.Fprintf(w, "# HELP %s paratreet counter %q\n# TYPE %s counter\n%s %d\n",
-			fam, name, fam, fam, counters[name]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func writeGauges(w io.Writer, gauges map[string]int64) error {
-	for _, name := range sortedKeys(gauges) {
-		fam := SanitizeName(name)
-		if _, err := fmt.Fprintf(w, "# HELP %s paratreet gauge %q\n# TYPE %s gauge\n%s %d\n",
-			fam, name, fam, fam, gauges[name]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func writeHistograms(w io.Writer, hists map[string]metrics.HistogramSnapshot) error {
-	for _, name := range sortedKeys(hists) {
-		h := hists[name]
-		fam := SanitizeName(name)
-		if _, err := fmt.Fprintf(w, "# HELP %s paratreet histogram %q (power-of-two buckets)\n# TYPE %s histogram\n",
-			fam, name, fam); err != nil {
-			return err
-		}
-		var cum int64
-		for _, b := range h.Buckets {
-			cum += b.Count
-			if _, err := fmt.Fprintf(w, "%s_bucket{le=\"%d\"} %d\n", fam, b.Le, cum); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %d\n%s_count %d\n",
-			fam, h.Count, fam, h.Sum, fam, h.Count); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func writeSketches(w io.Writer, s *metrics.Snapshot) error {
-	for _, name := range sortedKeys(s.Sketches) {
-		sk := s.Sketches[name]
-		fam := SanitizeName(name)
-		if _, collides := s.Histograms[name]; collides {
-			fam += "_summary"
-		}
-		if _, err := fmt.Fprintf(w, "# HELP %s paratreet quantile sketch %q\n# TYPE %s summary\n",
-			fam, name, fam); err != nil {
-			return err
-		}
-		for _, qv := range []struct {
-			q string
-			v int64
-		}{
-			{"0.5", sk.P50}, {"0.9", sk.P90}, {"0.99", sk.P99}, {"0.999", sk.P999},
-		} {
-			if _, err := fmt.Fprintf(w, "%s{quantile=\"%s\"} %d\n", fam, qv.q, qv.v); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "%s_sum %d\n%s_count %d\n", fam, sk.Sum, fam, sk.Count); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Handler serves the live snapshot as a scrapeable GET /metrics

@@ -2,10 +2,12 @@ package promexpo
 
 import (
 	"net/http/httptest"
+	"os"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"paratreet/internal/metrics"
 )
@@ -15,13 +17,9 @@ func fixtureSnapshot() *metrics.Snapshot {
 	reg.Counter("serve.requests").Inc(0)
 	reg.Counter("serve.requests").Inc(0)
 	reg.Gauge("serve.queue_depth").Set(5)
-	h := reg.Histogram("serve.wave_ns")
+	sk := reg.Sketch("serve.wave_ns")
 	for _, v := range []int64{1, 10, 100, 1000, 100000} {
-		h.Observe(v)
-	}
-	sk := reg.Sketch("serve.wave_ns") // deliberate name collision with the histogram
-	for v := int64(1); v <= 100; v++ {
-		sk.Observe(v * 1000)
+		sk.Observe(v)
 	}
 	reg.Sketch("serve.request_ns").Observe(12345)
 	return reg.Snapshot()
@@ -29,8 +27,8 @@ func fixtureSnapshot() *metrics.Snapshot {
 
 // TestWriteWellFormed locks the exposition grammar: HELP/TYPE pairs
 // precede every family, histogram buckets are cumulative with ascending
-// le and a +Inf terminal equal to _count, and summaries carry the
-// quantile labels.
+// le and a +Inf terminal equal to _count, and every sketch's summary
+// family carries the quantile labels.
 func TestWriteWellFormed(t *testing.T) {
 	var b strings.Builder
 	if err := Write(&b, fixtureSnapshot()); err != nil {
@@ -47,10 +45,12 @@ func TestWriteWellFormed(t *testing.T) {
 		"# TYPE serve_wave_ns histogram",
 		`serve_wave_ns_bucket{le="+Inf"} 5`,
 		"serve_wave_ns_count 5",
-		"# TYPE serve_wave_ns_summary summary", // collision suffix
-		`serve_wave_ns_summary{quantile="0.99"}`,
-		"# TYPE serve_request_ns summary", // no collision, no suffix
-		`serve_request_ns{quantile="0.5"} 12345`,
+		"# TYPE serve_wave_ns_summary summary",
+		`serve_wave_ns_summary{quantile="0.99"} 99840`,
+		"serve_wave_ns_summary_count 5",
+		"# TYPE serve_request_ns histogram",
+		"# TYPE serve_request_ns_summary summary",
+		`serve_request_ns_summary{quantile="0.5"} 12345`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
@@ -99,6 +99,53 @@ func TestWriteWellFormed(t *testing.T) {
 		if !lineRe.MatchString(line) {
 			t.Errorf("malformed sample line %q", line)
 		}
+	}
+}
+
+// TestWriteGolden pins the exposition of fixed non-negative streams
+// byte for byte. testdata/golden.prom was printed by the previous
+// layout, where each series was observed into a power-of-two histogram
+// and a sketch of the same name: one sketch now yields the identical
+// _bucket, _sum, _count, and _summary lines. The streams cover 0, 1, the
+// exact-range edge 127/128, 2^20±1, and 2^40.
+func TestWriteGolden(t *testing.T) {
+	reg := metrics.NewRegistry(metrics.Options{})
+	for name, vs := range map[string][]int64{
+		"serve.wave_ns": {0, 1, 2, 3, 63, 64, 127, 128, 129, 255, 256, 1000, 4095,
+			1<<20 - 1, 1 << 20, 1<<20 + 1, 123456789, 1 << 40},
+		"rt.task_ns": {5, 5, 5, 700, 7000, 70000, 700000, 7000000},
+	} {
+		sk := reg.Sketch(name)
+		for _, v := range vs {
+			sk.Observe(v)
+		}
+	}
+	var b strings.Builder
+	if err := Write(&b, reg.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/golden.prom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Fatalf("exposition drifted from testdata/golden.prom:\n%s", got)
+	}
+}
+
+// TestTraceDropsScraped checks a wrapped tracer ring is visible on a
+// scrape: capacity 4, 10 emits, 6 overwritten.
+func TestTraceDropsScraped(t *testing.T) {
+	reg := metrics.NewRegistry(metrics.Options{TraceCapacity: 4})
+	for i := 0; i < 10; i++ {
+		reg.Tracer().Emit(metrics.EvTask, "t", 0, 0, 0, time.Now(), time.Microsecond)
+	}
+	var b strings.Builder
+	if err := Write(&b, reg.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "\ntrace_spans_dropped_total 6\n") {
+		t.Fatalf("scrape missing trace_spans_dropped_total 6:\n%s", b.String())
 	}
 }
 

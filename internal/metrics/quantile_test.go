@@ -1,97 +1,19 @@
 package metrics
 
 import (
-	"math"
 	"math/rand"
-	"sort"
 	"sync"
 	"testing"
 )
 
-// TestHistogramQuantile checks bucket-interpolated quantiles against
-// exact order statistics on a known sample: power-of-two buckets bound
-// the answer, Min/Max clamp the edges.
-func TestHistogramQuantile(t *testing.T) {
-	h := newHistogram()
-	var s HistogramSnapshot
-	if got := s.Quantile(0.5); got != 0 {
-		t.Fatalf("empty quantile = %v, want 0", got)
-	}
-	for v := int64(1); v <= 1000; v++ {
-		h.Observe(v)
-	}
-	s = h.Snapshot()
-	for _, tc := range []struct{ q, want float64 }{
-		{0, 1}, {1, 1000}, {0.5, 500}, {0.9, 900}, {0.99, 990},
-	} {
-		got := s.Quantile(tc.q)
-		// A power-of-two bucket's width bounds the interpolation error.
-		tol := math.Max(tc.want/2, 2)
-		if math.Abs(got-tc.want) > tol {
-			t.Errorf("q=%v got %.0f want %.0f (tol %.0f)", tc.q, got, tc.want, tol)
-		}
-	}
-	// Quantiles are monotone in q.
-	prev := -1.0
-	for q := 0.0; q <= 1.0; q += 0.05 {
-		v := s.Quantile(q)
-		if v < prev {
-			t.Fatalf("quantile not monotone at q=%v: %v < %v", q, v, prev)
-		}
-		prev = v
-	}
-}
-
-// TestHistogramQuantileSingleBucket checks the degenerate shapes: one
-// observation, and all observations equal.
-func TestHistogramQuantileSingleBucket(t *testing.T) {
-	h := newHistogram()
-	h.Observe(777)
-	s := h.Snapshot()
-	for _, q := range []float64{0, 0.5, 1} {
-		if got := s.Quantile(q); got != 777 {
-			t.Errorf("single obs q=%v got %v want 777", q, got)
-		}
-	}
-	h2 := newHistogram()
-	for i := 0; i < 100; i++ {
-		h2.Observe(42)
-	}
-	if got := h2.Snapshot().Quantile(0.99); got != 42 {
-		t.Errorf("constant q99 got %v want 42", got)
-	}
-}
-
-// TestHistogramQuantileRandom cross-checks interpolation against exact
-// quantiles of random samples: the estimate must stay within one
-// power-of-two bucket of truth.
-func TestHistogramQuantileRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	h := newHistogram()
-	values := make([]int64, 5000)
-	for i := range values {
-		values[i] = int64(rng.ExpFloat64() * 10_000)
-		h.Observe(values[i])
-	}
-	sort.Slice(values, func(a, b int) bool { return values[a] < values[b] })
-	s := h.Snapshot()
-	for _, q := range []float64{0.1, 0.5, 0.9, 0.99} {
-		got := s.Quantile(q)
-		want := float64(values[int(q*float64(len(values)))])
-		if want > 0 && math.Abs(got-want) > want {
-			t.Errorf("q=%v got %.0f exact %.0f (off by more than one bucket)", q, got, want)
-		}
-	}
-}
-
-// TestHistogramObserveRacesSnapshotReset hammers one histogram with
+// TestHistogramObserveRacesSnapshotReset hammers one sketch with
 // observers while other goroutines snapshot and the registry resets:
 // under -race this is the memory-safety check; logically every snapshot
-// must be internally consistent enough to have non-negative aggregates
-// and monotone buckets.
+// must be internally consistent — its power-of-two histogram view sums
+// to its Count, with ascending buckets, and its quantiles are monotone.
 func TestHistogramObserveRacesSnapshotReset(t *testing.T) {
 	reg := NewRegistry(Options{})
-	h := reg.Histogram("race.hist_ns")
+	sk := reg.Sketch("race.hist_ns")
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -104,26 +26,33 @@ func TestHistogramObserveRacesSnapshotReset(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					h.Observe(rng.Int63n(1 << 30))
+					sk.Observe(rng.Int63n(1 << 30))
 				}
 			}
 		}(g)
 	}
 	for i := 0; i < 200; i++ {
-		s := h.Snapshot()
+		s := sk.Snapshot()
 		if s.Count < 0 || s.Sum < 0 {
 			t.Errorf("negative aggregate: %+v", s)
 			break
 		}
-		prevLe := int64(-1)
+		prevLe, total := int64(-1), int64(0)
 		for _, b := range s.Buckets {
 			if b.Le <= prevLe {
 				t.Errorf("buckets not ascending: %+v", s.Buckets)
 				break
 			}
 			prevLe = b.Le
+			total += b.Count
 		}
-		_ = s.Quantile(0.99)
+		if total != s.Count {
+			t.Errorf("buckets sum to %d, Count %d", total, s.Count)
+		}
+		if !(s.P50 <= s.P90 && s.P90 <= s.P99 && s.P99 <= s.P999) {
+			t.Errorf("quantiles not monotone: p50 %d p90 %d p99 %d p999 %d", s.P50, s.P90, s.P99, s.P999)
+		}
+		_ = sk.Quantile(0.99)
 		if i%20 == 0 {
 			reg.Reset()
 		}

@@ -55,13 +55,24 @@ func sketchMid(idx int) int64 {
 	return lo + (int64(1)<<shift)/2
 }
 
+// sketchPow2 returns the power-of-two bucket (bits.Len64 of the value)
+// of every value in sketch bucket idx: each power of two is an exact
+// union of sketch buckets, so the coarse histogram view loses nothing.
+func sketchPow2(idx int) int {
+	if idx < sketchExact {
+		return bits.Len64(uint64(idx))
+	}
+	return sketchSubBits + 2 + (idx-sketchExact)/sketchSub
+}
+
 // Sketch is a lock-free, mergeable streaming quantile estimator over
 // int64 values (typically nanoseconds): a log-linear HDR-style bucket
 // array whose quantile reconstruction error is bounded by one sub-bucket
-// width (relative error <= 1/64, exact below 128). A nil *Sketch is
-// disabled. Obtain sketches from Registry.Sketch; producers observe into
-// them exactly like histograms, and the serve layer's rolling SLO window
-// merges per-slot sketches with Merge.
+// width (relative error <= 1/64, exact below 128). It is the layer's one
+// distribution instrument: its snapshot carries both the tail quantiles
+// and the exact power-of-two histogram view. A nil *Sketch is disabled.
+// Obtain sketches from Registry.Sketch; the serve layer's rolling SLO
+// window merges per-slot sketches with Merge.
 //
 //paratreet:nilsafe
 type Sketch struct {
@@ -72,16 +83,13 @@ type Sketch struct {
 	max    atomic.Int64
 }
 
-func newSketch() *Sketch {
+// NewSketch constructs an empty sketch: Registry.Sketch's, and
+// registry-less users' (the SLO watchdog's window slots, report tooling).
+func NewSketch() *Sketch {
 	s := &Sketch{}
-	s.min.Store(int64(1)<<62 - 1)
-	s.max.Store(-(int64(1)<<62 - 1))
+	s.Reset()
 	return s
 }
-
-// NewSketch constructs a standalone sketch (registry-less users: the SLO
-// watchdog's window slots, report tooling).
-func NewSketch() *Sketch { return newSketch() }
 
 // Observe records one value. Negative values clamp to zero (the
 // instruments record latencies; a negative duration is a clock artifact).
@@ -97,6 +105,11 @@ func (s *Sketch) Observe(v int64) {
 	s.counts[sketchIndex(v)].Add(1)
 	s.count.Add(1)
 	s.sum.Add(v)
+	s.extend(v)
+}
+
+// extend widens the observed [min, max] to include v.
+func (s *Sketch) extend(v int64) {
 	for {
 		cur := s.min.Load()
 		if v >= cur || s.min.CompareAndSwap(cur, v) {
@@ -130,20 +143,8 @@ func (s *Sketch) Merge(o *Sketch) {
 	}
 	s.count.Add(o.count.Load())
 	s.sum.Add(o.sum.Load())
-	for _, v := range []int64{o.min.Load(), o.max.Load()} {
-		for {
-			cur := s.min.Load()
-			if v >= cur || s.min.CompareAndSwap(cur, v) {
-				break
-			}
-		}
-		for {
-			cur := s.max.Load()
-			if v <= cur || s.max.CompareAndSwap(cur, v) {
-				break
-			}
-		}
-	}
+	s.extend(o.min.Load())
+	s.extend(o.max.Load())
 }
 
 // Reset zeroes the sketch for reuse (rolling-window slots).
@@ -169,10 +170,11 @@ func (s *Sketch) Count() int64 {
 }
 
 // Quantile estimates the q-quantile (q in [0,1]) of the observed values:
-// the midpoint of the bucket holding the ceil(q*count)-th smallest value,
-// clamped into [min, max]. Returns 0 on an empty or nil sketch. The
-// estimate is within one sub-bucket of the exact sample quantile, i.e.
-// relative error <= 1/64 (exact for values below 128).
+// the midpoint of the bucket holding the value of 0-based rank
+// floor(q*count) (see rank), clamped into [min, max]. Returns 0 on an
+// empty or nil sketch. The estimate is within one sub-bucket of the exact
+// sample quantile, i.e. relative error <= 1/64 (exact for values below
+// 128).
 func (s *Sketch) Quantile(q float64) int64 {
 	if s == nil {
 		return 0
@@ -181,50 +183,59 @@ func (s *Sketch) Quantile(q float64) int64 {
 	if total <= 0 {
 		return 0
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := int64(q * float64(total))
-	if rank >= total {
-		rank = total - 1
-	}
+	r := rank(q, total)
+	lo, hi := s.min.Load(), s.max.Load()
 	var cum int64
 	for i := range s.counts {
 		cum += s.counts[i].Load()
-		if cum > rank {
-			return s.clamp(sketchMid(i))
+		if cum > r {
+			return clamp(sketchMid(i), lo, hi)
 		}
 	}
-	return s.clamp(s.max.Load())
+	return hi
 }
 
-// clamp bounds a reconstructed value by the exact observed extrema.
-func (s *Sketch) clamp(v int64) int64 {
-	if mn := s.min.Load(); v < mn {
-		return mn
-	}
-	if mx := s.max.Load(); v > mx {
-		return mx
-	}
-	return v
+// rank is the 0-based rank floor(q*n) of the q-quantile among n values,
+// q clamped into [0,1] and the rank into [0,n-1]: the one rule Quantile
+// and Snapshot share.
+func rank(q float64, n int64) int64 {
+	r := int64(min(max(q, 0), 1) * float64(n))
+	return min(r, n-1)
 }
 
-// SketchSnapshot is a plain-value summary of a Sketch: exact count, sum,
-// and extrema plus the standard tail quantiles. It is what snapshots,
-// /stats, and the Prometheus exposition carry; the full bucket array
-// stays in the live sketch.
-type SketchSnapshot struct {
+// clamp bounds a reconstructed value by the observed extrema. Extrema
+// torn by a concurrent Reset (lo > hi) bound nothing, which keeps a
+// snapshot's quantiles monotone in q.
+func clamp(v, lo, hi int64) int64 {
+	if lo > hi {
+		return v
+	}
+	return min(max(v, lo), hi)
+}
+
+// Bucket is one power-of-two histogram bucket of a sketch snapshot:
+// Count values v with bits.Len64(v) == i were observed, Le = 2^i - 1 (the
+// largest such value; Le = 0 holds v = 0).
+type Bucket struct {
+	Le    int64 `json:"le"`
 	Count int64 `json:"count"`
-	Sum   int64 `json:"sum"`
-	Min   int64 `json:"min"`
-	Max   int64 `json:"max"`
-	P50   int64 `json:"p50"`
-	P90   int64 `json:"p90"`
-	P99   int64 `json:"p99"`
-	P999  int64 `json:"p999"`
+}
+
+// SketchSnapshot is a plain-value view of a Sketch: count, sum, and
+// extrema, the standard tail quantiles, and the non-empty power-of-two
+// Buckets. It is what snapshots, /stats, and the Prometheus exposition
+// (a histogram family and a summary family) carry; the full log-linear
+// bucket array stays in the live sketch.
+type SketchSnapshot struct {
+	Count   int64    `json:"count"`
+	Sum     int64    `json:"sum"`
+	Min     int64    `json:"min"`
+	Max     int64    `json:"max"`
+	P50     int64    `json:"p50"`
+	P90     int64    `json:"p90"`
+	P99     int64    `json:"p99"`
+	P999    int64    `json:"p999"`
+	Buckets []Bucket `json:"buckets,omitempty"`
 }
 
 // Mean returns the mean observed value (0 when empty).
@@ -235,23 +246,48 @@ func (s SketchSnapshot) Mean() float64 {
 	return float64(s.Sum) / float64(s.Count)
 }
 
-// Snapshot summarizes the sketch. Concurrent observers may make the
-// aggregates mutually torn (count vs buckets); each field is valid.
+// Snapshot summarizes the sketch from one copy of its bucket array, so
+// Count is the sum of the copied buckets and the quantiles and Buckets
+// agree with it even while observers race. Sum and the extrema are read
+// separately; under concurrent observers each is valid but may be torn
+// against the buckets.
 func (s *Sketch) Snapshot() SketchSnapshot {
 	if s == nil {
 		return SketchSnapshot{}
 	}
-	if s.count.Load() == 0 {
+	var counts [sketchBuckets]int64
+	var n int64
+	for i := range counts {
+		counts[i] = s.counts[i].Load()
+		n += counts[i]
+	}
+	if n == 0 {
 		return SketchSnapshot{}
 	}
-	return SketchSnapshot{
-		Count: s.count.Load(),
-		Sum:   s.sum.Load(),
-		Min:   s.min.Load(),
-		Max:   s.max.Load(),
-		P50:   s.Quantile(0.50),
-		P90:   s.Quantile(0.90),
-		P99:   s.Quantile(0.99),
-		P999:  s.Quantile(0.999),
+	snap := SketchSnapshot{Count: n, Sum: s.sum.Load(), Min: s.min.Load(), Max: s.max.Load()}
+	quantiles := [...]struct {
+		rank int64
+		dst  *int64
+	}{
+		{rank(0.50, n), &snap.P50}, {rank(0.90, n), &snap.P90},
+		{rank(0.99, n), &snap.P99}, {rank(0.999, n), &snap.P999},
 	}
+	next := 0
+	var cum int64
+	for i, c := range counts {
+		if c == 0 {
+			continue
+		}
+		cum += c
+		for ; next < len(quantiles) && cum > quantiles[next].rank; next++ {
+			*quantiles[next].dst = clamp(sketchMid(i), snap.Min, snap.Max)
+		}
+		le := int64(1)<<sketchPow2(i) - 1
+		if k := len(snap.Buckets) - 1; k >= 0 && snap.Buckets[k].Le == le {
+			snap.Buckets[k].Count += c
+		} else {
+			snap.Buckets = append(snap.Buckets, Bucket{Le: le, Count: c})
+		}
+	}
+	return snap
 }

@@ -265,3 +265,30 @@ func TestRegistrySketch(t *testing.T) {
 		t.Fatal("Reset did not clear the sketch")
 	}
 }
+
+// TestSketchSnapshotMatchesQuantile property-tests the one rank rule: on
+// a quiescent sketch, the snapshot's P-values equal Quantile at the same
+// q, and its Count equals Count(), over random sizes and magnitudes.
+func TestSketchSnapshotMatchesQuantile(t *testing.T) {
+	for round := 0; round < 100; round++ {
+		rng := rand.New(rand.NewSource(int64(round)))
+		sk := NewSketch()
+		n := 1 + rng.Intn(2000)
+		shift := uint(rng.Intn(62))
+		for i := 0; i < n; i++ {
+			sk.Observe(rng.Int63n(int64(1)<<shift + 1))
+		}
+		s := sk.Snapshot()
+		if s.Count != sk.Count() {
+			t.Fatalf("round %d: snapshot count %d, Count() %d", round, s.Count, sk.Count())
+		}
+		for _, c := range []struct {
+			q   float64
+			got int64
+		}{{0.50, s.P50}, {0.90, s.P90}, {0.99, s.P99}, {0.999, s.P999}} {
+			if want := sk.Quantile(c.q); c.got != want {
+				t.Errorf("round %d (n=%d, 2^%d): snapshot q=%v %d, Quantile %d", round, n, shift, c.q, c.got, want)
+			}
+		}
+	}
+}

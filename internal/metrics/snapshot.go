@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 )
 
 // WorkerUtil is one worker's (or communication goroutine's) utilization
@@ -36,22 +37,21 @@ type CommEdge struct {
 }
 
 // Snapshot is a machine-readable profile of one run: every registered
-// counter and histogram, per-phase times, per-worker utilization, the
+// counter, gauge, and sketch, per-phase times, per-worker utilization, the
 // proc-pair communication matrix, and (when tracing) the recorded spans.
 // The runtime fills Phases/Workers/Comm; the Registry fills the rest;
 // callers may attach Label/Config for provenance.
 type Snapshot struct {
-	Label        string                       `json:"label,omitempty"`
-	Config       map[string]string            `json:"config,omitempty"`
-	Counters     map[string]int64             `json:"counters"`
-	Gauges       map[string]int64             `json:"gauges,omitempty"`
-	Histograms   map[string]HistogramSnapshot `json:"histograms,omitempty"`
-	Sketches     map[string]SketchSnapshot    `json:"quantiles,omitempty"`
-	PhasesNs     map[string]int64             `json:"phases_ns,omitempty"`
-	Workers      []WorkerUtil                 `json:"workers,omitempty"`
-	Comm         []CommEdge                   `json:"comm,omitempty"`
-	Spans        []Span                       `json:"spans,omitempty"`
-	SpansDropped int64                        `json:"spans_dropped,omitempty"`
+	Label        string                    `json:"label,omitempty"`
+	Config       map[string]string         `json:"config,omitempty"`
+	Counters     map[string]int64          `json:"counters"`
+	Gauges       map[string]int64          `json:"gauges,omitempty"`
+	Sketches     map[string]SketchSnapshot `json:"quantiles,omitempty"`
+	PhasesNs     map[string]int64          `json:"phases_ns,omitempty"`
+	Workers      []WorkerUtil              `json:"workers,omitempty"`
+	Comm         []CommEdge                `json:"comm,omitempty"`
+	Spans        []Span                    `json:"spans,omitempty"`
+	SpansDropped int64                     `json:"spans_dropped,omitempty"`
 }
 
 // Counter returns a counter's value by name (0 when absent), a
@@ -70,76 +70,44 @@ func (s *Snapshot) WriteJSON(w io.Writer) error {
 	return enc.Encode(s)
 }
 
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 // WriteCSV writes the snapshot's scalar series as "kind,name,value" rows:
-// counters, histogram aggregates, phase times, and per-worker utilization.
-// Spans are JSON-only.
+// counters, gauges, sketch aggregates and quantiles, phase times, and
+// per-worker utilization. Spans are JSON-only.
 func (s *Snapshot) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "kind,name,value"); err != nil {
-		return err
+	var b strings.Builder
+	b.WriteString("kind,name,value\n")
+	for _, name := range sortedKeys(s.Counters) {
+		fmt.Fprintf(&b, "counter,%s,%d\n", name, s.Counters[name])
 	}
-	names := make([]string, 0, len(s.Counters))
-	for name := range s.Counters {
-		names = append(names, name)
+	for _, name := range sortedKeys(s.Gauges) {
+		fmt.Fprintf(&b, "gauge,%s,%d\n", name, s.Gauges[name])
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		if _, err := fmt.Fprintf(w, "counter,%s,%d\n", name, s.Counters[name]); err != nil {
-			return err
-		}
-	}
-	names = names[:0]
-	for name := range s.Gauges {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if _, err := fmt.Fprintf(w, "gauge,%s,%d\n", name, s.Gauges[name]); err != nil {
-			return err
-		}
-	}
-	names = names[:0]
-	for name := range s.Histograms {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		h := s.Histograms[name]
-		if _, err := fmt.Fprintf(w, "hist_count,%s,%d\nhist_sum,%s,%d\nhist_mean,%s,%.1f\n",
-			name, h.Count, name, h.Sum, name, h.Mean()); err != nil {
-			return err
-		}
-	}
-	names = names[:0]
-	for name := range s.Sketches {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedKeys(s.Sketches) {
 		sk := s.Sketches[name]
-		if _, err := fmt.Fprintf(w, "quantile_p50,%s,%d\nquantile_p90,%s,%d\nquantile_p99,%s,%d\nquantile_p999,%s,%d\n",
-			name, sk.P50, name, sk.P90, name, sk.P99, name, sk.P999); err != nil {
-			return err
-		}
+		fmt.Fprintf(&b, "hist_count,%s,%d\nhist_sum,%s,%d\nhist_mean,%s,%.1f\n",
+			name, sk.Count, name, sk.Sum, name, sk.Mean())
+		fmt.Fprintf(&b, "quantile_p50,%s,%d\nquantile_p90,%s,%d\nquantile_p99,%s,%d\nquantile_p999,%s,%d\n",
+			name, sk.P50, name, sk.P90, name, sk.P99, name, sk.P999)
 	}
-	names = names[:0]
-	for name := range s.PhasesNs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if _, err := fmt.Fprintf(w, "phase_ns,%s,%d\n", name, s.PhasesNs[name]); err != nil {
-			return err
-		}
+	for _, name := range sortedKeys(s.PhasesNs) {
+		fmt.Fprintf(&b, "phase_ns,%s,%d\n", name, s.PhasesNs[name])
 	}
 	for _, wu := range s.Workers {
-		if _, err := fmt.Fprintf(w, "worker_util,p%dw%d,%.4f\n", wu.Proc, wu.Worker, wu.Utilization()); err != nil {
-			return err
-		}
+		fmt.Fprintf(&b, "worker_util,p%dw%d,%.4f\n", wu.Proc, wu.Worker, wu.Utilization())
 	}
 	for _, e := range s.Comm {
-		if _, err := fmt.Fprintf(w, "comm_bytes,%d->%d,%d\n", e.From, e.To, e.Bytes); err != nil {
-			return err
-		}
+		fmt.Fprintf(&b, "comm_bytes,%d->%d,%d\n", e.From, e.To, e.Bytes)
 	}
-	return nil
+	_, err := io.WriteString(w, b.String())
+	return err
 }

@@ -33,7 +33,7 @@ type Config struct {
 	PerByte time.Duration
 	// Metrics, when non-nil, attaches the observability layer: the machine
 	// maintains a per-proc-pair communication matrix, a task-duration
-	// histogram, and (if the registry traces) phase spans, and the cache
+	// sketch, and (if the registry traces) phase spans, and the cache
 	// and traversal layers resolve their instruments from it via
 	// Proc.Metrics. A nil registry costs one pointer check per event.
 	Metrics *metrics.Registry
@@ -255,8 +255,7 @@ type Machine struct {
 	tracer   *metrics.Tracer
 	commMsgs []cell // P*P proc-pair message counts
 	commByte []cell // P*P proc-pair byte counts
-	taskHist *metrics.Histogram
-	taskQ    *metrics.Sketch
+	taskNs   *metrics.Sketch
 }
 
 // cell is a cache-line-padded atomic, for the communication matrix.
@@ -283,8 +282,7 @@ func NewMachine(cfg Config) *Machine {
 	if m.reg != nil {
 		m.commMsgs = make([]cell, cfg.Procs*cfg.Procs)
 		m.commByte = make([]cell, cfg.Procs*cfg.Procs)
-		m.taskHist = m.reg.Histogram(metrics.HRTTask)
-		m.taskQ = m.reg.Sketch(metrics.HRTTask)
+		m.taskNs = m.reg.Sketch(metrics.HRTTask)
 		m.tracer = m.reg.Tracer()
 	}
 	for r := 0; r < cfg.Procs; r++ {
@@ -1170,8 +1168,7 @@ func (w *worker) run(wg *sync.WaitGroup) {
 		dur := time.Since(taskStart)
 		w.busy.Add(int64(dur))
 		w.tasks.Add(1)
-		m.taskHist.Observe(int64(dur))
-		m.taskQ.Observe(int64(dur))
+		m.taskNs.Observe(int64(dur))
 		tr.Emit(metrics.EvTask, "task", w.proc.rank, w.id, 0, taskStart, dur)
 		w.proc.stats.TasksRun.Add(1)
 		m.pendingDone()

@@ -39,7 +39,7 @@ type BatchConfig struct {
 	// every slot is busy coalesce in the queue until one frees. Default 2.
 	MaxWaves int
 	// Registry, when non-nil, records the serve.* counters and the batch
-	// size / queue wait / wave time histograms.
+	// size / queue wait / wave time / request latency sketches.
 	Registry *metrics.Registry
 }
 
@@ -108,13 +108,10 @@ type Batcher[Req, Resp any] struct {
 	rejectedQueue    *metrics.Counter
 	rejectedDeadline *metrics.Counter
 	rejectedDraining *metrics.Counter
-	batchSize        *metrics.Histogram
-	queueWait        *metrics.Histogram
-	waveTime         *metrics.Histogram
-	requestLat       *metrics.Histogram
-	queueWaitQ       *metrics.Sketch
-	waveQ            *metrics.Sketch
-	requestQ         *metrics.Sketch
+	batchSize        *metrics.Sketch
+	queueWait        *metrics.Sketch
+	waveTime         *metrics.Sketch
+	requestLat       *metrics.Sketch
 	qDepth           *metrics.Gauge
 	inflightG        *metrics.Gauge
 	tracer           *metrics.Tracer
@@ -132,13 +129,10 @@ func NewBatcher[Req, Resp any](cfg BatchConfig, run func([]Req) ([]Resp, error))
 		rejectedQueue:    cfg.Registry.Counter(metrics.CServeRejectedQueue),
 		rejectedDeadline: cfg.Registry.Counter(metrics.CServeRejectedDeadline),
 		rejectedDraining: cfg.Registry.Counter(metrics.CServeRejectedDraining),
-		batchSize:        cfg.Registry.Histogram(metrics.HServeBatchSize),
-		queueWait:        cfg.Registry.Histogram(metrics.HServeQueueWait),
-		waveTime:         cfg.Registry.Histogram(metrics.HServeWave),
-		requestLat:       cfg.Registry.Histogram(metrics.HServeRequest),
-		queueWaitQ:       cfg.Registry.Sketch(metrics.HServeQueueWait),
-		waveQ:            cfg.Registry.Sketch(metrics.HServeWave),
-		requestQ:         cfg.Registry.Sketch(metrics.HServeRequest),
+		batchSize:        cfg.Registry.Sketch(metrics.HServeBatchSize),
+		queueWait:        cfg.Registry.Sketch(metrics.HServeQueueWait),
+		waveTime:         cfg.Registry.Sketch(metrics.HServeWave),
+		requestLat:       cfg.Registry.Sketch(metrics.HServeRequest),
 		qDepth:           cfg.Registry.Gauge(metrics.GServeQueueDepth),
 		inflightG:        cfg.Registry.Gauge(metrics.GServeInflightWaves),
 		tracer:           cfg.Registry.Tracer(),
@@ -276,17 +270,13 @@ func (b *Batcher[Req, Resp]) runWave(batch []*pending[Req, Resp]) {
 	}
 	b.batchSize.Observe(int64(len(batch)))
 	b.waveTime.Observe(waveDur.Nanoseconds())
-	b.waveQ.Observe(waveDur.Nanoseconds())
 	if b.tracer != nil {
 		b.tracer.Emit(metrics.EvBatch, fmt.Sprintf("wave[%d]", len(batch)), -1, -1, 0, start, waveDur)
 	}
 	for i, p := range batch {
 		wait := start.Sub(p.enqueued)
 		b.queueWait.Observe(wait.Nanoseconds())
-		b.queueWaitQ.Observe(wait.Nanoseconds())
-		total := (wait + waveDur).Nanoseconds()
-		b.requestLat.Observe(total)
-		b.requestQ.Observe(total)
+		b.requestLat.Observe((wait + waveDur).Nanoseconds())
 		out := outcome[Resp]{timing: Timing{
 			Enqueued:  p.enqueued,
 			QueueWait: wait,

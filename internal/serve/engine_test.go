@@ -354,15 +354,15 @@ func TestBatcherMetrics(t *testing.T) {
 	if waves <= 0 || waves >= int64(len(qs)) {
 		t.Errorf("%s = %d, want in (0, %d): batching must coalesce", metrics.CServeWaves, waves, len(qs))
 	}
-	h, ok := snap.Histograms[metrics.HServeBatchSize]
+	h, ok := snap.Sketches[metrics.HServeBatchSize]
 	if !ok {
-		t.Fatalf("histogram %s missing", metrics.HServeBatchSize)
+		t.Fatalf("sketch %s missing", metrics.HServeBatchSize)
 	}
 	if h.Max < 2 {
 		t.Errorf("batch size max = %d, want >= 2 under concurrent load", h.Max)
 	}
-	if qw, ok := snap.Histograms[metrics.HServeQueueWait]; !ok || qw.Count != int64(len(qs)) {
-		t.Errorf("queue wait histogram = %+v, want %d observations", qw, len(qs))
+	if qw, ok := snap.Sketches[metrics.HServeQueueWait]; !ok || qw.Count != int64(len(qs)) {
+		t.Errorf("queue wait sketch = %+v, want %d observations", qw, len(qs))
 	}
 	batchSpans := 0
 	for _, sp := range snap.Spans {

@@ -70,11 +70,20 @@ type Query struct {
 // service-sized allocation hostage.
 const maxK = 4096
 
+// maxExtent bounds every length a query names — each pos and vel
+// component, the radius, and the probe's sweep |vel|·dt — so the
+// distance arithmetic against resident particles stays finite: squared
+// separations stay near 3·(2·maxExtent)², far below MaxFloat64. Past it
+// a distance overflows to +Inf, which kNN silently drops and JSON cannot
+// encode.
+const maxExtent = 1e150
+
 // Validate reports malformed queries; the HTTP layer maps the error to a
-// 400 before the query ever reaches the batcher.
+// 400 before the query ever reaches the batcher. Every check is written
+// as the negation of "in range" so that NaN is refused too.
 func (q *Query) Validate() error {
-	if !finiteVec(q.Pos) {
-		return fmt.Errorf("serve: query pos must be finite")
+	if !boundedVec(q.Pos) {
+		return fmt.Errorf("serve: query pos components must be finite and within ±%g", maxExtent)
 	}
 	switch q.Kind {
 	case KNN:
@@ -82,12 +91,12 @@ func (q *Query) Validate() error {
 			return fmt.Errorf("serve: knn k must be in [1,%d], got %d", maxK, q.K)
 		}
 	case Range:
-		if !(q.Radius > 0) || math.IsInf(q.Radius, 1) {
-			return fmt.Errorf("serve: range radius must be positive and finite, got %v", q.Radius)
+		if !(q.Radius > 0 && q.Radius <= maxExtent) {
+			return fmt.Errorf("serve: range radius must be in (0, %g], got %v", maxExtent, q.Radius)
 		}
 	case Probe:
-		if q.Radius < 0 || math.IsNaN(q.Radius) || q.Dt < 0 || math.IsNaN(q.Dt) || !finiteVec(q.Vel) {
-			return fmt.Errorf("serve: probe radius, dt, and vel must be finite and non-negative")
+		if !(q.Radius >= 0 && q.Radius <= maxExtent && q.Dt >= 0 && boundedVec(q.Vel) && q.Vel.Norm()*q.Dt <= maxExtent) {
+			return fmt.Errorf("serve: probe radius, dt, and vel must be non-negative and finite, with radius and |vel|·dt within %g", maxExtent)
 		}
 	default:
 		return fmt.Errorf("serve: unknown query kind %d", q.Kind)
@@ -95,12 +104,10 @@ func (q *Query) Validate() error {
 	return nil
 }
 
-func finiteVec(v vec.Vec3) bool {
-	return finite(v.X) && finite(v.Y) && finite(v.Z)
-}
-
-func finite(f float64) bool {
-	return !math.IsNaN(f) && !math.IsInf(f, 0)
+// boundedVec reports whether every component of v is within ±maxExtent
+// (false for NaN and ±Inf).
+func boundedVec(v vec.Vec3) bool {
+	return math.Abs(v.X) <= maxExtent && math.Abs(v.Y) <= maxExtent && math.Abs(v.Z) <= maxExtent
 }
 
 // Hit is one particle matched by a query.

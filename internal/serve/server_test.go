@@ -236,8 +236,10 @@ func TestServerKNNMatchesLibrary(t *testing.T) {
 // believed. An oversize body stops the decoder (413); a timeout_ms that is
 // not a positive number of milliseconds within serve.MaxTimeout is the
 // client's error (400) — 1e300 used to overflow into a deadline already
-// past, answer 504 and count against the SLO — and none of these reaches
-// the watchdog, while a valid override is honoured.
+// past, answer 504 and count against the SLO; so is a finite position or
+// radius whose distances overflow (400) — 1e308 used to answer range
+// with a bodyless 200 (+Inf dist) and kNN with 0 hits. None of these
+// reaches the watchdog, while a valid override is honoured.
 func TestServerRequestLimits(t *testing.T) {
 	eng, err := serve.NewEngine(testConfig(paratreet.DecompSFC, paratreet.CacheWaitFree), testParticles(600))
 	if err != nil {
@@ -266,6 +268,9 @@ func TestServerRequestLimits(t *testing.T) {
 		{"timeout zero", `,"timeout_ms":0`, http.StatusBadRequest},
 		{"timeout over the cap", fmt.Sprintf(`,"timeout_ms":%d`, serve.MaxTimeout/time.Millisecond+1), http.StatusBadRequest},
 		{"valid override", `,"timeout_ms":30000`, http.StatusOK},
+		// Duplicate keys: the decoder keeps the last pos/radius.
+		{"extreme pos", `,"pos":[1e308,1e308,1e308]`, http.StatusBadRequest},
+		{"extreme pos and radius", `,"pos":[1e308,1e308,1e308],"radius":1e308`, http.StatusBadRequest},
 	}
 	served := int64(0)
 	for path, q := range queries {

@@ -200,8 +200,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestStatsQuantiles checks /stats now carries the serve gauges and
-// sketch quantiles alongside counters and histograms.
+// TestStatsQuantiles checks /stats carries the serve counters, gauges,
+// and sketches — each quantiles entry with its power-of-two buckets —
+// and no separate histograms key.
 func TestStatsQuantiles(t *testing.T) {
 	eng, err := serve.NewEngine(testConfig(paratreet.DecompSFC, paratreet.CacheWaitFree), testParticles(1000))
 	if err != nil {
@@ -233,6 +234,20 @@ func TestStatsQuantiles(t *testing.T) {
 	q, ok := stats.Quantiles[metrics.HServeRequest]
 	if !ok || q.Count != 4 || q.P99 <= 0 || q.P50 > q.P99 {
 		t.Fatalf("request quantiles wrong: %+v (present %v)", q, ok)
+	}
+	var inBuckets int64
+	for _, b := range q.Buckets {
+		inBuckets += b.Count
+	}
+	if inBuckets != q.Count {
+		t.Fatalf("request buckets %+v sum to %d, want %d", q.Buckets, inBuckets, q.Count)
+	}
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(body, &keys); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := keys["histograms"]; ok {
+		t.Fatalf("/stats still has a histograms key:\n%s", body)
 	}
 	if _, ok := stats.Gauges[metrics.GServeMaxWaves]; !ok {
 		t.Fatalf("gauges missing max waves: %v", stats.Gauges)

@@ -7,6 +7,7 @@ import (
 
 	"paratreet"
 	"paratreet/internal/gravity"
+	"paratreet/internal/metrics"
 	"paratreet/internal/particle"
 	"paratreet/internal/tree"
 )
@@ -167,17 +168,16 @@ func TestMetricsInvariantsDistributed(t *testing.T) {
 		t.Error("no open/prune decisions recorded")
 	}
 
-	// Fetch RTT histogram: one sample per fetch.
-	rtt := snap.Histograms["cache.fetch_rtt_ns"]
-	if rtt.Count != c("cache.fetches") {
-		t.Errorf("fetch RTT samples = %d, want %d", rtt.Count, c("cache.fetches"))
-	}
-	ins := snap.Histograms["cache.insert_ns"]
-	if ins.Count != c("cache.inserts") {
-		t.Errorf("insert time samples = %d, want %d", ins.Count, c("cache.inserts"))
-	}
-	if tasks := snap.Histograms["rt.task_ns"]; tasks.Count != c("rt.tasks_run") {
-		t.Errorf("task histogram samples = %d, want rt.tasks_run = %d", tasks.Count, c("rt.tasks_run"))
+	// One sketch sample per event: fetch RTT per fetch, insert time per
+	// insert, task time per task run.
+	for name, want := range map[string]string{
+		metrics.HCacheFetchRTT: "cache.fetches",
+		metrics.HCacheInsert:   "cache.inserts",
+		metrics.HRTTask:        "rt.tasks_run",
+	} {
+		if got := snap.Sketches[name].Count; got != c(want) {
+			t.Errorf("%s samples = %d, want %s = %d", name, got, want, c(want))
+		}
 	}
 
 	// Utilization profile covers every worker plus each comm goroutine.

@@ -192,8 +192,8 @@ type FaultConfig = rt.FaultConfig
 // results with Simulation.MetricsSnapshot.
 type (
 	// MetricsRegistry is the root of the observability layer: a named set
-	// of sharded counters, histograms, and an optional span tracer. A nil
-	// registry disables all collection.
+	// of sharded counters, gauges, quantile sketches, and an optional span
+	// tracer. A nil registry disables all collection.
 	MetricsRegistry = metrics.Registry
 	// MetricsOptions sizes a registry (counter shards, trace capacity).
 	MetricsOptions = metrics.Options

@@ -41,6 +41,13 @@ echo "==> benchmark harness guard tests"
 echo "==> go test -race -short"
 go test -race -short ./...
 
+echo "==> fuzz the query edge"
+# Arbitrary body bytes at /query/{knn,range,probe}: only a decodable 200
+# (count == len(hits), finite dists), a 400, or a 413 may come back — a
+# 504 only when the body set its own timeout_ms. The seed corpus already
+# ran under go test above; this explores past it.
+go test -run '^$' -fuzz FuzzQueryRequest -fuzztime 10s ./internal/serve/
+
 echo "==> rt wake protocol (lost-wakeup stress)"
 # Workers park on a channel instead of polling, so a push whose wake is
 # lost strands its task forever. Full-length rounds (the -short pass above

@@ -158,8 +158,22 @@ func smokeQueryAndDrain(bin string) error {
 		}
 	}
 
+	// /stats carries each sketch (quantiles with buckets) once: the
+	// separate histograms key is gone.
+	code, body, err := get(base, "/stats")
+	if err != nil || code != http.StatusOK {
+		return fmt.Errorf("/stats: %d (%v)", code, err)
+	}
+	var stats map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(body), &stats); err != nil {
+		return fmt.Errorf("/stats JSON: %w", err)
+	}
+	if _, ok := stats["histograms"]; ok {
+		return fmt.Errorf("/stats still has a histograms key")
+	}
+
 	// Scrape /metrics after traffic and lint the exposition.
-	code, body, err := get(base, "/metrics")
+	code, body, err = get(base, "/metrics")
 	if err != nil || code != http.StatusOK {
 		return fmt.Errorf("/metrics: %d (%v)", code, err)
 	}
@@ -275,8 +289,9 @@ func smokeSLOBreach(bin string) error {
 
 // checkExposition lints Prometheus text exposition: every sample line
 // parses, every family has HELP and TYPE comments before its samples,
-// histogram buckets carry ascending le with a +Inf terminal, and the
-// serve telemetry families this PR adds are all present.
+// histogram buckets carry ascending le with a +Inf terminal, every
+// "_summary" family has a histogram sibling with the same _count (two
+// views of one sketch), and the serve telemetry families are all present.
 func checkExposition(out string) error {
 	for _, want := range []string{
 		"# TYPE serve_requests_total counter",
@@ -304,6 +319,7 @@ func checkExposition(out string) error {
 	}
 	prevLe := map[string]int64{}
 	sawInf := map[string]bool{}
+	counts := map[string]string{}
 	for _, line := range strings.Split(strings.TrimRight(out, "\n"), "\n") {
 		if f, ok := strings.CutPrefix(line, "# HELP "); ok {
 			helped[strings.Fields(f)[0]] = true
@@ -320,6 +336,9 @@ func checkExposition(out string) error {
 		fam := family(name)
 		if !helped[fam] || !typed[fam] {
 			return fmt.Errorf("sample %q before its HELP/TYPE comments", line)
+		}
+		if strings.HasSuffix(name, "_count") {
+			counts[fam] = line[strings.LastIndexByte(line, ' ')+1:]
 		}
 		if strings.HasSuffix(name, "_bucket") {
 			i := strings.Index(line, `le="`)
@@ -345,6 +364,11 @@ func checkExposition(out string) error {
 	for fam := range prevLe {
 		if !sawInf[fam] {
 			return fmt.Errorf("histogram %s missing +Inf bucket", fam)
+		}
+	}
+	for fam, n := range counts {
+		if hist, ok := strings.CutSuffix(fam, "_summary"); ok && counts[hist] != n {
+			return fmt.Errorf("summary %s _count %s, histogram sibling %s _count %q", fam, n, hist, counts[hist])
 		}
 	}
 	return nil

@@ -239,7 +239,7 @@ func (s *Simulation[D]) ResetStats() { s.machine.ResetStats() }
 func (s *Simulation[D]) PhaseTotals() [NumPhases]time.Duration { return s.machine.PhaseTotals() }
 
 // MetricsSnapshot assembles the observability snapshot for this
-// simulation: every registered counter and histogram, per-phase times,
+// simulation: every registered counter, gauge, and sketch, per-phase times,
 // per-worker utilization, the proc-pair communication matrix, recorded
 // trace spans, and the simulation's configuration as labels. Returns nil
 // when Config.Metrics was not set.
