@@ -38,13 +38,15 @@ race:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
-# Brief fuzz pass over the SFC encode/decode pairs and the particle sort
-# (property seeds run in plain `make test`; this additionally explores
-# random inputs).
+# Brief fuzz pass over the SFC encode/decode pairs, the particle sort and
+# the query edge's request bodies (property seeds run in plain `make test`;
+# this additionally explores random inputs). The last target is the one
+# scripts/ci.sh fuzzes.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzMortonRoundTrip -fuzztime 10s ./internal/sfc
 	$(GO) test -run '^$$' -fuzz FuzzHilbertRoundTrip -fuzztime 10s ./internal/sfc
 	$(GO) test -run '^$$' -fuzz FuzzRadixSort -fuzztime 10s ./internal/particle
+	$(GO) test -run '^$$' -fuzz FuzzQueryRequest -fuzztime 10s ./internal/serve
 
 ci:
 	./scripts/ci.sh

@@ -10,9 +10,7 @@
 // Experiments: fig3 fig9 fig10 fig11 fig12 fig13 table1 table2 table3 lb
 // fetchdepth sharedepth style knn serve incremental all
 //
-// The extra "bench" subcommand runs the perf-trajectory benchmark set and
-// emits/compares benchfmt snapshots (see -bench-out, -bench-compare,
-// -bench-tolerance); scripts/ci.sh uses it as the bench-gate stage.
+// Performance trajectory numbers come from benchmark/, not from here.
 //
 // Observability: -metrics collects per-run snapshots, -trace N adds span
 // tracing, -trace-out exports a Chrome Trace Event file for Perfetto and
@@ -53,7 +51,7 @@ func main() {
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: %s [flags] <experiment>  (the experiment may also come first)\n", os.Args[0])
-		fmt.Fprintln(os.Stderr, "experiments: fig3 fig9 fig10 fig11 fig12 fig13 table1 table2 table3 lb fetchdepth sharedepth style knn serve incremental all bench")
+		fmt.Fprintln(os.Stderr, "experiments: fig3 fig9 fig10 fig11 fig12 fig13 table1 table2 table3 lb fetchdepth sharedepth style knn serve incremental all")
 		flag.PrintDefaults()
 	}
 	// Go's flag package stops parsing at the first non-flag argument, so
@@ -114,12 +112,6 @@ func main() {
 	}
 
 	name := flag.Arg(0)
-	if name == "bench" {
-		if err := runBenchSuite(os.Stdout, *seed, *quick); err != nil {
-			fatal(err)
-		}
-		return
-	}
 	if name == "all" {
 		for _, exp := range []string{"table1", "fig3", "fig9", "fig10", "fig11", "fig12", "fig13", "table2", "table3", "lb", "fetchdepth", "sharedepth", "style"} {
 			if err := run(os.Stdout, exp, opts, *quick); err != nil {

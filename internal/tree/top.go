@@ -40,6 +40,9 @@ func Summarize[D any](n *Node[D], codec DataCodec[D]) RootSummary {
 
 // SummarizeDepth builds a RootSummary that proactively shares shareDepth
 // levels of the subtree below its root (0 shares only the root's state).
+// A leaf at RootKey is the whole global tree and always ships with its
+// particles: a view's root has no parent slot for a fill to land in, so it
+// must never be a remote placeholder.
 func SummarizeDepth[D any](n *Node[D], codec DataCodec[D], shareDepth int) RootSummary {
 	s := RootSummary{
 		Key:        n.Key,
@@ -49,7 +52,7 @@ func SummarizeDepth[D any](n *Node[D], codec DataCodec[D], shareDepth int) RootS
 		NParticles: n.NParticles,
 		Data:       codec.AppendData(nil, n.Data),
 	}
-	if shareDepth > 0 {
+	if shareDepth > 0 || (s.IsLeaf && n.Key == RootKey) {
 		s.Tree = SerializeSubtree(n, shareDepth, codec)
 	}
 	return s

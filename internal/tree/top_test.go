@@ -262,3 +262,20 @@ func TestBuildTopWithDeepSummaries(t *testing.T) {
 		t.Errorf("deep share cached %d nodes, shallow %d", deepCached, shallowCached)
 	}
 }
+
+// TestBuildTopRootLeafIsNeverRemote: when the whole global tree is one
+// leaf owned by another process, the summary ships its particles and the
+// view's root is a filled leaf, not a placeholder no fill could reach.
+func TestBuildTopRootLeafIsNeverRemote(t *testing.T) {
+	ps := uniformSorted(3, 5, vec.UnitBox())
+	root := Build[countData](ps, vec.UnitBox(), RootKey, 0, BuildConfig{Type: Octree, BucketSize: 8, Owner: 1})
+	Accumulate(root, countAcc{})
+	sum := Summarize(root, countCodec{})
+	top, err := BuildTop([]RootSummary{sum}, Octree, nil, countCodec{}, countAcc{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if top.Kind() != KindCachedRemoteLeaf || len(top.Particles) != len(ps) {
+		t.Fatalf("view root is %v with %d particles, want a cached leaf with %d", top.Kind(), len(top.Particles), len(ps))
+	}
+}
