@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -195,6 +196,67 @@ func runKNNStep(t *testing.T, sim *paratreet.Simulation[knn.Data], n, k int) []f
 	return got
 }
 
+// requireTargetState checks, after a kNN step, the per-partition target
+// storage the build numbers and knn.Attach carves: within each partition
+// every bucket points at the one Targets and the offsets tile [0,
+// Targets.N); and every heap — kept buckets' included, whose storage an
+// earlier step's Attach carved — holds exactly this step's neighbours:
+// k entries, each at the neighbour's current position and distance. It
+// returns the step's buckets and how many of them the build kept from
+// prev, the buckets of the step before.
+func requireTargetState(t *testing.T, sim *paratreet.Simulation[knn.Data], k int, prev map[*paratreet.Bucket]bool, label string) (map[*paratreet.Bucket]bool, int) {
+	t.Helper()
+	current := map[int64]paratreet.Vec3{}
+	sim.ForEachBucket(func(_ *paratreet.Partition[knn.Data], b *paratreet.Bucket) {
+		for i := range b.Particles {
+			current[b.Particles[i].ID] = b.Particles[i].Pos
+		}
+	})
+	buckets := map[*paratreet.Bucket]bool{}
+	kept := 0
+	for _, p := range sim.Partitions() {
+		bs := p.Buckets()
+		if len(bs) == 0 {
+			continue
+		}
+		targets := bs[0].Targets
+		covered := make([]bool, targets.N)
+		for _, b := range bs {
+			if b.Targets != targets {
+				t.Fatalf("%s: partition %d: buckets point at different Targets", label, p.ID)
+			}
+			for i := range b.Particles {
+				at := b.Offset + i
+				if at >= targets.N || covered[at] {
+					t.Fatalf("%s: partition %d: bucket %#x offset %d+%d outside [0,%d) or taken twice", label, p.ID, b.Key, b.Offset, i, targets.N)
+				}
+				covered[at] = true
+			}
+			buckets[b] = true
+			if prev[b] {
+				kept++
+			}
+			st := b.State.(*knn.State)
+			for i := range b.Particles {
+				p := &b.Particles[i]
+				nbrs := st.Neighbors(i)
+				if len(nbrs) != k {
+					t.Fatalf("%s: particle %d holds %d neighbours, want %d", label, p.ID, len(nbrs), k)
+				}
+				for _, nb := range nbrs {
+					if pos, ok := current[nb.ID]; !ok || pos != nb.Pos || pos.DistSq(p.Pos) != nb.DistSq {
+						t.Fatalf("%s: particle %d holds neighbour %d at %v (d²=%v), not this step's", label, p.ID, nb.ID, nb.Pos, nb.DistSq)
+					}
+				}
+			}
+		}
+		if slices.Contains(covered, false) {
+			t.Fatalf("%s: partition %d: offsets leave a gap in [0,%d)", label, p.ID, targets.N)
+		}
+	}
+	return buckets, kept
+}
+
 // incCombos enumerates the supported decomp x policy x machine matrix; in
 // -short mode, the two independent sweeps instead of the crossproduct.
 type incCombo struct {
@@ -254,7 +316,9 @@ func incConfig(c incCombo, incremental bool) paratreet.Config {
 // decomp x policy x machine matrix, an incremental simulation must stay
 // bit-identical to a from-scratch one through a multi-step ~1%-movers
 // workload — same trees, same buckets, same kNN answers — while actually
-// taking the incremental path from the second step on.
+// taking the incremental path from the second step on. After every build
+// both sides' target storage is numbered afresh and every heap, a kept
+// bucket's too, holds only that step's neighbours.
 func TestIncrementalMatchesScratch(t *testing.T) {
 	const n = 2000
 	const k = 8
@@ -268,10 +332,17 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 			defer inc.Close()
 			scr := newKNNSim(t, incConfig(c, false), particle.Clone(ps0))
 			defer scr.Close()
+			var incBuckets map[*paratreet.Bucket]bool
 			for step := 0; step < steps; step++ {
 				label := fmt.Sprintf("step%d", step)
 				ri := runKNNStep(t, inc, n, k)
 				rs := runKNNStep(t, scr, n, k)
+				var kept int
+				incBuckets, kept = requireTargetState(t, inc, k, incBuckets, label+"/incremental")
+				requireTargetState(t, scr, k, nil, label+"/scratch")
+				if step > 0 && kept == 0 {
+					t.Errorf("%s: the incremental build kept no bucket", label)
+				}
 				for id := range ri {
 					if ri[id] != rs[id] {
 						t.Fatalf("%s: particle %d kNN radius %.17g (incremental) vs %.17g (scratch)",

@@ -203,10 +203,12 @@ type State struct {
 	MaxSpeed  float64
 }
 
-// Attach initializes collision state on the buckets.
+// Attach initializes collision state on the buckets; the states of one
+// call share one slab.
 func Attach(buckets []*traverse.Bucket) {
-	for _, b := range buckets {
-		st := &State{}
+	states := make([]State, len(buckets))
+	for bi, b := range buckets {
+		st := &states[bi]
 		for i := range b.Particles {
 			if r := b.Particles[i].Radius; r > st.MaxRadius {
 				st.MaxRadius = r

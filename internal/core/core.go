@@ -42,6 +42,9 @@ type Partition[D any] struct {
 
 	mu      sync.Mutex
 	buckets []*traverse.Bucket
+	// targets outlives every build: each build points its buckets at it
+	// (numberBuckets), and visitor state carved from it is reused.
+	targets traverse.Targets
 }
 
 // AddBucket appends a bucket (called during leaf sharing, possibly from
@@ -76,6 +79,19 @@ func (p *Partition[D]) RemoveBucketsByKey(stale map[uint64]struct{}) int {
 	}
 	p.buckets = kept
 	return removed
+}
+
+// numberBuckets points every bucket at the partition's target storage and
+// gives it the offset of its first particle in the partition's run, then
+// records the run's length. Kept buckets are renumbered with the new ones,
+// so the offsets tile [0, N) whatever the build kept.
+func (p *Partition[D]) numberBuckets() {
+	n := 0
+	for _, b := range p.buckets {
+		b.Targets, b.Offset = &p.targets, n
+		n += len(b.Particles)
+	}
+	p.targets.N = n
 }
 
 // NumParticles counts the partition's particles.
@@ -522,7 +538,9 @@ func (w *World[D]) BuildIteration(ps []particle.Particle) error {
 		// Placement the load balancer decided since the last build.
 		p.Home = w.homes[i]
 		if !reuse {
-			p.buckets = nil
+			// Keep the slice's capacity: the leaf share refills it.
+			clear(p.buckets)
+			p.buckets = p.buckets[:0]
 		}
 	}
 	w.Universe, w.Subtrees = universe, live
@@ -628,6 +646,12 @@ func (w *World[D]) BuildIteration(ps []particle.Particle) error {
 	for _, c := range shared {
 		w.SplitBuckets += int(c[0])
 		st.RefreshedBuckets += int(c[1])
+	}
+	// With the share quiesced, every partition's bucket list is final:
+	// number it, kept buckets and new alike, so per-partition target state
+	// is indexed by particle offset.
+	for _, p := range w.Partitions {
+		p.numberBuckets()
 	}
 	w.LeafShareTime = time.Since(shareStart)
 

@@ -132,58 +132,89 @@ type State struct {
 	Heaps []heap
 }
 
-// Attach initializes kNN state on every bucket; call before launching the
-// traversal. Heap storage is preallocated to capacity k so the search
-// kernel never touches the allocator. A State already attached to a bucket
-// (a prior iteration over retained buckets) is reset and reused; all the
-// buckets without one share three slabs — states, heaps, heap entries —
-// so a call allocates three times, not once per particle.
-func Attach(buckets []*traverse.Bucket, k int) {
-	nstates, nheaps := 0, 0
-	for _, b := range buckets {
-		if !reusable(b, k) {
-			nstates++
-			nheaps += len(b.Particles)
-		}
+// arena is the heap storage of one run of target particles: particle i of
+// the run owns heaps[i] and the stride entries from items[i*stride].
+type arena struct {
+	stride int
+	heaps  []heap
+	items  []Neighbor
+}
+
+// fit makes room for n particles at k neighbours each. It regrows when n
+// or k outgrows the arena, and lets a larger arena go when n·k falls below
+// a quarter of it (the rule particle.Sorter.Reset follows), so a shrinking
+// partition or a smaller k does not keep the peak alive.
+func (a *arena) fit(n, k int) {
+	if k <= a.stride && n <= len(a.heaps) && 4*n*k >= len(a.items) {
+		return
 	}
-	states := make([]State, nstates)
-	heaps := make([]heap, nheaps)
-	items := make([]Neighbor, nheaps*k)
-	for _, b := range buckets {
-		n := len(b.Particles)
-		if reusable(b, k) {
-			st := b.State.(*State)
-			st.Heaps = st.Heaps[:n]
-			for i := range st.Heaps {
-				st.Heaps[i] = heap{k: k, items: st.Heaps[i].items[:0]}
-			}
-			continue
+	a.stride = k
+	a.heaps = make([]heap, n)
+	a.items = make([]Neighbor, n*k)
+}
+
+// Attach initializes kNN state on every bucket, each heap empty with
+// capacity k so the search kernel never touches the allocator; call before
+// launching the traversal.
+//
+// When every bucket belongs to one Partition (they share a non-nil
+// Targets), the heaps come from an arena the Partition keeps across steps
+// in Targets.State: a bucket's heaps are those of particles [Offset,
+// Offset+n) of the partition's run, so each step carves the same storage
+// again and the only allocation left is the call's State headers. Being
+// indexed by particle, not by call order, two calls on disjoint subsets of
+// one partition never overlap. Any other bucket set (per-query buckets)
+// gets a one-off arena. Either way, a State stays valid until the next
+// Attach over the same particles.
+func Attach(buckets []*traverse.Bucket, k int) {
+	t := sharedTargets(buckets)
+	var a *arena
+	if t != nil {
+		if a, _ = t.State.(*arena); a == nil {
+			a = &arena{}
+			t.State = a
 		}
-		st := &states[0]
-		states = states[1:]
-		st.Heaps, heaps = heaps[:n:n], heaps[n:]
-		for i := range st.Heaps {
+		a.fit(t.N, k)
+	} else {
+		n := 0
+		for _, b := range buckets {
+			n += len(b.Particles)
+		}
+		a = &arena{}
+		a.fit(n, k)
+	}
+	states := make([]State, len(buckets))
+	off := 0
+	for i, b := range buckets {
+		n := len(b.Particles)
+		if t != nil {
+			off = b.Offset
+		}
+		st := &states[i]
+		st.Heaps = a.heaps[off : off+n : off+n]
+		for j := range st.Heaps {
 			// Capped at k: a heap never grows into its neighbour's entries.
-			st.Heaps[i] = heap{k: k, items: items[:0:k]}
-			items = items[k:]
+			lo := (off + j) * a.stride
+			st.Heaps[j] = heap{k: k, items: a.items[lo : lo : lo+k]}
 		}
 		b.State = st
+		off += n
 	}
 }
 
-// reusable reports whether b already carries a State with room for its
-// particles at capacity k.
-func reusable(b *traverse.Bucket, k int) bool {
-	st, ok := b.State.(*State)
-	if !ok || cap(st.Heaps) < len(b.Particles) {
-		return false
+// sharedTargets returns the Targets every bucket points at, or nil when
+// there are none or they differ.
+func sharedTargets(buckets []*traverse.Bucket) *traverse.Targets {
+	if len(buckets) == 0 {
+		return nil
 	}
-	for _, h := range st.Heaps[:len(b.Particles)] {
-		if cap(h.items) < k {
-			return false
+	t := buckets[0].Targets
+	for _, b := range buckets[1:] {
+		if b.Targets != t {
+			return nil
 		}
 	}
-	return true
+	return t
 }
 
 // maxBound returns the largest current search radius over the bucket's

@@ -2,6 +2,7 @@ package knn_test
 
 import (
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -134,6 +135,123 @@ func TestKNNMatchesBruteForce(t *testing.T) {
 			}
 		}
 	}
+}
+
+// neighborLists runs one up-and-down kNN step per k in ks on sim, the
+// state attached by attach, and returns, per step, each particle's
+// neighbours as (distance, ID) in ascending order.
+func neighborLists(t *testing.T, sim *paratreet.Simulation[knn.Data], attach func(p *paratreet.Partition[knn.Data], k int), ks ...int) []map[int64][]knn.Neighbor {
+	t.Helper()
+	var out []map[int64][]knn.Neighbor
+	for _, k := range ks {
+		lists := map[int64][]knn.Neighbor{}
+		driver := paratreet.DriverFuncs[knn.Data]{
+			TraversalFn: func(s *paratreet.Simulation[knn.Data], iter int) {
+				for _, p := range s.Partitions() {
+					attach(p, k)
+				}
+				paratreet.StartUpAndDown(s, func(p *paratreet.Partition[knn.Data]) knn.Visitor {
+					return knn.Visitor{K: k, ExcludeSelf: true}
+				})
+			},
+			PostTraversalFn: func(s *paratreet.Simulation[knn.Data], iter int) {
+				s.ForEachBucket(func(p *paratreet.Partition[knn.Data], b *paratreet.Bucket) {
+					st := b.State.(*knn.State)
+					for i := range b.Particles {
+						if c := cap(st.Neighbors(i)); c < k {
+							t.Fatalf("k=%d: particle %d's heap has capacity %d", k, b.Particles[i].ID, c)
+						}
+						lists[b.Particles[i].ID] = sortedNeighbors(st.Neighbors(i))
+					}
+				})
+			},
+		}
+		if err := sim.Run(1, driver); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, lists)
+	}
+	return out
+}
+
+func sortedNeighbors(nbrs []knn.Neighbor) []knn.Neighbor {
+	out := append([]knn.Neighbor(nil), nbrs...)
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].DistSq != out[j].DistSq {
+			return out[i].DistSq < out[j].DistSq
+		}
+		return out[i].ID < out[j].ID
+	})
+	return out
+}
+
+// requireBruteForce checks every list holds exactly the k smallest
+// distances of a brute-force scan (distances, so ties cannot matter).
+func requireBruteForce(t *testing.T, ps []particle.Particle, lists map[int64][]knn.Neighbor, k int) {
+	t.Helper()
+	ref := knn.BruteForce(ps, k, true)
+	for i := range ps {
+		want := sortedNeighbors(ref[i])
+		got := lists[ps[i].ID]
+		if len(got) != len(want) {
+			t.Fatalf("k=%d: particle %d has %d neighbours, brute force %d", k, ps[i].ID, len(got), len(want))
+		}
+		for j := range want {
+			if got[j].DistSq != want[j].DistSq {
+				t.Fatalf("k=%d: particle %d neighbour %d at %v, brute force %v", k, ps[i].ID, j, got[j].DistSq, want[j].DistSq)
+			}
+		}
+	}
+}
+
+// TestAttachDisjointSubsets: a partition's heaps are indexed by particle
+// offset, so attaching its buckets in two calls gives each half its own
+// storage — the answers equal one call's and brute force's — and one
+// partition's arena serves calls with different k (8, 32, 8, 32) with
+// room for k every time and nothing carried over from the call
+// before.
+func TestAttachDisjointSubsets(t *testing.T) {
+	const n = 600
+	ps := particle.NewClustered(n, 8, vec.UnitBox(), 3)
+	newSim := func() *paratreet.Simulation[knn.Data] {
+		sim, err := paratreet.NewSimulation[knn.Data](paratreet.Config{
+			Procs: 1, WorkersPerProc: 1, Partitions: 3,
+			Tree: paratreet.TreeOct, Decomp: paratreet.DecompSFC, BucketSize: 8,
+		}, knn.Accumulator{}, knn.Codec{}, particle.Clone(ps))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sim
+	}
+	whole := func(p *paratreet.Partition[knn.Data], k int) { knn.Attach(p.Buckets(), k) }
+
+	t.Run("halves", func(t *testing.T) {
+		const k = 8
+		one, two := newSim(), newSim()
+		defer one.Close()
+		defer two.Close()
+		want := neighborLists(t, one, whole, k)[0]
+		got := neighborLists(t, two, func(p *paratreet.Partition[knn.Data], k int) {
+			bs := p.Buckets()
+			knn.Attach(bs[:len(bs)/2], k)
+			knn.Attach(bs[len(bs)/2:], k)
+		}, k)[0]
+		requireBruteForce(t, ps, got, k)
+		for id, w := range want {
+			if !reflect.DeepEqual(got[id], w) {
+				t.Fatalf("particle %d: two calls found %v, one call %v", id, got[id], w)
+			}
+		}
+	})
+
+	t.Run("k-changes", func(t *testing.T) {
+		sim := newSim()
+		defer sim.Close()
+		ks := []int{8, 32, 8, 32} // k outgrows the arena, then falls back under it
+		for i, lists := range neighborLists(t, sim, whole, ks...) {
+			requireBruteForce(t, ps, lists, ks[i])
+		}
+	})
 }
 
 func TestKNNSingleProc(t *testing.T) {

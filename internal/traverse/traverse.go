@@ -103,6 +103,23 @@ type Bucket struct {
 	// State is per-bucket visitor state (e.g. kNN heaps); engines do not
 	// touch it.
 	State any
+	// Targets is the target storage of the Partition that owns the bucket,
+	// shared by all its buckets, and Offset the index of the bucket's first
+	// particle in the partition's run of particles. The build numbers them
+	// after every leaf share; buckets made elsewhere (per-query buckets,
+	// tests) leave both zero.
+	Targets *Targets
+	Offset  int
+}
+
+// Targets is the target storage one Partition keeps for as long as it
+// lives: N is the number of particles across its buckets, and State
+// belongs to whichever visitor package attached state to them (kNN keeps
+// its heap arena there), so the storage is carved again each step rather
+// than allocated.
+type Targets struct {
+	N     int
+	State any
 }
 
 // Visitor is the paper's Visitor abstraction: Open decides whether to

@@ -75,10 +75,15 @@ echo "==> incremental differential gate"
 # surviving subtrees are patched, only the new ones built).
 # TestDegenerateInputsOneAnswer holds serial, parallel and patched builds
 # to one answer on coincident, collinear, on-plane and stacked particles.
+# The kNN pass covers target storage that outlives the build: a rebuild's
+# new buckets re-carve their partition's heap arena (TestAttachReuse), and
+# calls on disjoint halves of a partition or with changing k never share
+# or carry over a heap (TestAttachDisjointSubsets).
 # The serve pass covers the refresh seam: concurrent waves racing a delta
 # Refresh must answer from exactly one tree state, and the stats
 # endpoints must stay race-free mid-refresh.
 go test -race -short -run 'TestIncremental|TestIncrementalCoverChange|TestDegenerateInputsOneAnswer' .
+go test -race -short -run 'TestAttachReuse|TestAttachDisjointSubsets' ./internal/knn/
 go test -race -short -run 'TestEngineStatsDuringRefresh|TestWavesRaceDeltaRefresh' ./internal/serve/
 
 echo "==> trace pipeline"
