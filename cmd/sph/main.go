@@ -8,6 +8,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 	"sort"
 	"time"
 
@@ -31,6 +32,12 @@ func main() {
 		seed   = flag.Int64("seed", 42, "generator seed")
 	)
 	flag.Parse()
+	if *k < 1 {
+		// A usage error, reported the way flag reports a malformed value.
+		fmt.Fprintf(flag.CommandLine.Output(), "invalid value %d for flag -k: want at least 1\n", *k)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	var ps []particle.Particle
 	var err error

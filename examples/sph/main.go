@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"log"
 	"math"
+	"os"
 	"sort"
 
 	"paratreet"
@@ -30,6 +31,12 @@ func main() {
 		wpp   = flag.Int("wpp", 2, "workers per process")
 	)
 	flag.Parse()
+	if *k < 1 {
+		// A usage error, reported the way flag reports a malformed value.
+		fmt.Fprintf(flag.CommandLine.Output(), "invalid value %d for flag -k: want at least 1\n", *k)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	par := sph.Params{K: *k, Gamma: 5.0 / 3.0, U: 1}
 	ps := particle.NewCosmological(*n, 7, paratreet.Box{Max: paratreet.V(1, 1, 1)})

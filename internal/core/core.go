@@ -126,7 +126,6 @@ type bucketMsg struct {
 	PartitionID int
 	Key         uint64
 	Box         vec.Box
-	Home        int
 	Blob        []byte
 }
 
@@ -762,7 +761,7 @@ func (w *World[D]) shareLeaf(st *Subtree[D], leaf *tree.Node[D]) (splits, bucket
 					group = append(group, ps[i])
 				}
 			}
-			partition.AddBucket(&traverse.Bucket{Key: leaf.Key, Box: leaf.Box, Particles: group, Home: st.Owner})
+			partition.AddBucket(&traverse.Bucket{Key: leaf.Key, Box: leaf.Box, Particles: group})
 			continue
 		}
 		// Remote partition: serialize and ship the bucket.
@@ -776,7 +775,6 @@ func (w *World[D]) shareLeaf(st *Subtree[D], leaf *tree.Node[D]) (splits, bucket
 			PartitionID: int(part),
 			Key:         leaf.Key,
 			Box:         leaf.Box,
-			Home:        st.Owner,
 			Blob:        blob,
 		}, len(blob)+64)
 	}
@@ -799,7 +797,6 @@ func (w *World[D]) receiveBucket(msg bucketMsg) {
 		Key:       msg.Key,
 		Box:       msg.Box,
 		Particles: group,
-		Home:      msg.Home,
 	})
 }
 

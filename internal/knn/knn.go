@@ -7,6 +7,7 @@ package knn
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 
 	"paratreet/internal/particle"
@@ -83,7 +84,10 @@ func (h *heap) bound() float64 {
 
 // push inserts a candidate, evicting the current k-th nearest when full.
 // Attach pre-sizes items to capacity k, so push never allocates — the
-// property the AllocsPerRun gate in knn_alloc_test.go enforces.
+// property the AllocsPerRun gate in knn_alloc_test.go enforces. Both
+// directions move a hole rather than swapping: each step copies one entry
+// instead of two, with the comparisons (and so the item order) of the
+// textbook swap.
 //
 //paratreet:hotpath
 func (h *heap) push(n Neighbor) {
@@ -91,45 +95,56 @@ func (h *heap) push(n Neighbor) {
 		if n.DistSq >= h.items[0].DistSq {
 			return
 		}
-		h.items[0] = n
-		h.siftDown(0)
+		h.siftDown(n)
 		return
 	}
+	i := len(h.items)
 	h.items = append(h.items, n)
-	i := len(h.items) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if h.items[parent].DistSq >= h.items[i].DistSq {
+		if h.items[parent].DistSq >= n.DistSq {
 			break
 		}
-		h.items[parent], h.items[i] = h.items[i], h.items[parent]
+		h.items[i] = h.items[parent]
 		i = parent
 	}
+	h.items[i] = n
 }
 
+// siftDown replaces the root with n and restores the heap order.
+//
 //paratreet:hotpath
-func (h *heap) siftDown(i int) {
-	n := len(h.items)
+func (h *heap) siftDown(n Neighbor) {
+	items := h.items
+	i := 0
 	for {
 		l, r := 2*i+1, 2*i+2
-		big := i
-		if l < n && h.items[l].DistSq > h.items[big].DistSq {
-			big = l
+		big, bigD := i, n.DistSq
+		if l < len(items) && items[l].DistSq > bigD {
+			big, bigD = l, items[l].DistSq
 		}
-		if r < n && h.items[r].DistSq > h.items[big].DistSq {
+		if r < len(items) && items[r].DistSq > bigD {
 			big = r
 		}
 		if big == i {
-			return
+			break
 		}
-		h.items[i], h.items[big] = h.items[big], h.items[i]
+		items[i] = items[big]
 		i = big
 	}
+	items[i] = n
 }
 
-// State is the per-bucket search state: one heap per target particle.
+// State is the per-bucket search state: one heap per target particle,
+// plus the bucket-level pruning bound derived from them. reach is the
+// distance from the bucket box's center to its farthest corner, fixed at
+// Attach; limSq is (sqrt(maxBound)+reach)², +Inf while some heap is not
+// full. Only leafInteract mutates the heaps, and it refreshes limSq after
+// any push, so both stay valid until the next Leaf or Attach.
 type State struct {
 	Heaps []heap
+	reach float64
+	limSq float64
 }
 
 // arena is the heap storage of one run of target particles: particle i of
@@ -166,7 +181,13 @@ func (a *arena) fit(n, k int) {
 // one partition never overlap. Any other bucket set (per-query buckets)
 // gets a one-off arena. Either way, a State stays valid until the next
 // Attach over the same particles.
+//
+// Attach panics when k < 1: a search for no neighbours has no bound to
+// prune by.
 func Attach(buckets []*traverse.Bucket, k int) {
+	if k < 1 {
+		panic(fmt.Sprintf("knn: Attach with k = %d, want k >= 1", k))
+	}
 	t := sharedTargets(buckets)
 	var a *arena
 	if t != nil {
@@ -197,6 +218,8 @@ func Attach(buckets []*traverse.Bucket, k int) {
 			lo := (off + j) * a.stride
 			st.Heaps[j] = heap{k: k, items: a.items[lo : lo : lo+k]}
 		}
+		st.reach = math.Sqrt(b.Box.FarDistSq(b.Box.Center()))
+		st.refresh()
 		b.State = st
 		off += n
 	}
@@ -217,19 +240,23 @@ func sharedTargets(buckets []*traverse.Bucket) *traverse.Targets {
 	return t
 }
 
-// maxBound returns the largest current search radius over the bucket's
-// particles — the bucket-level pruning bound.
-func (s *State) maxBound() float64 {
-	max := 0.0
+// refresh recomputes limSq from the heaps: no point inside the bucket box
+// can be within the loosest per-particle bound of a source box when
+// dist(source, center) > sqrt(maxBound) + reach, maxBound being the largest
+// search radius (squared) over the bucket's particles.
+func (s *State) refresh() {
+	maxBound := 0.0
 	for i := range s.Heaps {
-		if b := s.Heaps[i].bound(); b > max {
+		if b := s.Heaps[i].bound(); b > maxBound {
 			if math.IsInf(b, 1) {
-				return b
+				s.limSq = b
+				return
 			}
-			max = b
+			maxBound = b
 		}
 	}
-	return max
+	lim := math.Sqrt(maxBound) + s.reach
+	s.limSq = lim * lim
 }
 
 // openByBounds is the Open decision shared by Visitor and GenericVisitor:
@@ -239,14 +266,10 @@ func (s *State) maxBound() float64 {
 //paratreet:hotpath
 func openByBounds(source vec.Box, target *traverse.Bucket) bool {
 	st := target.State.(*State)
-	// Cheap bucket-level rejection: no point inside the target box can be
-	// within the loosest per-particle bound of the source box when
-	// dist(box, center) > maxRadius + farthest(center within bucket).
-	if mb := st.maxBound(); !math.IsInf(mb, 1) {
-		lim := math.Sqrt(mb) + math.Sqrt(target.Box.FarDistSq(target.Box.Center()))
-		if source.DistSq(target.Box.Center()) > lim*lim {
-			return false
-		}
+	// Cheap bucket-level rejection against the cached limit (+Inf, never
+	// rejecting, until every heap is full).
+	if source.DistSq(target.Box.Center()) > st.limSq {
+		return false
 	}
 	for i := range target.Particles {
 		if source.DistSq(target.Particles[i].Pos) < st.Heaps[i].bound() {
@@ -257,24 +280,33 @@ func openByBounds(source vec.Box, target *traverse.Bucket) bool {
 }
 
 // leafInteract tries every source particle against every target heap, the
-// exact interaction shared by Visitor and GenericVisitor.
+// exact interaction shared by Visitor and GenericVisitor. A target's bound
+// only changes when its heap takes a candidate, so it is reloaded then and
+// otherwise held in a local; the bucket's limit is refreshed once at the
+// end, and only when some heap changed.
 //
 //paratreet:hotpath
 func leafInteract(source []particle.Particle, target *traverse.Bucket, excludeSelf bool) {
 	st := target.State.(*State)
+	pushed := false
 	for i := range target.Particles {
 		p := &target.Particles[i]
 		h := &st.Heaps[i]
+		bound := h.bound()
 		for j := range source {
 			s := &source[j]
 			if excludeSelf && s.ID == p.ID {
 				continue
 			}
-			d2 := s.Pos.DistSq(p.Pos)
-			if d2 < h.bound() {
+			if d2 := s.Pos.DistSq(p.Pos); d2 < bound {
 				h.push(Neighbor{DistSq: d2, ID: s.ID, Pos: s.Pos, Mass: s.Mass})
+				bound = h.bound()
+				pushed = true
 			}
 		}
+	}
+	if pushed {
+		st.refresh()
 	}
 }
 
@@ -305,6 +337,28 @@ func (v Visitor) Leaf(source *tree.Node[Data], target *traverse.Bucket) {
 	leafInteract(source.Particles, target, v.ExcludeSelf)
 }
 
+// VisitSource implements traverse.SourceVisitor: the decisions and kernels
+// of Open and Leaf, with the empty-source test made once for all of
+// active. An unopened bucket takes nothing, as Node is empty.
+//
+//paratreet:hotpath
+func (v Visitor) VisitSource(source *tree.Node[Data], buckets []*traverse.Bucket, active, opened []int32, leaf bool) []int32 {
+	if source.Data.N == 0 {
+		return opened
+	}
+	for _, bi := range active {
+		b := buckets[bi]
+		if !openByBounds(source.Box, b) {
+			continue
+		}
+		if leaf {
+			leafInteract(source.Particles, b, v.ExcludeSelf)
+		}
+		opened = append(opened, bi)
+	}
+	return opened
+}
+
 // GenericVisitor runs the same k-nearest-neighbor search over a tree
 // whose node Data is not knn.Data — e.g. the serve subsystem's resident
 // collision tree, where one tree answers kNN, range, and probe queries.
@@ -331,6 +385,26 @@ func (v GenericVisitor[D]) Node(source *tree.Node[D], target *traverse.Bucket) {
 //paratreet:hotpath
 func (v GenericVisitor[D]) Leaf(source *tree.Node[D], target *traverse.Bucket) {
 	leafInteract(source.Particles, target, v.ExcludeSelf)
+}
+
+// VisitSource implements traverse.SourceVisitor; see Visitor.VisitSource.
+//
+//paratreet:hotpath
+func (v GenericVisitor[D]) VisitSource(source *tree.Node[D], buckets []*traverse.Bucket, active, opened []int32, leaf bool) []int32 {
+	if v.Count(&source.Data) == 0 {
+		return opened
+	}
+	for _, bi := range active {
+		b := buckets[bi]
+		if !openByBounds(source.Box, b) {
+			continue
+		}
+		if leaf {
+			leafInteract(source.Particles, b, v.ExcludeSelf)
+		}
+		opened = append(opened, bi)
+	}
+	return opened
 }
 
 // Neighbors returns particle i's found neighbors (unsorted).

@@ -153,7 +153,6 @@ func (e *Engine) RunBatch(qs []Query) ([]Answer, error) {
 		b := &traverse.Bucket{
 			Box:       vec.NewBox(q.Pos, q.Pos),
 			Particles: []particle.Particle{{ID: -1, Pos: q.Pos, Vel: q.Vel, Radius: q.Radius}},
-			Home:      home,
 		}
 		switch q.Kind {
 		case KNN:

@@ -98,8 +98,6 @@ type Bucket struct {
 	Key       uint64
 	Box       vec.Box
 	Particles []particle.Particle
-	// Home is the rank of the Subtree that owns the source leaf.
-	Home int
 	// State is per-bucket visitor state (e.g. kNN heaps); engines do not
 	// touch it.
 	State any

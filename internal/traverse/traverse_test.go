@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"testing"
+	"unsafe"
 
 	"paratreet/internal/cache"
 	"paratreet/internal/decomp"
@@ -146,7 +147,6 @@ func setupWorld(t *testing.T, nprocs, workers int, policy cache.Policy, n int) *
 				Key:       leaf.Key,
 				Box:       leaf.Box,
 				Particles: particle.Clone(leaf.Particles),
-				Home:      owner,
 			})
 		}
 	}
@@ -431,4 +431,13 @@ func TestUpDownTinyWorld(t *testing.T) {
 	u.Start()
 	w.machine.WaitQuiescence()
 	w.checkMassConservation(t)
+}
+
+// TestBucketSize pins Bucket inside the 112-byte allocation size class:
+// every build allocates one per leaf share, so a field that pushes it past
+// 112 bytes costs the next class (128) on every bucket.
+func TestBucketSize(t *testing.T) {
+	if got := unsafe.Sizeof(Bucket{}); got > 112 {
+		t.Errorf("Bucket is %d bytes, want at most 112", got)
+	}
 }

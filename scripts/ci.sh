@@ -48,6 +48,12 @@ echo "==> fuzz the query edge"
 # ran under go test above; this explores past it.
 go test -run '^$' -fuzz FuzzQueryRequest -fuzztime 10s ./internal/serve/
 
+echo "==> fuzz the kNN heap"
+# Random push sequences, ties included, for k in 1..40: the hole-moving
+# heap must keep the swap-based reference's entry order and end with the
+# k smallest distances offered.
+go test -run '^$' -fuzz FuzzHeap -fuzztime 10s ./internal/knn/
+
 echo "==> rt wake protocol (lost-wakeup stress)"
 # Workers park on a channel instead of polling, so a push whose wake is
 # lost strands its task forever. Full-length rounds (the -short pass above
@@ -78,12 +84,16 @@ echo "==> incremental differential gate"
 # The kNN pass covers target storage that outlives the build: a rebuild's
 # new buckets re-carve their partition's heap arena (TestAttachReuse), and
 # calls on disjoint halves of a partition or with changing k never share
-# or carry over a heap (TestAttachDisjointSubsets).
+# or carry over a heap (TestAttachDisjointSubsets). The native source-major
+# call opens what the per-pair contract opens and leaves every heap in the
+# same order, with each bucket's cached pruning limit equal to one
+# recomputed from its heaps (TestSourceMajorMatchesPerPair); k < 1 is
+# refused at Attach (TestAttachRejectsNonPositiveK).
 # The serve pass covers the refresh seam: concurrent waves racing a delta
 # Refresh must answer from exactly one tree state, and the stats
 # endpoints must stay race-free mid-refresh.
 go test -race -short -run 'TestIncremental|TestIncrementalCoverChange|TestDegenerateInputsOneAnswer' .
-go test -race -short -run 'TestAttachReuse|TestAttachDisjointSubsets' ./internal/knn/
+go test -race -short -run 'TestAttachReuse|TestAttachDisjointSubsets|TestSourceMajorMatchesPerPair|TestAttachRejectsNonPositiveK' ./internal/knn/
 go test -race -short -run 'TestEngineStatsDuringRefresh|TestWavesRaceDeltaRefresh' ./internal/serve/
 
 echo "==> trace pipeline"
