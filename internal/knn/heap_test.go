@@ -12,26 +12,34 @@ import (
 )
 
 // swapHeap is the textbook bounded max-heap that swaps an entry with its
-// parent or larger child at every level: the reference the hole-moving
-// heap must match entry for entry.
+// parent or larger child at every level, ordered by (DistSq, ID): the
+// reference the hole-moving heap must match entry for entry.
 type swapHeap struct {
 	k     int
 	items []Neighbor
 }
 
+// after reports whether a follows b in (DistSq, ID) order.
+func after(a, b Neighbor) bool {
+	if a.DistSq != b.DistSq {
+		return a.DistSq > b.DistSq
+	}
+	return a.ID > b.ID
+}
+
 func (h *swapHeap) push(n Neighbor) {
 	if len(h.items) >= h.k {
-		if n.DistSq >= h.items[0].DistSq {
+		if !after(h.items[0], n) {
 			return
 		}
 		h.items[0] = n
 		for i := 0; ; {
 			l, r := 2*i+1, 2*i+2
 			big := i
-			if l < len(h.items) && h.items[l].DistSq > h.items[big].DistSq {
+			if l < len(h.items) && after(h.items[l], h.items[big]) {
 				big = l
 			}
-			if r < len(h.items) && h.items[r].DistSq > h.items[big].DistSq {
+			if r < len(h.items) && after(h.items[r], h.items[big]) {
 				big = r
 			}
 			if big == i {
@@ -44,7 +52,7 @@ func (h *swapHeap) push(n Neighbor) {
 	h.items = append(h.items, n)
 	for i := len(h.items) - 1; i > 0; {
 		parent := (i - 1) / 2
-		if h.items[parent].DistSq >= h.items[i].DistSq {
+		if !after(h.items[i], h.items[parent]) {
 			break
 		}
 		h.items[parent], h.items[i] = h.items[i], h.items[parent]

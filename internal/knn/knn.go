@@ -61,18 +61,29 @@ type Neighbor struct {
 	Mass   float64
 }
 
-// heap is a bounded max-heap of neighbors ordered by DistSq, so the root
-// is the current k-th nearest candidate.
+// heap is a bounded max-heap of neighbors ordered by (DistSq, ID), so the
+// root is the current k-th nearest candidate. Ordering ties by ID makes the
+// k held the k smallest by that order whatever order candidates arrive in:
+// a search's answer does not depend on which leaf it visited first.
 type heap struct {
 	k     int
 	items []Neighbor
+}
+
+// closer reports whether a precedes b in the heap order: nearer, or as
+// near with a smaller ID.
+//
+//paratreet:hotpath
+func closer(a, b *Neighbor) bool {
+	return a.DistSq < b.DistSq || (a.DistSq == b.DistSq && a.ID < b.ID)
 }
 
 //paratreet:hotpath
 func (h *heap) full() bool { return len(h.items) >= h.k }
 
 // bound returns the current search radius squared: +Inf until k candidates
-// are held, then the k-th smallest distance.
+// are held, then the k-th smallest distance. A candidate exactly at the
+// bound may still enter, displacing a larger ID.
 //
 //paratreet:hotpath
 func (h *heap) bound() float64 {
@@ -92,7 +103,7 @@ func (h *heap) bound() float64 {
 //paratreet:hotpath
 func (h *heap) push(n Neighbor) {
 	if h.full() {
-		if n.DistSq >= h.items[0].DistSq {
+		if !closer(&n, &h.items[0]) {
 			return
 		}
 		h.siftDown(n)
@@ -102,7 +113,7 @@ func (h *heap) push(n Neighbor) {
 	h.items = append(h.items, n)
 	for i > 0 {
 		parent := (i - 1) / 2
-		if h.items[parent].DistSq >= n.DistSq {
+		if !closer(&h.items[parent], &n) {
 			break
 		}
 		h.items[i] = h.items[parent]
@@ -119,11 +130,11 @@ func (h *heap) siftDown(n Neighbor) {
 	i := 0
 	for {
 		l, r := 2*i+1, 2*i+2
-		big, bigD := i, n.DistSq
-		if l < len(items) && items[l].DistSq > bigD {
-			big, bigD = l, items[l].DistSq
+		big, far := i, &n
+		if l < len(items) && closer(far, &items[l]) {
+			big, far = l, &items[l]
 		}
-		if r < len(items) && items[r].DistSq > bigD {
+		if r < len(items) && closer(far, &items[r]) {
 			big = r
 		}
 		if big == i {
@@ -260,8 +271,9 @@ func (s *State) refresh() {
 }
 
 // openByBounds is the Open decision shared by Visitor and GenericVisitor:
-// descend when the source box is closer to some target particle than that
-// particle's current k-th neighbor.
+// descend when the source box is no farther from some target particle than
+// that particle's current k-th neighbor (a particle exactly at the bound
+// may hold a smaller ID).
 //
 //paratreet:hotpath
 func openByBounds(source vec.Box, target *traverse.Bucket) bool {
@@ -272,7 +284,7 @@ func openByBounds(source vec.Box, target *traverse.Bucket) bool {
 		return false
 	}
 	for i := range target.Particles {
-		if source.DistSq(target.Particles[i].Pos) < st.Heaps[i].bound() {
+		if source.DistSq(target.Particles[i].Pos) <= st.Heaps[i].bound() {
 			return true
 		}
 	}
@@ -298,7 +310,7 @@ func leafInteract(source []particle.Particle, target *traverse.Bucket, excludeSe
 			if excludeSelf && s.ID == p.ID {
 				continue
 			}
-			if d2 := s.Pos.DistSq(p.Pos); d2 < bound {
+			if d2 := s.Pos.DistSq(p.Pos); d2 <= bound {
 				h.push(Neighbor{DistSq: d2, ID: s.ID, Pos: s.Pos, Mass: s.Mass})
 				bound = h.bound()
 				pushed = true
@@ -317,8 +329,9 @@ type Visitor struct {
 	ExcludeSelf bool
 }
 
-// Open implements traverse.Visitor: descend when the node's box is closer
-// to some target particle than that particle's current k-th neighbor.
+// Open implements traverse.Visitor: descend when the node's box is no
+// farther from some target particle than that particle's current k-th
+// neighbor.
 func (v Visitor) Open(source *tree.Node[Data], target *traverse.Bucket) bool {
 	if source.Data.N == 0 {
 		return false
@@ -420,7 +433,8 @@ func (s *State) Radius(i int) float64 {
 }
 
 // BruteForce computes the exact k nearest neighbors of each target in ps
-// from the same set, the validation reference.
+// from the same set, ties broken by the smaller ID as in the search: the
+// validation reference.
 func BruteForce(ps []particle.Particle, k int, excludeSelf bool) [][]Neighbor {
 	out := make([][]Neighbor, len(ps))
 	for i := range ps {
@@ -430,7 +444,7 @@ func BruteForce(ps []particle.Particle, k int, excludeSelf bool) [][]Neighbor {
 				continue
 			}
 			d2 := ps[j].Pos.DistSq(ps[i].Pos)
-			if d2 < h.bound() {
+			if d2 <= h.bound() {
 				h.push(Neighbor{DistSq: d2, ID: ps[j].ID, Pos: ps[j].Pos, Mass: ps[j].Mass})
 			}
 		}

@@ -1,7 +1,9 @@
 package knn_test
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
@@ -306,5 +308,55 @@ func TestCodecRoundTrip(t *testing.T) {
 	got, used := knn.Codec{}.DecodeData(blob)
 	if used != len(blob) || got != d {
 		t.Error("codec round trip failed")
+	}
+}
+
+// TestKNNTiesMatchBruteForce: on a lattice every particle has six
+// neighbours at the spacing, twelve at √2 times it, and so on, so a k that
+// cuts a shell keeps some of equal-distance candidates and drops others. The
+// heap keeps the smallest IDs among them, and so does brute force: lists
+// equal entry for entry, whatever order the traversal met the candidates
+// in, at one to four processes.
+func TestKNNTiesMatchBruteForce(t *testing.T) {
+	const side = 8
+	ids := rand.New(rand.NewSource(3)).Perm(side * side * side)
+	ps := make([]particle.Particle, 0, len(ids))
+	for x := 0; x < side; x++ {
+		for y := 0; y < side; y++ {
+			for z := 0; z < side; z++ {
+				ps = append(ps, particle.Particle{
+					ID: int64(ids[len(ps)]), Mass: 1,
+					Pos: vec.V(0.125+float64(x)/16, 0.125+float64(y)/16, 0.125+float64(z)/16),
+				})
+			}
+		}
+	}
+	ks := []int{4, 9}
+	want := make([]map[int64][]knn.Neighbor, len(ks))
+	for i, k := range ks {
+		want[i] = map[int64][]knn.Neighbor{}
+		for j, nbrs := range knn.BruteForce(ps, k, true) {
+			want[i][ps[j].ID] = sortedNeighbors(nbrs)
+		}
+	}
+	whole := func(p *paratreet.Partition[knn.Data], k int) { knn.Attach(p.Buckets(), k) }
+	for procs := 1; procs <= 4; procs++ {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			sim, err := paratreet.NewSimulation[knn.Data](paratreet.Config{
+				Procs: procs, WorkersPerProc: 2,
+				Tree: paratreet.TreeOct, Decomp: paratreet.DecompSFC, BucketSize: 8,
+			}, knn.Accumulator{}, knn.Codec{}, particle.Clone(ps))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sim.Close()
+			for i, lists := range neighborLists(t, sim, whole, ks...) {
+				for id, w := range want[i] {
+					if !reflect.DeepEqual(lists[id], w) {
+						t.Fatalf("k %d: particle %d found %v, brute force %v", ks[i], id, lists[id], w)
+					}
+				}
+			}
+		})
 	}
 }

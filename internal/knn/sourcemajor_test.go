@@ -45,7 +45,7 @@ func openUncached(source *tree.Node[Data], b *traverse.Bucket) bool {
 		return false
 	}
 	for i := range b.Particles {
-		if source.Box.DistSq(b.Particles[i].Pos) < st.Heaps[i].bound() {
+		if source.Box.DistSq(b.Particles[i].Pos) <= st.Heaps[i].bound() {
 			return true
 		}
 	}

@@ -120,10 +120,13 @@ func (e *Engine) Procs() int { return e.procs }
 func (e *Engine) PeakConcurrentWaves() int64 { return e.peakWaves.Load() }
 
 // RunBatch answers one coalesced batch of queries with a single traversal
-// wave: queries become single-particle buckets, grouped by (proc, kind)
-// into one transposed top-down traversal each, so coalesced queries share
-// tree-node visits exactly like the paper's bucket-transposed loop shares
-// them across buckets. Safe for concurrent use; answers are positional.
+// wave: queries become single-particle buckets, grouped by (home proc,
+// kind) into one traversal each. A query's home is the process that owns
+// the subtree holding its position, so the data it reaches first is local.
+// kNN queries walk up-and-down, one after another, each nearest-first with
+// its own shrinking radius; range and probe queries, whose radius is fixed,
+// share one transposed top-down walk. Safe for concurrent use; answers are
+// positional.
 func (e *Engine) RunBatch(qs []Query) ([]Answer, error) {
 	if len(qs) == 0 {
 		return nil, nil
@@ -144,12 +147,19 @@ func (e *Engine) RunBatch(qs []Query) ([]Answer, error) {
 		}
 	}
 
-	// One bucket per query, grouped by home proc (round-robin) and kind.
+	// One bucket per query, grouped by home proc and kind.
+	subtrees := e.sim.World().Subtrees
 	buckets := make([]*traverse.Bucket, len(qs))
 	groups := make([][numQueryKinds][]*traverse.Bucket, e.procs)
 	for i := range qs {
 		q := &qs[i]
-		home := i % e.procs
+		home := i % e.procs // outside every subtree box: round-robin
+		for _, st := range subtrees {
+			if st.Box.Contains(q.Pos) {
+				home = st.Owner
+				break
+			}
+		}
 		b := &traverse.Bucket{
 			Box:       vec.NewBox(q.Pos, q.Pos),
 			Particles: []particle.Particle{{ID: -1, Pos: q.Pos, Vel: q.Vel, Radius: q.Radius}},
@@ -169,7 +179,7 @@ func (e *Engine) RunBatch(qs []Query) ([]Answer, error) {
 	w := e.sim.NewWave()
 	for p := 0; p < e.procs; p++ {
 		if bs := groups[p][KNN]; len(bs) > 0 {
-			paratreet.WaveDown(w, p, bs, knn.GenericVisitor[collision.Data]{
+			paratreet.WaveUpAndDown(w, p, bs, knn.GenericVisitor[collision.Data]{
 				Count: func(d *collision.Data) int { return d.N },
 			})
 		}

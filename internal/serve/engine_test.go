@@ -3,6 +3,7 @@ package serve_test
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"sort"
 	"strings"
@@ -372,5 +373,161 @@ func TestBatcherMetrics(t *testing.T) {
 	}
 	if int64(batchSpans) != waves {
 		t.Errorf("EvBatch spans = %d, want one per wave (%d)", batchSpans, waves)
+	}
+}
+
+// latticeParticles returns the points of a side³ lattice with spacing 1/16,
+// IDs shuffled so that no traversal order follows them. Every coordinate,
+// and every squared distance to a point of the half-spacing lattice, is
+// exact: equal distances are the rule, not the exception.
+func latticeParticles(side int, seed int64) []paratreet.Particle {
+	rng := rand.New(rand.NewSource(seed))
+	ids := rng.Perm(side * side * side)
+	ps := make([]paratreet.Particle, 0, len(ids))
+	for x := 0; x < side; x++ {
+		for y := 0; y < side; y++ {
+			for z := 0; z < side; z++ {
+				ps = append(ps, paratreet.Particle{
+					ID:     int64(ids[len(ps)]),
+					Mass:   1,
+					Pos:    paratreet.V(0.125+float64(x)/16, 0.125+float64(y)/16, 0.125+float64(z)/16),
+					Radius: 1.0 / 64,
+				})
+			}
+		}
+	}
+	return ps
+}
+
+// latticeQueries returns a kNN/range/probe pool at points of the
+// half-spacing lattice over a side³ lattice, radii whole multiples of the
+// spacing: neighbours tie at the k-th distance and sit exactly on range
+// boundaries.
+func latticeQueries(n, side int, seed int64) []serve.Query {
+	rng := rand.New(rand.NewSource(seed))
+	coord := func() float64 { return 0.125 + float64(rng.Intn(2*side))/32 }
+	qs := make([]serve.Query, n)
+	for i := range qs {
+		pos := paratreet.V(coord(), coord(), coord())
+		switch i % 3 {
+		case 0:
+			qs[i] = serve.Query{Kind: serve.KNN, Pos: pos, K: 1 + rng.Intn(8)}
+		case 1:
+			qs[i] = serve.Query{Kind: serve.Range, Pos: pos, Radius: float64(1+rng.Intn(2)) / 16}
+		default:
+			qs[i] = serve.Query{Kind: serve.Probe, Pos: pos, Radius: 1.0 / 32, Dt: 0.01}
+		}
+	}
+	return qs
+}
+
+// TestEngineAnswersIndependentOfBatch holds Answer's promise that batching
+// changes nothing, where it is easiest to break: on a lattice, where kNN
+// candidates tie at the k-th distance and range hits sit on the boundary,
+// and on the clustered set, at one to four processes. A mixed pool is
+// answered each query alone, all in one batch, and in shuffled batches of
+// 2 to 32; every answer must equal a brute-force scan's.
+func TestEngineAnswersIndependentOfBatch(t *testing.T) {
+	const side = 12
+	sets := []struct {
+		name string
+		ps   []paratreet.Particle
+		qs   []serve.Query
+	}{
+		{"lattice", latticeParticles(side, 1), latticeQueries(96, side, 2)},
+		{"clustered", testParticles(1500), testQueries(96)},
+	}
+	for _, set := range sets {
+		want := make([]serve.Answer, len(set.qs))
+		for i, q := range set.qs {
+			want[i] = bruteAnswer(set.ps, q)
+		}
+		for procs := 1; procs <= 4; procs++ {
+			t.Run(fmt.Sprintf("%s/procs=%d", set.name, procs), func(t *testing.T) {
+				cfg := testConfig(paratreet.DecompSFC, paratreet.CacheWaitFree)
+				cfg.Procs = procs
+				eng, err := serve.NewEngine(cfg, append([]paratreet.Particle(nil), set.ps...))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer eng.Close()
+				qs := set.qs
+
+				alone, err := experiments.RunSingleShot(eng, qs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range qs {
+					diffAnswers(t, "alone", i, qs[i], alone[i], want[i])
+				}
+
+				one, err := eng.RunBatch(qs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range qs {
+					diffAnswers(t, "one batch", i, qs[i], one[i], want[i])
+				}
+
+				rng := rand.New(rand.NewSource(int64(procs)))
+				order := rng.Perm(len(qs))
+				for len(order) > 0 {
+					n := min(2+rng.Intn(31), len(order))
+					batch := make([]serve.Query, n)
+					for j, i := range order[:n] {
+						batch[j] = qs[i]
+					}
+					got, err := eng.RunBatch(batch)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for j, i := range order[:n] {
+						diffAnswers(t, fmt.Sprintf("batch of %d", n), i, qs[i], got[j], want[i])
+					}
+					order = order[n:]
+				}
+			})
+		}
+	}
+}
+
+// TestKNNWaveCostIndependentOfBatch: kNN queries batched into one wave
+// make exactly the open/prune decisions they make one at a time. Each
+// walks alone, nearest subtrees first, so a batch costs the sum of its
+// queries and no more; a shared walk that pushed children in index order
+// filled heaps from far leaves and decided several times as much.
+func TestKNNWaveCostIndependentOfBatch(t *testing.T) {
+	cfg := testConfig(paratreet.DecompSFC, paratreet.CacheWaitFree)
+	cfg.Procs, cfg.WorkersPerProc = 1, 2
+	eng, err := serve.NewEngine(cfg, testParticles(4000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	var qs []serve.Query
+	for _, q := range testQueries(96) {
+		if q.Kind == serve.KNN {
+			qs = append(qs, q)
+		}
+	}
+	if len(qs) != 32 {
+		t.Fatalf("setup: %d kNN queries, want 32", len(qs))
+	}
+	decisions := func() int64 {
+		snap := eng.Snapshot()
+		return snap.Counter(metrics.CTraverseOpens) + snap.Counter(metrics.CTraversePrunes)
+	}
+	start := decisions()
+	if _, err := experiments.RunSingleShot(eng, qs); err != nil {
+		t.Fatal(err)
+	}
+	alone := decisions() - start
+	start = decisions()
+	if _, err := eng.RunBatch(qs); err != nil {
+		t.Fatal(err)
+	}
+	batched := decisions() - start
+	if alone == 0 || batched != alone {
+		t.Errorf("a batch of %d kNN queries made %d open/prune decisions, the same queries alone %d", len(qs), batched, alone)
 	}
 }

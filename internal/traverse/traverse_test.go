@@ -441,3 +441,67 @@ func TestBucketSize(t *testing.T) {
 		t.Errorf("Bucket is %d bytes, want at most 112", got)
 	}
 }
+
+// decision is one Open call: which bucket, which source node, and whether
+// it opened.
+type decision struct {
+	bucket *Bucket
+	node   uint64
+	open   bool
+}
+
+// decisionVisitor opens like massVisitor and logs every decision.
+type decisionVisitor struct {
+	rsq float64
+	log *[]decision
+}
+
+func (v decisionVisitor) Open(source *tree.Node[countData], target *Bucket) bool {
+	open := source.Box.DistSq(target.Box.Center()) <= v.rsq
+	*v.log = append(*v.log, decision{target, source.Key, open})
+	return open
+}
+func (decisionVisitor) Node(*tree.Node[countData], *Bucket) {}
+func (decisionVisitor) Leaf(*tree.Node[countData], *Bucket) {}
+
+// TestUpDownKeylessBucket: a bucket with no leaf key (Key 0, as every
+// ad-hoc query bucket has) is seeded at the root under NewUpDown, so its
+// walk makes a per-bucket walk's decisions, in the same order. On several
+// processes the views are warmed first, so no fetch reorders either walk.
+func TestUpDownKeylessBucket(t *testing.T) {
+	for _, procs := range []int{1, 3} {
+		w := setupWorld(t, procs, 1, cache.WaitFree, 1500)
+		var buckets []*Bucket
+		for _, b := range w.buckets[0][:8] {
+			keyless := *b
+			keyless.Key = 0
+			buckets = append(buckets, &keyless)
+		}
+		p, c := w.machine.Proc(0), w.caches[0]
+		walk := func(upDown bool) []decision {
+			var log []decision
+			v := decisionVisitor{rsq: 0.02, log: &log}
+			if upDown {
+				NewUpDown(p, c, 0, buckets, v, nil).Start()
+			} else {
+				NewTopDown(p, c, 0, buckets, v, PerBucket, nil).Start()
+			}
+			w.machine.WaitQuiescence()
+			return log
+		}
+		walk(false) // warm the view
+		want := walk(false)
+		got := walk(true)
+		if len(got) == 0 || got[0].node != tree.RootKey {
+			t.Fatalf("procs %d: first decision %+v, want one at the root", procs, got[:min(1, len(got))])
+		}
+		if len(got) != len(want) {
+			t.Fatalf("procs %d: up-and-down made %d decisions, per-bucket %d", procs, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("procs %d: decision %d is %+v, per-bucket %+v", procs, i, got[i], want[i])
+			}
+		}
+	}
+}

@@ -18,6 +18,10 @@ import (
 // processes leaf-adjacent subtrees earliest, and finally a frame for the
 // bucket's own home leaf. Like every per-bucket seed, a bucket's path is
 // pushed only when the scheduler has finished the buckets before it.
+//
+// A bucket with no leaf key (Key 0, which no tree node has — ad-hoc query
+// buckets) has no path to walk up: it is seeded at the root, and its
+// single-bucket frames still visit the nearest children first.
 func NewUpDown[D any, V Visitor[D]](proc *rt.Proc, c *cache.Cache[D], viewID int, buckets []*Bucket, visitor V, onDone func()) *Traversal[D] {
 	return NewTopDown(proc, c, viewID, buckets, visitor, upDown, onDone)
 }
@@ -25,12 +29,17 @@ func NewUpDown[D any, V Visitor[D]](proc *rt.Proc, c *cache.Cache[D], viewID int
 // seedPath pushes the off-path sibling frames along the root-to-leaf path
 // of the key of the bucket in active, ending with the bucket's own leaf.
 // Path nodes that are remote are pushed as ordinary frames (the engine
-// pauses there and, once fetched, Open/descend handles the rest).
+// pauses there and, once fetched, Open/descend handles the rest). A bucket
+// without a key gets the root frame alone.
 //
 //paratreet:coldpath
 func (t *Traversal[D]) seedPath(node *tree.Node[D], active []int32) {
 	logB := t.cache.TreeType().LogB()
 	key := t.buckets[active[0]].Key
+	if key == 0 {
+		t.push(frame[D, []int32]{node: node, work: active})
+		return
+	}
 	level := tree.KeyLevel(key, logB)
 	for node != nil {
 		if node.Key == key || node.Kind().IsLeaf() || !node.Kind().HasData() {

@@ -18,11 +18,12 @@
 //
 // Beyond the batch Run loop, the build and query lifecycles are also
 // available separately: Simulation.BuildOnly constructs the resident tree
-// without traversing, and the Wave API (NewWave, WaveDown, Wave.Wait)
-// launches reentrant ad-hoc traversal waves over it — the foundation of
-// the internal/serve query service and its cmd/paratreet-serve daemon,
-// which answer kNN, range, and collision-probe queries over HTTP from one
-// resident tree, coalescing concurrent requests into shared waves.
+// without traversing, and the Wave API (NewWave, WaveDown, WaveUpAndDown,
+// Wave.Wait) launches reentrant ad-hoc traversal waves over it — the
+// foundation of the internal/serve query service and its
+// cmd/paratreet-serve daemon, which answer kNN, range, and collision-probe
+// queries over HTTP from one resident tree, coalescing concurrent requests
+// into shared waves.
 package paratreet
 
 import (

@@ -50,8 +50,8 @@ go test -run '^$' -fuzz FuzzQueryRequest -fuzztime 10s ./internal/serve/
 
 echo "==> fuzz the kNN heap"
 # Random push sequences, ties included, for k in 1..40: the hole-moving
-# heap must keep the swap-based reference's entry order and end with the
-# k smallest distances offered.
+# heap must keep the entry order of the swap-based reference, ordered by
+# (distance, ID), and end with the k smallest distances offered.
 go test -run '^$' -fuzz FuzzHeap -fuzztime 10s ./internal/knn/
 
 echo "==> rt wake protocol (lost-wakeup stress)"
@@ -88,13 +88,19 @@ echo "==> incremental differential gate"
 # call opens what the per-pair contract opens and leaves every heap in the
 # same order, with each bucket's cached pruning limit equal to one
 # recomputed from its heaps (TestSourceMajorMatchesPerPair); k < 1 is
-# refused at Attach (TestAttachRejectsNonPositiveK).
+# refused at Attach (TestAttachRejectsNonPositiveK); on a lattice, where
+# candidates tie at the k-th distance, every list equals brute force's
+# entry for entry at one to four processes (TestKNNTiesMatchBruteForce).
 # The serve pass covers the refresh seam: concurrent waves racing a delta
 # Refresh must answer from exactly one tree state, and the stats
-# endpoints must stay race-free mid-refresh.
+# endpoints must stay race-free mid-refresh. It also covers batching: a
+# query pool answered alone, in one batch and in shuffled batches gives
+# brute force's answers, ties included (TestEngineAnswersIndependentOfBatch),
+# and a batch of kNN queries makes exactly the decisions its queries make
+# alone (TestKNNWaveCostIndependentOfBatch).
 go test -race -short -run 'TestIncremental|TestIncrementalCoverChange|TestDegenerateInputsOneAnswer' .
-go test -race -short -run 'TestAttachReuse|TestAttachDisjointSubsets|TestSourceMajorMatchesPerPair|TestAttachRejectsNonPositiveK' ./internal/knn/
-go test -race -short -run 'TestEngineStatsDuringRefresh|TestWavesRaceDeltaRefresh' ./internal/serve/
+go test -race -short -run 'TestAttachReuse|TestAttachDisjointSubsets|TestSourceMajorMatchesPerPair|TestAttachRejectsNonPositiveK|TestKNNTiesMatchBruteForce' ./internal/knn/
+go test -race -short -run 'TestEngineStatsDuringRefresh|TestWavesRaceDeltaRefresh|TestEngineAnswersIndependentOfBatch|TestKNNWaveCostIndependentOfBatch' ./internal/serve/
 
 echo "==> trace pipeline"
 # End-to-end timeline check: a quick traced kNN run must produce a Chrome

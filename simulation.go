@@ -107,8 +107,8 @@ func (s *Simulation[D]) Close() {
 // share, and the particle census — without launching any traversal. On
 // return the machine is settled and every cache presents its view of the
 // freshly built global tree, ready either for a driver's traversal (Run
-// calls BuildOnly per iteration) or for ad-hoc query waves (NewWave /
-// QueryWave) against the resident tree.
+// calls BuildOnly per iteration) or for ad-hoc query waves (NewWave,
+// WaveDown, WaveUpAndDown) against the resident tree.
 func (s *Simulation[D]) BuildOnly() error {
 	if err := s.world.BuildIteration(s.particles); err != nil {
 		return fmt.Errorf("paratreet: iteration %d build: %w", s.iter, err)

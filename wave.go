@@ -3,6 +3,8 @@ package paratreet
 import (
 	"sync"
 
+	"paratreet/internal/cache"
+	"paratreet/internal/rt"
 	"paratreet/internal/traverse"
 )
 
@@ -31,30 +33,37 @@ func (s *Simulation[D]) NewWave() *Wave[D] {
 	return &Wave[D]{s: s}
 }
 
-// QueryWave runs launch to start traversals on a fresh wave and blocks
-// until every launched traversal has drained (including frames paused on
-// remote fetches). It is the single-wave convenience over NewWave + Wait.
-func (s *Simulation[D]) QueryWave(launch func(w *Wave[D])) {
-	w := s.NewWave()
-	launch(w)
-	w.Wait()
-}
-
 // WaveDown launches one top-down traversal of buckets against proc's view
 // of the resident tree, as part of wave w. The buckets are ad-hoc query
 // targets (typically one synthetic particle each) and need not correspond
 // to tree leaves; visitor state must already be attached. The traversal
-// style comes from the simulation's Config, so coalesced query buckets
-// share tree-node visits exactly like partition buckets do.
+// style comes from the simulation's Config. Transposed, a tree node is
+// visited once for all the buckets that reach it, which pays for searches
+// whose radius is fixed up front (range, collision probes).
 func WaveDown[D any, V traverse.Visitor[D]](w *Wave[D], proc int, buckets []*traverse.Bucket, visitor V) {
-	s := w.s
-	c := s.world.Caches[proc]
-	p := s.machine.Proc(proc)
+	p, c, view := w.add(proc)
+	traverse.NewTopDown(p, c, view, buckets, visitor, w.s.cfg.Style, w.wg.Done).Start()
+}
+
+// WaveUpAndDown is the wave counterpart of StartUpAndDown: one up-and-down
+// traversal of buckets against proc's view, as part of wave w. Each bucket
+// walks alone, nearest subtrees first, so searches whose radius shrinks as
+// they find candidates (k nearest neighbors) prune as they would one at a
+// time. Ad-hoc buckets have no leaf key and start at the view root.
+func WaveUpAndDown[D any, V traverse.Visitor[D]](w *Wave[D], proc int, buckets []*traverse.Bucket, visitor V) {
+	p, c, view := w.add(proc)
+	traverse.NewUpDown(p, c, view, buckets, visitor, w.wg.Done).Start()
+}
+
+// add counts one more traversal in the wave and returns where it runs:
+// proc, its cache, and the next of the process's worker views.
+func (w *Wave[D]) add(proc int) (*rt.Proc, *cache.Cache[D], int) {
+	c := w.s.world.Caches[proc]
+	p := w.s.machine.Proc(proc)
 	view := c.ViewFor(w.seq % p.NumWorkers())
 	w.seq++
 	w.wg.Add(1)
-	tr := traverse.NewTopDown(p, c, view, buckets, visitor, s.cfg.Style, w.wg.Done)
-	tr.Start()
+	return p, c, view
 }
 
 // Wait blocks until every traversal launched on this wave has completed.
