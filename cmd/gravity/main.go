@@ -9,6 +9,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 	"strings"
 	"time"
 
@@ -37,6 +38,13 @@ func main() {
 		seed    = flag.Int64("seed", 42, "generator seed")
 	)
 	flag.Parse()
+	par := gravity.Params{G: 1, Theta: *theta, Soft: *soft, Quadrupole: *quad}
+	if err := par.Validate(); err != nil {
+		// A usage error, reported the way flag reports a malformed value.
+		fmt.Fprintf(flag.CommandLine.Output(), "invalid -theta or -soft: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	ps, err := loadOrGenerate(*input, *dist, *n, *seed)
 	if err != nil {
@@ -65,7 +73,6 @@ func main() {
 	}
 	defer sim.Close()
 
-	par := gravity.Params{G: 1, Theta: *theta, Soft: *soft, Quadrupole: *quad}
 	start := time.Now()
 	driver := paratreet.DriverFuncs[gravity.CentroidData]{
 		TraversalFn: func(s *paratreet.Simulation[gravity.CentroidData], iter int) {
@@ -95,8 +102,12 @@ func main() {
 		log.Fatal(err)
 	}
 	st := sim.Stats()
-	fmt.Printf("total %v for %d iterations on %d procs x %d workers\n",
-		time.Since(start).Round(time.Millisecond), *iters, *procs, *wpp)
+	kernels := gravity.Kernels()
+	if par.Quadrupole {
+		kernels = "go" // the vector kernels are monopole only
+	}
+	fmt.Printf("total %v for %d iterations on %d procs x %d workers, %s kernels\n",
+		time.Since(start).Round(time.Millisecond), *iters, *procs, *wpp, kernels)
 	fmt.Printf("comm: %d messages, %.1f MB, %d node requests, %d fills\n",
 		st.MessagesSent, float64(st.BytesSent)/1e6, st.NodeRequests, st.Fills)
 

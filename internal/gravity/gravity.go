@@ -8,6 +8,7 @@ package gravity
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"sort"
 
@@ -140,6 +141,23 @@ type Params struct {
 	Quadrupole bool
 }
 
+// Validate reports parameters the solver would run with silently wrong
+// answers: Theta must be finite and at least 0 (a NaN opens nothing, so
+// the whole tree acts as one monopole; 0 is the exact mode, opening every
+// node with mass), Soft finite and at least 0, and G finite.
+func (p Params) Validate() error {
+	finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+	switch {
+	case !finite(p.Theta) || p.Theta < 0:
+		return fmt.Errorf("gravity: theta %v: want a finite value of at least 0", p.Theta)
+	case !finite(p.Soft) || p.Soft < 0:
+		return fmt.Errorf("gravity: softening %v: want a finite value of at least 0", p.Soft)
+	case !finite(p.G):
+		return fmt.Errorf("gravity: G %v: want a finite value", p.G)
+	}
+	return nil
+}
+
 // DefaultParams returns G=1, theta=0.7, softening 1e-4.
 func DefaultParams() Params {
 	return Params{G: 1, Theta: 0.7, Soft: 1e-4}
@@ -234,6 +252,11 @@ func (v Visitor[D]) Node(source *tree.Node[D], target *traverse.Bucket) {
 func (v Visitor[D]) VisitSource(source *tree.Node[D], buckets []*traverse.Bucket, active, opened []int32, leaf bool) []int32 {
 	s := v.openTerms(source)
 	v.kernelTerms(source, &s)
+	if len(active) > 0 {
+		if t := buckets[active[0]].Targets; t != nil && t.Packed != nil {
+			return v.visitPacked(&s, source, t.Packed, buckets, active, opened, leaf)
+		}
+	}
 	for _, bi := range active {
 		b := buckets[bi]
 		if !s.opens(b) {

@@ -253,3 +253,30 @@ func TestMedianError(t *testing.T) {
 		t.Errorf("median = %v", m)
 	}
 }
+
+func TestParamsValidate(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name string
+		p    gravity.Params
+		ok   bool
+	}{
+		{"default", gravity.DefaultParams(), true},
+		{"exact theta 0", gravity.Params{G: 1, Theta: 0, Soft: 1e-4}, true},
+		{"no softening", gravity.Params{G: 1, Theta: 0.7, Soft: 0}, true},
+		{"quadrupole", gravity.Params{G: 1, Theta: 0.7, Soft: 1e-4, Quadrupole: true}, true},
+		{"negative G", gravity.Params{G: -1, Theta: 0.7}, true},
+		{"NaN theta", gravity.Params{G: 1, Theta: nan, Soft: 1e-4}, false},
+		{"negative theta", gravity.Params{G: 1, Theta: -0.7, Soft: 1e-4}, false},
+		{"infinite theta", gravity.Params{G: 1, Theta: inf, Soft: 1e-4}, false},
+		{"NaN softening", gravity.Params{G: 1, Theta: 0.7, Soft: nan}, false},
+		{"negative softening", gravity.Params{G: 1, Theta: 0.7, Soft: -1e-4}, false},
+		{"infinite softening", gravity.Params{G: 1, Theta: 0.7, Soft: inf}, false},
+		{"NaN G", gravity.Params{G: nan, Theta: 0.7, Soft: 1e-4}, false},
+		{"infinite G", gravity.Params{G: -inf, Theta: 0.7, Soft: 1e-4}, false},
+	} {
+		if err := c.p.Validate(); (err == nil) != c.ok {
+			t.Errorf("%s: Validate() = %v, want ok %v", c.name, err, c.ok)
+		}
+	}
+}

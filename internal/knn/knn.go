@@ -199,7 +199,7 @@ func Attach(buckets []*traverse.Bucket, k int) {
 	if k < 1 {
 		panic(fmt.Sprintf("knn: Attach with k = %d, want k >= 1", k))
 	}
-	t := sharedTargets(buckets)
+	t := traverse.SharedTargets(buckets)
 	var a *arena
 	if t != nil {
 		if a, _ = t.State.(*arena); a == nil {
@@ -234,21 +234,6 @@ func Attach(buckets []*traverse.Bucket, k int) {
 		b.State = st
 		off += n
 	}
-}
-
-// sharedTargets returns the Targets every bucket points at, or nil when
-// there are none or they differ.
-func sharedTargets(buckets []*traverse.Bucket) *traverse.Targets {
-	if len(buckets) == 0 {
-		return nil
-	}
-	t := buckets[0].Targets
-	for _, b := range buckets[1:] {
-		if b.Targets != t {
-			return nil
-		}
-	}
-	return t
 }
 
 // refresh recomputes limSq from the heaps: no point inside the bucket box

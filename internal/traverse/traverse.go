@@ -118,6 +118,25 @@ type Bucket struct {
 type Targets struct {
 	N     int
 	State any
+	// Packed is a visitor's packed copy of the targets for the life of one
+	// traversal: gravity's column slab, set by its Pack and dropped by its
+	// Unpack. It is nil between traversals.
+	Packed []float64
+}
+
+// SharedTargets returns the Targets every bucket points at, or nil when
+// there are none or they differ.
+func SharedTargets(buckets []*Bucket) *Targets {
+	if len(buckets) == 0 {
+		return nil
+	}
+	t := buckets[0].Targets
+	for _, b := range buckets[1:] {
+		if b.Targets != t {
+			return nil
+		}
+	}
+	return t
 }
 
 // Visitor is the paper's Visitor abstraction: Open decides whether to
@@ -168,6 +187,17 @@ func (a perPair[D, V]) VisitSource(source *tree.Node[D], buckets []*Bucket, acti
 	return opened
 }
 
+// Packer is an optional lifecycle hook for a visitor: Pack runs once, on
+// the traversal's worker, before its first frame; Unpack runs once when the
+// last frame has drained, before onDone. Between them the visitor may keep
+// its targets in a layout of its own (gravity packs them into columns for
+// its vector kernels) as long as Unpack leaves the buckets as the per-pair
+// calls would have. Buckets are the traversal's, in its order.
+type Packer interface {
+	Pack(buckets []*Bucket)
+	Unpack(buckets []*Bucket)
+}
+
 func sourceMajor[D any, V Visitor[D]](v V) SourceVisitor[D] {
 	if sv, ok := any(v).(SourceVisitor[D]); ok {
 		return sv
@@ -208,6 +238,7 @@ func (s Style) String() string {
 type Traversal[D any] struct {
 	sched[D, []int32]
 	visit   SourceVisitor[D]
+	pack    Packer // nil unless the visitor implements it
 	buckets []*Bucket
 	style   Style
 	// unseeded is how many buckets have no seed frames yet. Seeds are
@@ -223,17 +254,21 @@ type Traversal[D any] struct {
 // tree. onDone (may be nil) runs exactly once when the traversal finishes.
 func NewTopDown[D any, V Visitor[D]](proc *rt.Proc, c *cache.Cache[D], viewID int, buckets []*Bucket, visitor V, style Style, onDone func()) *Traversal[D] {
 	t := &Traversal[D]{visit: sourceMajor[D](visitor), buckets: buckets, style: style, unseeded: len(buckets)}
+	t.pack, _ = any(visitor).(Packer)
 	t.init(proc, c, viewID, t, onDone)
 	return t
 }
 
 // refill seeds the next unseeded bucket — or, transposed, all of them as
-// one frame's active list.
+// one frame's active list. The first refill packs the targets.
 //
 //paratreet:coldpath
 func (t *Traversal[D]) refill() bool {
 	if t.unseeded == 0 {
 		return false
+	}
+	if t.unseeded == len(t.buckets) && t.pack != nil {
+		t.pack.Pack(t.buckets)
 	}
 	root := t.cache.Root(t.viewID)
 	if t.style == Transposed {
@@ -256,7 +291,12 @@ func (t *Traversal[D]) refill() bool {
 }
 
 //paratreet:coldpath
-func (t *Traversal[D]) release() { t.arena.release() }
+func (t *Traversal[D]) release() {
+	t.arena.release()
+	if t.pack != nil {
+		t.pack.Unpack(t.buckets)
+	}
+}
 
 // eval evaluates one frame with one visitor call.
 //

@@ -3,6 +3,7 @@ package traverse
 import (
 	"encoding/binary"
 	"math"
+	"sync"
 	"testing"
 	"unsafe"
 
@@ -501,6 +502,76 @@ func TestUpDownKeylessBucket(t *testing.T) {
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("procs %d: decision %d is %+v, per-bucket %+v", procs, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// packLog records a Packer's lifecycle against the traversal's visits.
+type packLog struct {
+	mu                    sync.Mutex
+	packs, unpacks        int
+	early, late, buckets  int
+	unpackedAtDone, calls int
+}
+
+// packVisitor is massVisitor with the Packer hook.
+type packVisitor struct {
+	massVisitor
+	log *packLog
+}
+
+func (v packVisitor) Open(source *tree.Node[countData], target *Bucket) bool {
+	v.log.mu.Lock()
+	v.log.calls++
+	if v.log.packs == 0 {
+		v.log.early++
+	}
+	if v.log.unpacks > 0 {
+		v.log.late++
+	}
+	v.log.mu.Unlock()
+	return v.massVisitor.Open(source, target)
+}
+
+func (v packVisitor) Pack(buckets []*Bucket) {
+	v.log.mu.Lock()
+	v.log.packs++
+	v.log.buckets = len(buckets)
+	v.log.mu.Unlock()
+}
+
+func (v packVisitor) Unpack([]*Bucket) {
+	v.log.mu.Lock()
+	v.log.unpacks++
+	v.log.mu.Unlock()
+}
+
+// TestPackerLifecycle: a visitor's Pack runs once, with the traversal's
+// buckets, before any visit; Unpack runs once, after the last visit and
+// before onDone, in every style and with frames parked on remote data.
+func TestPackerLifecycle(t *testing.T) {
+	for _, style := range []Style{Transposed, PerBucket, upDown} {
+		w := setupWorld(t, 4, 2, cache.WaitFree, 1500)
+		logs := make([]*packLog, 4)
+		for r := range logs {
+			log := &packLog{}
+			logs[r] = log
+			onDone := func() {
+				log.mu.Lock()
+				log.unpackedAtDone = log.unpacks
+				log.mu.Unlock()
+			}
+			NewTopDown(w.machine.Proc(r), w.caches[r], 0, w.buckets[r], packVisitor{massVisitor{rsq: 0.3}, log}, style, onDone).Start()
+		}
+		w.machine.WaitQuiescence()
+		w.checkMassConservation(t)
+		for r, log := range logs {
+			if log.packs != 1 || log.unpacks != 1 || log.unpackedAtDone != 1 {
+				t.Errorf("%v proc %d: %d packs, %d unpacks (%d by onDone), want 1, 1, 1", style, r, log.packs, log.unpacks, log.unpackedAtDone)
+			}
+			if log.buckets != len(w.buckets[r]) || log.early+log.late != 0 || log.calls == 0 {
+				t.Errorf("%v proc %d: packed %d of %d buckets; %d visits before Pack, %d after Unpack, of %d", style, r, log.buckets, len(w.buckets[r]), log.early, log.late, log.calls)
 			}
 		}
 	}

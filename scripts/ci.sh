@@ -54,6 +54,14 @@ echo "==> fuzz the kNN heap"
 # (distance, ID), and end with the k smallest distances offered.
 go test -run '^$' -fuzz FuzzHeap -fuzztime 10s ./internal/knn/
 
+echo "==> fuzz the packed gravity kernels"
+# The AVX2 P2P and M2P kernels against the Go loops they replace (Leaf,
+# applyNode), bit for bit: 0-40 targets and sources on a coarse lattice
+# with few IDs, so coincident positions and self-pairs are common, zero
+# softening included; a span's masked stores must leave every other
+# target's bits alone. Skips on a host without AVX2.
+go test -run '^$' -fuzz FuzzPackedKernels -fuzztime 10s ./internal/gravity/
+
 echo "==> rt wake protocol (lost-wakeup stress)"
 # Workers park on a channel instead of polling, so a push whose wake is
 # lost strands its task forever. Full-length rounds (the -short pass above
@@ -100,6 +108,15 @@ echo "==> incremental differential gate"
 # alone (TestKNNWaveCostIndependentOfBatch).
 go test -race -short -run 'TestIncremental|TestIncrementalCoverChange|TestDegenerateInputsOneAnswer' .
 go test -race -short -run 'TestAttachReuse|TestAttachDisjointSubsets|TestSourceMajorMatchesPerPair|TestAttachRejectsNonPositiveK|TestKNNTiesMatchBruteForce' ./internal/knn/
+# Gravity's packed targets: Pack, one VisitSource per node over active
+# lists with runs, gaps and repeats, then Unpack must leave the bits the
+# per-pair calls leave (TestPackedMatchesPerPair); the per-pair Go loops a
+# host without AVX2 runs give the golden checksums
+# (TestFallbackMatchesGoldens); and the engine runs Pack once before the
+# first visit and Unpack once before onDone, parked frames included
+# (TestPackerLifecycle).
+go test -race -short -run 'TestPackedMatchesPerPair|TestSourceMajorMatchesPerPair|TestFallbackMatchesGoldens' ./internal/gravity/
+go test -race -short -run 'TestPackerLifecycle' ./internal/traverse/
 go test -race -short -run 'TestEngineStatsDuringRefresh|TestWavesRaceDeltaRefresh|TestEngineAnswersIndependentOfBatch|TestKNNWaveCostIndependentOfBatch' ./internal/serve/
 
 echo "==> trace pipeline"
