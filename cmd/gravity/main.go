@@ -9,6 +9,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -42,6 +43,11 @@ func main() {
 	if err := par.Validate(); err != nil {
 		// A usage error, reported the way flag reports a malformed value.
 		fmt.Fprintf(flag.CommandLine.Output(), "invalid -theta or -soft: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
+	if math.IsNaN(*dt) || math.IsInf(*dt, 0) || *dt < 0 {
+		fmt.Fprintf(flag.CommandLine.Output(), "invalid -dt %v: want a finite value of at least 0\n", *dt)
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -106,8 +112,9 @@ func main() {
 	if par.Quadrupole {
 		kernels = "go" // the vector kernels are monopole only
 	}
+	m := sim.Machine()
 	fmt.Printf("total %v for %d iterations on %d procs x %d workers, %s kernels\n",
-		time.Since(start).Round(time.Millisecond), *iters, *procs, *wpp, kernels)
+		time.Since(start).Round(time.Millisecond), *iters, m.NumProcs(), m.Config().WorkersPerProc, kernels)
 	fmt.Printf("comm: %d messages, %.1f MB, %d node requests, %d fills\n",
 		st.MessagesSent, float64(st.BytesSent)/1e6, st.NodeRequests, st.Fills)
 

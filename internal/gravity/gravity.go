@@ -254,7 +254,7 @@ func (v Visitor[D]) VisitSource(source *tree.Node[D], buckets []*traverse.Bucket
 	v.kernelTerms(source, &s)
 	if len(active) > 0 {
 		if t := buckets[active[0]].Targets; t != nil && t.Packed != nil {
-			return v.visitPacked(&s, source, t.Packed, buckets, active, opened, leaf)
+			return v.visitPacked(&s, source, t, active, opened, leaf)
 		}
 	}
 	for _, bi := range active {

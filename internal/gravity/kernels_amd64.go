@@ -39,3 +39,12 @@ func p2p(t *float64, stride, n int, src *particle.Particle, ns int, eps2, grav f
 //
 //go:noescape
 func m2p(t *float64, stride, n int, cx, cy, cz, gm, eps2 float64)
+
+// reach is the opening test of one source against n listed buckets, four
+// at a time: boxes points at six columns of nb float64s (min x/y/z, max
+// x/y/z, indexed by bucket), and the decision for entry i of active is
+// bit i%4 of open[i/4], set where vec.SphereReaches says the sphere at c
+// of squared radius rsq reaches the bucket's box.
+//
+//go:noescape
+func reach(boxes *float64, nb int, active *int32, n int, cx, cy, cz, rsq float64, open *uint8)

@@ -1,15 +1,16 @@
 #include "textflag.h"
 
-// The packed gravity kernels. Four targets sit in each YMM register; the
-// operations and their order are those of Leaf and applyNode, with no
-// fused multiply-add, so every lane gets the bits the Go loop gets. Only
+// The packed gravity kernels. Four targets (p2p, m2p) or four buckets
+// (reach) sit in each YMM register; the operations and their order are
+// those of Leaf, applyNode and vec.SphereReaches, with no fused
+// multiply-add, so every lane gets the bits the Go code gets. Only
 // VEX-encoded instructions are used (a legacy-SSE instruction between
 // them costs a state transition per call), and every kernel ends with
 // VZEROUPPER.
 //
-// A slab's columns are stride float64s apart: x, y, z, ID bits, ax, ay,
-// az, pot. With R8 = stride*8, column c is at DI + c*R8; R9, R10 and R11
-// hold 3, 5 and 7 columns.
+// A slab's target columns are stride float64s apart: x, y, z, ID bits,
+// ax, ay, az, pot. With R8 = stride*8, column c is at DI + c*R8; in p2p
+// and m2p, R9, R10 and R11 hold 3, 5 and 7 columns.
 
 // Masks for the store of a span's last 1-3 targets: the four quadwords at
 // masks<>+8*(4-r) are r all-ones lanes, then zeros.
@@ -214,5 +215,122 @@ m2ptail:
 	VMASKMOVPD Y9, Y13, (DI)(R11*1)
 
 m2pdone:
+	VZEROUPPER
+	RET
+
+// Masks for the last 1-3 entries of an active list: the four dwords at
+// dmasks<>+4*(4-r) are r all-ones lanes, then zeros.
+DATA dmasks<>+0(SB)/4, $0xffffffff
+DATA dmasks<>+4(SB)/4, $0xffffffff
+DATA dmasks<>+8(SB)/4, $0xffffffff
+DATA dmasks<>+12(SB)/4, $0xffffffff
+DATA dmasks<>+16(SB)/4, $0
+DATA dmasks<>+20(SB)/4, $0
+DATA dmasks<>+24(SB)/4, $0
+DATA dmasks<>+28(SB)/4, $0
+GLOBL dmasks<>(SB), RODATA|NOPTR, $32
+
+// func reach(boxes *float64, nb int, active *int32, n int, cx, cy, cz, rsq float64, open *uint8)
+//
+// Per entry, as vec.SphereReaches on the box of bucket active[i]: with
+// t = (c-Max > 0) ? c-Max : 0 and d = (Min-c > t) ? Min-c : t on each
+// axis, the bucket is reached when ((dx·dx + dy·dy) + dz·dz) <= rsq and
+// no axis has Min > Max. Emptiness is tested on its own: EmptyBox's ±Inf
+// give d2 = +Inf, which passes at rsq = +Inf. VMAXPD returns its second
+// source when either input is NaN, so both maxima take 0 or t there, as
+// the scalar test's false comparisons do. The boxes are six columns nb
+// float64s apart (min x/y/z, max x/y/z), gathered four buckets at a time
+// on the int32 indices; the decisions of entries 4g..4g+3 go to bits 0-3
+// of open[g]. A last group of 1-3 entries loads its indices and gathers
+// under a mask, so nothing past active[n-1] is read.
+TEXT ·reach(SB), NOSPLIT, $0-72
+	MOVQ boxes+0(FP), SI
+	MOVQ nb+8(FP), R8
+	SHLQ $3, R8
+	LEAQ (SI)(R8*1), DI          // min y
+	LEAQ (DI)(R8*1), R9          // min z
+	LEAQ (R9)(R8*1), R10         // max x
+	LEAQ (R10)(R8*1), R11        // max y
+	LEAQ (R11)(R8*1), R12        // max z
+	MOVQ active+16(FP), DX
+	MOVQ n+24(FP), CX
+	VBROADCASTSD cx+32(FP), Y10
+	VBROADCASTSD cy+40(FP), Y11
+	VBROADCASTSD cz+48(FP), Y12
+	VBROADCASTSD rsq+56(FP), Y13
+	MOVQ open+64(FP), AX
+	VXORPD Y15, Y15, Y15
+
+reachblock:
+	CMPQ CX, $0
+	JLE  reachdone
+	CMPQ CX, $4
+	JLT  reachtail
+	VMOVDQU  (DX), X0            // four bucket indices
+	VPCMPEQD Y14, Y14, Y14       // every lane
+	JMP      reachtest
+
+reachtail:
+	MOVQ       $4, BX
+	SUBQ       CX, BX
+	LEAQ       dmasks<>(SB), R13
+	VMOVDQU    (R13)(BX*4), X14
+	VPMASKMOVD (DX), X14, X0
+	VPMOVSXDQ  X14, Y14
+
+reachtest:
+	VXORPD     Y1, Y1, Y1
+	VMOVAPD    Y14, Y9
+	VGATHERDPD Y9, (SI)(X0*8), Y1   // min x
+	VXORPD     Y2, Y2, Y2
+	VMOVAPD    Y14, Y9
+	VGATHERDPD Y9, (R10)(X0*8), Y2  // max x
+	VXORPD     Y3, Y3, Y3
+	VMOVAPD    Y14, Y9
+	VGATHERDPD Y9, (DI)(X0*8), Y3   // min y
+	VXORPD     Y4, Y4, Y4
+	VMOVAPD    Y14, Y9
+	VGATHERDPD Y9, (R11)(X0*8), Y4  // max y
+	VXORPD     Y5, Y5, Y5
+	VMOVAPD    Y14, Y9
+	VGATHERDPD Y9, (R9)(X0*8), Y5   // min z
+	VXORPD     Y6, Y6, Y6
+	VMOVAPD    Y14, Y9
+	VGATHERDPD Y9, (R12)(X0*8), Y6  // max z
+
+	VCMPPD  $0x1e, Y2, Y1, Y7    // empty: min x > max x
+	VCMPPD  $0x1e, Y4, Y3, Y8
+	VORPD   Y8, Y7, Y7
+	VCMPPD  $0x1e, Y6, Y5, Y8
+	VORPD   Y8, Y7, Y7           // ... or the same on y or z
+
+	VSUBPD  Y2, Y10, Y2          // c - max
+	VMAXPD  Y15, Y2, Y2          // t = (c-max > 0) ? c-max : 0
+	VSUBPD  Y10, Y1, Y1          // min - c
+	VMAXPD  Y2, Y1, Y1           // d = (min-c > t) ? min-c : t
+	VMULPD  Y1, Y1, Y1
+	VSUBPD  Y4, Y11, Y4
+	VMAXPD  Y15, Y4, Y4
+	VSUBPD  Y11, Y3, Y3
+	VMAXPD  Y4, Y3, Y3
+	VMULPD  Y3, Y3, Y3
+	VADDPD  Y3, Y1, Y1           // dx·dx + dy·dy
+	VSUBPD  Y6, Y12, Y6
+	VMAXPD  Y15, Y6, Y6
+	VSUBPD  Y12, Y5, Y5
+	VMAXPD  Y6, Y5, Y5
+	VMULPD  Y5, Y5, Y5
+	VADDPD  Y5, Y1, Y1           // d2
+	VCMPPD  $0x12, Y13, Y1, Y1   // d2 <= rsq, ordered
+	VANDNPD Y1, Y7, Y1           // and not empty
+	VANDPD  Y14, Y1, Y1          // listed lanes only
+	VMOVMSKPD Y1, BX
+	MOVB    BX, (AX)
+	INCQ    AX
+	ADDQ    $16, DX
+	SUBQ    $4, CX
+	JMP     reachblock
+
+reachdone:
 	VZEROUPPER
 	RET

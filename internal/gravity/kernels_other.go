@@ -15,3 +15,7 @@ func p2p(t *float64, stride, n int, src *particle.Particle, ns int, eps2, grav f
 func m2p(t *float64, stride, n int, cx, cy, cz, gm, eps2 float64) {
 	panic("gravity: no vector kernels on this architecture")
 }
+
+func reach(boxes *float64, nb int, active *int32, n int, cx, cy, cz, rsq float64, open *uint8) {
+	panic("gravity: no vector kernels on this architecture")
+}

@@ -12,8 +12,10 @@ import (
 // The packed targets: while a traversal runs with the vector kernels, a
 // partition's targets live in one slab of nCols columns, each indexed by
 // particle offset (Bucket.Offset + i) and padded by lanes so the kernels'
-// full-width loads stay in bounds. The slab hangs off Targets.Packed from
-// Pack to Unpack.
+// full-width loads stay in bounds. After them come nBucketCols columns
+// indexed by the traversal's bucket index: the bucket's box, and its
+// particle range [Offset, Offset+len) as the low and high 32 bits of one
+// word. The slab hangs off Targets.Packed from Pack to Unpack.
 const (
 	colX = iota
 	colY
@@ -26,6 +28,15 @@ const (
 	nCols
 
 	lanes = 4 // targets per vector register
+)
+
+// The bucket columns: min x/y/z and max x/y/z of the box, in the order
+// the reach kernel reads them, then the particle range.
+const (
+	colRange    = 6
+	nBucketCols = 7
+
+	reachChunk = 256 // active entries one reach call decides
 )
 
 // Kernels names the gravity kernels this process runs for monopole
@@ -67,26 +78,35 @@ func (c *cols) get(j int, p *particle.Particle) {
 
 // Pack implements traverse.Packer. Where the vector kernels run, a
 // monopole visitor copies the traversal's targets into a fresh slab on
-// their shared Targets, accumulators seeded from Acc and Potential. It
-// does nothing (and VisitSource takes the per-pair loop) without the
-// kernels, with Quadrupole, or when the buckets do not share one numbered
-// Targets.
+// their shared Targets, accumulators seeded from Acc and Potential, with
+// each bucket's box and particle range beside them. It does nothing (and
+// VisitSource takes the per-pair loop) without the kernels, with
+// Quadrupole, or when the buckets do not share one numbered Targets.
 func (v Visitor[D]) Pack(buckets []*traverse.Bucket) {
 	if !useKernels || v.P.Quadrupole {
 		return
 	}
 	t := traverse.SharedTargets(buckets)
-	if t == nil {
+	if t == nil || t.N > math.MaxInt32 {
 		return
 	}
-	packed := make([]float64, nCols*(t.N+lanes))
-	c := columns(packed)
-	for _, b := range buckets {
-		if b.Offset < 0 || b.Offset+len(b.Particles) > t.N {
+	nt, nb := nCols*(t.N+lanes), len(buckets)
+	packed := make([]float64, nt+nBucketCols*nb)
+	c, bc := columns(packed[:nt]), packed[nt:]
+	for bi, b := range buckets {
+		end := b.Offset + len(b.Particles)
+		if b.Offset < 0 || end > t.N {
 			return
 		}
 		for i := range b.Particles {
 			c.put(b.Offset+i, &b.Particles[i])
+		}
+		box := &b.Box
+		for col, x := range [nBucketCols]float64{
+			box.Min.X, box.Min.Y, box.Min.Z, box.Max.X, box.Max.Y, box.Max.Z,
+			math.Float64frombits(uint64(end)<<32 | uint64(b.Offset)),
+		} {
+			bc[col*nb+bi] = x
 		}
 	}
 	t.Packed = packed
@@ -99,7 +119,7 @@ func (v Visitor[D]) Unpack(buckets []*traverse.Bucket) {
 	if t == nil || t.Packed == nil {
 		return
 	}
-	c := columns(t.Packed)
+	c := columns(t.Packed[:nCols*(t.N+lanes)])
 	for _, b := range buckets {
 		for i := range b.Particles {
 			c.get(b.Offset+i, &b.Particles[i])
@@ -112,34 +132,49 @@ func (v Visitor[D]) Unpack(buckets []*traverse.Bucket) {
 // call: consecutive buckets whose particle ranges touch.
 type span struct{ start, end int }
 
-// visitPacked is VisitSource over packed targets. Each bucket's decision
-// is the per-pair one; the kernels run once per span of buckets that
-// take the same kernel, a bucket joining the span when its range starts
-// where the span ends. Every target still meets the source once per
-// listing, in list order, so its additions happen in the per-pair order.
+// visitPacked is VisitSource over packed targets. The reach kernel makes
+// each bucket's decision, the per-pair one, a chunk of active at a time;
+// then one pass in list order runs the kernels once per span of buckets
+// that take the same kernel, a bucket joining the span when its range
+// starts where the span ends. Every target still meets the source once
+// per listing, in list order, so its additions happen in the per-pair
+// order. Active indexes the buckets Pack packed: the engine passes the
+// traversal's buckets to both.
 //
 //paratreet:hotpath
-func (v Visitor[D]) visitPacked(s *sourceTerms, source *tree.Node[D], packed []float64, buckets []*traverse.Bucket, active, opened []int32, leaf bool) []int32 {
-	k := packedKernels{packed: packed, stride: len(packed) / nCols, eps2: v.P.Soft * v.P.Soft}
+func (v Visitor[D]) visitPacked(s *sourceTerms, source *tree.Node[D], t *traverse.Targets, active, opened []int32, leaf bool) []int32 {
+	stride := t.N + lanes
+	nt := nCols * stride
+	k := packedKernels{packed: t.Packed[:nt], stride: stride, eps2: v.P.Soft * v.P.Soft}
+	bc := t.Packed[nt:]
+	nb := len(bc) / nBucketCols
+	ranges := bc[colRange*nb : (colRange+1)*nb]
 	var far, near span
-	for _, bi := range active {
-		b := buckets[bi]
-		if !s.opens(b) {
-			if b.Offset != far.end {
-				k.m2p(s, far)
-				far.start = b.Offset
+	var open [reachChunk / lanes]uint8
+	for len(active) > 0 {
+		chunk := active[:min(len(active), reachChunk)]
+		active = active[len(chunk):]
+		reach(&bc[0], nb, &chunk[0], len(chunk), s.c.X, s.c.Y, s.c.Z, s.rsq, &open[0])
+		for i, bi := range chunk {
+			r := math.Float64bits(ranges[bi])
+			start, end := int(uint32(r)), int(r>>32)
+			if open[i/lanes]>>(i%lanes)&1 == 0 {
+				if start != far.end {
+					k.m2p(s, far)
+					far.start = start
+				}
+				far.end = end
+				continue
 			}
-			far.end = b.Offset + len(b.Particles)
-			continue
-		}
-		if leaf {
-			if b.Offset != near.end {
-				k.p2p(source.Particles, v.P.G, near)
-				near.start = b.Offset
+			if leaf {
+				if start != near.end {
+					k.p2p(source.Particles, v.P.G, near)
+					near.start = start
+				}
+				near.end = end
 			}
-			near.end = b.Offset + len(b.Particles)
+			opened = append(opened, bi)
 		}
-		opened = append(opened, bi)
 	}
 	k.m2p(s, far)
 	if leaf {

@@ -1,6 +1,7 @@
 package gravity
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -135,8 +136,17 @@ func randomActive(rng *rand.Rand, nb int) []int32 {
 // then Unpack, must open what Open opens and leave every bit Node and
 // Leaf leave. The nodes include massless ones, a leaf stripped of its
 // particles (an empty source) and leaves whose particles are the
-// buckets' own (self-pairs); every fifth bucket has an empty box.
+// buckets' own (self-pairs); every fifth bucket has an empty box. It runs
+// at θ = 0.6 and at θ = 0, where a node with mass and extent has rsq
+// +Inf and opens every bucket but the empty ones (a one-point box has rsq
+// NaN and opens none).
 func TestPackedMatchesPerPair(t *testing.T) {
+	for _, theta := range []float64{0.6, 0} {
+		t.Run(fmt.Sprintf("theta=%v", theta), func(t *testing.T) { testPackedMatchesPerPair(t, theta) })
+	}
+}
+
+func testPackedMatchesPerPair(t *testing.T, theta float64) {
 	box := vec.UnitBox()
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -180,7 +190,7 @@ func TestPackedMatchesPerPair(t *testing.T) {
 			native = append(native, &b)
 		}
 
-		v := New(Params{G: 1, Theta: 0.6, Soft: 1e-4})
+		v := New(Params{G: 1, Theta: theta, Soft: 1e-4})
 		v.Pack(native)
 		if useKernels && targets.Packed == nil {
 			t.Fatal("Pack left no slab on the shared Targets")

@@ -62,6 +62,15 @@ echo "==> fuzz the packed gravity kernels"
 # target's bits alone. Skips on a host without AVX2.
 go test -run '^$' -fuzz FuzzPackedKernels -fuzztime 10s ./internal/gravity/
 
+echo "==> fuzz the gravity opening test"
+# The AVX2 reach kernel against vec.SphereReaches, decision for decision:
+# boxes empty (EmptyBox, or on one axis), points, NaN and ±Inf corners and
+# signed zeros, centres on faces and corners, rsq of -1, 0, finite, +Inf
+# and NaN, and active lists of 0-40 entries (every masked tail), repeated
+# and descending indices included; no bit or byte past the list may be
+# written. Skips on a host without AVX2.
+go test -run '^$' -fuzz FuzzReach -fuzztime 10s ./internal/gravity/
+
 echo "==> rt wake protocol (lost-wakeup stress)"
 # Workers park on a channel instead of polling, so a push whose wake is
 # lost strands its task forever. Full-length rounds (the -short pass above
@@ -110,11 +119,13 @@ go test -race -short -run 'TestIncremental|TestIncrementalCoverChange|TestDegene
 go test -race -short -run 'TestAttachReuse|TestAttachDisjointSubsets|TestSourceMajorMatchesPerPair|TestAttachRejectsNonPositiveK|TestKNNTiesMatchBruteForce' ./internal/knn/
 # Gravity's packed targets: Pack, one VisitSource per node over active
 # lists with runs, gaps and repeats, then Unpack must leave the bits the
-# per-pair calls leave (TestPackedMatchesPerPair); the per-pair Go loops a
-# host without AVX2 runs give the golden checksums
-# (TestFallbackMatchesGoldens); and the engine runs Pack once before the
-# first visit and Unpack once before onDone, parked frames included
-# (TestPackerLifecycle).
+# per-pair calls leave and open what Open opens (TestPackedMatchesPerPair),
+# at θ = 0.6 and at θ = 0, where a node with mass and extent has rsq +Inf
+# and opens every bucket but the empty ones
+# (TestPackedMatchesPerPair/theta=0); the per-pair Go loops a host without
+# AVX2 runs give the golden checksums (TestFallbackMatchesGoldens); and
+# the engine runs Pack once before the first visit and Unpack once before
+# onDone, parked frames included (TestPackerLifecycle).
 go test -race -short -run 'TestPackedMatchesPerPair|TestSourceMajorMatchesPerPair|TestFallbackMatchesGoldens' ./internal/gravity/
 go test -race -short -run 'TestPackerLifecycle' ./internal/traverse/
 go test -race -short -run 'TestEngineStatsDuringRefresh|TestWavesRaceDeltaRefresh|TestEngineAnswersIndependentOfBatch|TestKNNWaveCostIndependentOfBatch' ./internal/serve/
