@@ -11,7 +11,6 @@ import (
 	"log"
 	"math"
 	"os"
-	"strings"
 	"time"
 
 	"paratreet"
@@ -21,24 +20,35 @@ import (
 
 func main() {
 	var (
-		input   = flag.String("i", "", "input dataset (native format); empty generates")
-		output  = flag.String("o", "", "output dataset path (optional)")
-		n       = flag.Int("n", 100000, "particles to generate when -i is empty")
-		dist    = flag.String("dist", "plummer", "generator: uniform|plummer|clustered|cosmo")
-		iters   = flag.Int("iters", 10, "iterations")
-		theta   = flag.Float64("theta", 0.7, "opening angle")
-		soft    = flag.Float64("soft", 1e-4, "softening length")
-		quad    = flag.Bool("quad", false, "enable quadrupole moments")
-		dt      = flag.Float64("dt", 1e-3, "leapfrog step (0 disables integration)")
-		procs   = flag.Int("procs", 4, "simulated processes")
-		wpp     = flag.Int("wpp", 2, "workers per process")
-		treeArg = flag.String("tree", "oct", "tree type: oct|kd|longest")
-		decomp  = flag.String("decomp", "sfc", "decomposition: sfc|hilbert|oct|orb")
-		lbArg   = flag.String("lb", "off", "load balancer: off|sfc|spatial")
-		bucket  = flag.Int("bucket", 16, "bucket size")
-		seed    = flag.Int64("seed", 42, "generator seed")
+		input  = flag.String("i", "", "input dataset (native format); empty generates")
+		output = flag.String("o", "", "output dataset path (optional)")
+		n      = flag.Int("n", 100000, "particles to generate when -i is empty")
+		dist   = flag.String("dist", "plummer", "generator: uniform|plummer|clustered|cosmo")
+		iters  = flag.Int("iters", 10, "iterations")
+		theta  = flag.Float64("theta", 0.7, "opening angle")
+		soft   = flag.Float64("soft", 1e-4, "softening length")
+		quad   = flag.Bool("quad", false, "enable quadrupole moments")
+		dt     = flag.Float64("dt", 1e-3, "leapfrog step (0 disables integration)")
+		procs  = flag.Int("procs", 4, "simulated processes")
+		wpp    = flag.Int("wpp", 2, "workers per process")
+		bucket = flag.Int("bucket", 16, "bucket size")
+		seed   = flag.Int64("seed", 42, "generator seed")
 	)
+	cfg := paratreet.Config{LBPeriod: 3}
+	flag.Func("tree", "tree `type`: oct|kd|longest (default oct)", func(s string) (err error) {
+		cfg.Tree, err = paratreet.ParseTree(s)
+		return err
+	})
+	flag.Func("decomp", "`decomposition`: sfc|hilbert|oct|orb (default sfc)", func(s string) (err error) {
+		cfg.Decomp, err = paratreet.ParseDecomp(s)
+		return err
+	})
+	flag.Func("lb", "load `balancer`: off|sfc|spatial (default off)", func(s string) (err error) {
+		cfg.LB, err = paratreet.ParseLB(s)
+		return err
+	})
 	flag.Parse()
+	cfg.Procs, cfg.WorkersPerProc, cfg.BucketSize = *procs, *wpp, *bucket
 	par := gravity.Params{G: 1, Theta: *theta, Soft: *soft, Quadrupole: *quad}
 	if err := par.Validate(); err != nil {
 		// A usage error, reported the way flag reports a malformed value.
@@ -55,23 +65,6 @@ func main() {
 	ps, err := loadOrGenerate(*input, *dist, *n, *seed)
 	if err != nil {
 		log.Fatal(err)
-	}
-	treeType, err := parseTree(*treeArg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	decompType, err := parseDecomp(*decomp)
-	if err != nil {
-		log.Fatal(err)
-	}
-	lbMode, err := parseLB(*lbArg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cfg := paratreet.Config{
-		Procs: *procs, WorkersPerProc: *wpp,
-		Tree: treeType, Decomp: decompType,
-		BucketSize: *bucket, LB: lbMode, LBPeriod: 3,
 	}
 	sim, err := paratreet.NewSimulation[gravity.CentroidData](cfg, gravity.Accumulator{}, gravity.Codec{}, ps)
 	if err != nil {
@@ -130,58 +123,5 @@ func loadOrGenerate(input, dist string, n int, seed int64) ([]particle.Particle,
 	if input != "" {
 		return particle.ReadFile(input)
 	}
-	box := paratreet.Box{Max: paratreet.V(1, 1, 1)}
-	switch strings.ToLower(dist) {
-	case "uniform":
-		return particle.NewUniform(n, seed, box), nil
-	case "plummer":
-		return particle.NewPlummer(n, seed, paratreet.V(0.5, 0.5, 0.5), 0.1), nil
-	case "clustered":
-		return particle.NewClustered(n, seed, box, 8), nil
-	case "cosmo":
-		return particle.NewCosmological(n, seed, box), nil
-	default:
-		return nil, fmt.Errorf("unknown distribution %q", dist)
-	}
-}
-
-func parseTree(s string) (paratreet.TreeType, error) {
-	switch strings.ToLower(s) {
-	case "oct":
-		return paratreet.TreeOct, nil
-	case "kd":
-		return paratreet.TreeKD, nil
-	case "longest":
-		return paratreet.TreeLongestDim, nil
-	default:
-		return 0, fmt.Errorf("unknown -tree %q (want oct|kd|longest)", s)
-	}
-}
-
-func parseDecomp(s string) (paratreet.DecompType, error) {
-	switch strings.ToLower(s) {
-	case "sfc":
-		return paratreet.DecompSFC, nil
-	case "hilbert":
-		return paratreet.DecompSFCHilbert, nil
-	case "oct":
-		return paratreet.DecompOct, nil
-	case "orb":
-		return paratreet.DecompORB, nil
-	default:
-		return 0, fmt.Errorf("unknown -decomp %q (want sfc|hilbert|oct|orb)", s)
-	}
-}
-
-func parseLB(s string) (paratreet.LBMode, error) {
-	switch strings.ToLower(s) {
-	case "off":
-		return paratreet.LBOff, nil
-	case "sfc":
-		return paratreet.LBSFC, nil
-	case "spatial":
-		return paratreet.LBSpatial, nil
-	default:
-		return 0, fmt.Errorf("unknown -lb %q (want off|sfc|spatial)", s)
-	}
+	return particle.Generate(dist, n, seed)
 }

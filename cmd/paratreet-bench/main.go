@@ -25,6 +25,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -70,6 +71,16 @@ func main() {
 		os.Exit(2)
 	}
 
+	sc := scale{quick: *quick, n: *n, iters: *iters}
+	if *workers != "" {
+		for _, tok := range strings.Split(*workers, ",") {
+			v, err := strconv.Atoi(strings.TrimSpace(tok))
+			if err != nil || v <= 0 {
+				fatal(fmt.Errorf("bad -workers value %q", tok))
+			}
+			sc.workers = append(sc.workers, v)
+		}
+	}
 	opts := experiments.Defaults()
 	if *quick {
 		opts = experiments.Quick()
@@ -84,15 +95,8 @@ func main() {
 		opts.WorkersPerProc = *wpp
 	}
 	opts.Seed = *seed
-	if *workers != "" {
-		opts.Workers = nil
-		for _, tok := range strings.Split(*workers, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(tok))
-			if err != nil || v <= 0 {
-				fatal(fmt.Errorf("bad -workers value %q", tok))
-			}
-			opts.Workers = append(opts.Workers, v)
-		}
+	if sc.workers != nil {
+		opts.Workers = sc.workers
 	}
 	if *faults != "" {
 		fc, err := paratreet.ParseFaultSpec(*faults)
@@ -114,12 +118,12 @@ func main() {
 	name := flag.Arg(0)
 	if name == "all" {
 		for _, exp := range []string{"table1", "fig3", "fig9", "fig10", "fig11", "fig12", "fig13", "table2", "table3", "lb", "fetchdepth", "sharedepth", "style"} {
-			if err := run(os.Stdout, exp, opts, *quick); err != nil {
+			if err := run(os.Stdout, exp, opts, sc); err != nil {
 				fatal(err)
 			}
 			fmt.Println()
 		}
-	} else if err := run(os.Stdout, name, opts, *quick); err != nil {
+	} else if err := run(os.Stdout, name, opts, sc); err != nil {
 		fatal(err)
 	}
 
@@ -139,8 +143,18 @@ func main() {
 	}
 }
 
+// scale is what the -quick, -n, -iters and -workers flags asked for; a
+// zero n or iters and a nil workers mean the flag was not set. The sweep
+// experiments read them through Options. fig12 and table2 have scales of
+// their own, and each set flag overrides only its own part of them.
+type scale struct {
+	quick    bool
+	n, iters int
+	workers  []int
+}
+
 // run executes one named experiment and writes its text rendering to w.
-func run(w io.Writer, name string, opts experiments.Options, quick bool) error {
+func run(w io.Writer, name string, opts experiments.Options, sc scale) error {
 	var res *experiments.Result
 	var err error
 	switch name {
@@ -158,8 +172,17 @@ func run(w io.Writer, name string, opts experiments.Options, quick bool) error {
 	case "fig12":
 		dopts := experiments.DefaultDiskOptions()
 		dopts.Seed = opts.Seed
-		if quick {
-			dopts.N, dopts.Steps = 4000, 15
+		if sc.quick {
+			dopts.N, dopts.Steps, dopts.RadiusBoost = 8000, 40, 5000
+		}
+		if sc.n > 0 {
+			dopts.N = sc.n
+		}
+		if sc.iters > 0 {
+			dopts.Steps = sc.iters
+		}
+		if sc.workers != nil {
+			dopts.Workers = slices.Max(sc.workers)
 		}
 		dres, err := experiments.RunFig12(dopts)
 		if err != nil {
@@ -174,12 +197,20 @@ func run(w io.Writer, name string, opts experiments.Options, quick bool) error {
 		}
 		res, err = experiments.RunFig13(fopts)
 	case "table2":
-		n := 100000
-		cpus := []int{1, 2, 4, 8, 16}
-		if quick {
+		n, cpus, iters := 100000, []int{1, 2, 4, 8, 16}, max(1, opts.Iters-1)
+		if sc.quick {
 			n, cpus = 10000, []int{1, 4}
 		}
-		rows, err := experiments.RunTable2(n, cpus, max(1, opts.Iters-1), opts.Seed)
+		if sc.n > 0 {
+			n = sc.n
+		}
+		if sc.iters > 0 {
+			iters = sc.iters
+		}
+		if sc.workers != nil {
+			cpus = sc.workers
+		}
+		rows, err := experiments.RunTable2(n, cpus, iters, opts.Seed)
 		if err != nil {
 			return err
 		}

@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -29,7 +31,7 @@ func TestMetricsEmission(t *testing.T) {
 	opts.Metrics = &experiments.MetricsCollector{TraceCapacity: 256}
 
 	var out bytes.Buffer
-	if err := run(&out, "fig3", opts, true); err != nil {
+	if err := run(&out, "fig3", opts, scale{quick: true}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "Fig 3") {
@@ -98,7 +100,7 @@ func TestKNNTracePipeline(t *testing.T) {
 	opts.Metrics = &experiments.MetricsCollector{TraceCapacity: 65536}
 
 	var out bytes.Buffer
-	if err := run(&out, "knn", opts, true); err != nil {
+	if err := run(&out, "knn", opts, scale{quick: true}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "kNN SPH density") {
@@ -218,7 +220,40 @@ func TestHTTPIntrospection(t *testing.T) {
 // TestRunUnknownExperiment checks the CLI error path.
 func TestRunUnknownExperiment(t *testing.T) {
 	var out bytes.Buffer
-	if err := run(&out, "nonsense", experiments.Quick(), true); err == nil {
+	if err := run(&out, "nonsense", experiments.Quick(), scale{quick: true}); err == nil {
 		t.Fatal("run(nonsense) succeeded, want error")
+	}
+}
+
+// fig12Collisions runs fig12 at the given scale and returns its output
+// and the collision count its header reports.
+func fig12Collisions(t *testing.T, sc scale) (string, int) {
+	t.Helper()
+	var out bytes.Buffer
+	if err := run(&out, "fig12", experiments.Quick(), sc); err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`\((\d+) collisions total\)`).FindStringSubmatch(out.String())
+	if m == nil {
+		t.Fatalf("fig12 header has no collision count:\n%s", out.String())
+	}
+	c, _ := strconv.Atoi(m[1])
+	return out.String(), c
+}
+
+// TestFig12HonoursScaleFlags checks that -n and -iters reach fig12: its
+// header names the body count and steps it ran.
+func TestFig12HonoursScaleFlags(t *testing.T) {
+	out, _ := fig12Collisions(t, scale{n: 1500, iters: 3})
+	if !strings.Contains(out, "1500 bodies, 3 steps") {
+		t.Fatalf("fig12 header ignores -n 1500 -iters 3:\n%s", out)
+	}
+}
+
+// TestQuickFig12RecordsCollisions checks that the -quick smoke scale of
+// fig12 records collisions, so its figure is not empty.
+func TestQuickFig12RecordsCollisions(t *testing.T) {
+	if out, c := fig12Collisions(t, scale{quick: true}); c == 0 {
+		t.Fatalf("quick fig12 recorded no collisions:\n%s", out)
 	}
 }

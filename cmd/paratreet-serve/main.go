@@ -42,7 +42,6 @@ import (
 	"paratreet/internal/particle"
 	"paratreet/internal/serve"
 	"paratreet/internal/trace"
-	"paratreet/internal/vec"
 )
 
 // options collects every daemon flag; run takes it whole so the flag
@@ -95,7 +94,7 @@ func main() {
 	var o options
 	flag.StringVar(&o.addr, "addr", ":8080", "HTTP listen address")
 	flag.IntVar(&o.n, "n", 40000, "resident particle count")
-	flag.StringVar(&o.dist, "dist", "clustered", "particle distribution: uniform, clustered, cosmo")
+	flag.StringVar(&o.dist, "dist", "clustered", "particle distribution: uniform, plummer, clustered, cosmo")
 	flag.Int64Var(&o.seed, "seed", 42, "dataset seed")
 	flag.IntVar(&o.procs, "procs", 4, "simulated processes")
 	flag.IntVar(&o.wpp, "wpp", 2, "workers per simulated process")
@@ -144,14 +143,14 @@ func run(o options) error {
 		Metrics:        paratreet.NewMetricsRegistry(paratreet.MetricsOptions{TraceCapacity: o.traceCap}),
 	}
 	var err error
-	if cfg.Tree, err = parseTree(o.treeKind); err != nil {
-		return err
+	if cfg.Tree, err = paratreet.ParseTree(o.treeKind); err != nil {
+		return fmt.Errorf("-tree: %w", err)
 	}
-	if cfg.Decomp, err = parseDecomp(o.decompKind); err != nil {
-		return err
+	if cfg.Decomp, err = paratreet.ParseDecomp(o.decompKind); err != nil {
+		return fmt.Errorf("-decomp: %w", err)
 	}
-	if cfg.CachePolicy, err = parsePolicy(o.policy); err != nil {
-		return err
+	if cfg.CachePolicy, err = paratreet.ParseCachePolicy(o.policy); err != nil {
+		return fmt.Errorf("-policy: %w", err)
 	}
 	if o.faults != "" {
 		if cfg.Faults, err = paratreet.ParseFaultSpec(o.faults); err != nil {
@@ -159,9 +158,9 @@ func run(o options) error {
 		}
 	}
 
-	ps, err := makeParticles(o.dist, o.n, o.seed)
+	ps, err := particle.Generate(o.dist, o.n, o.seed)
 	if err != nil {
-		return err
+		return fmt.Errorf("-dist: %w", err)
 	}
 	fmt.Printf("paratreet-serve: building resident %s tree over %d %s particles (%d procs x %d workers)\n",
 		o.treeKind, o.n, o.dist, o.procs, o.wpp)
@@ -262,59 +261,6 @@ func run(o options) error {
 	}
 	fmt.Println("paratreet-serve: drained, bye")
 	return nil
-}
-
-func makeParticles(dist string, n int, seed int64) ([]paratreet.Particle, error) {
-	box := vec.UnitBox()
-	switch dist {
-	case "uniform":
-		return particle.NewUniform(n, seed, box), nil
-	case "clustered":
-		return particle.NewClustered(n, seed, box, 8), nil
-	case "cosmo":
-		return particle.NewCosmological(n, seed, box), nil
-	}
-	return nil, fmt.Errorf("unknown -dist %q (uniform, clustered, cosmo)", dist)
-}
-
-func parseTree(s string) (paratreet.TreeType, error) {
-	switch s {
-	case "oct":
-		return paratreet.TreeOct, nil
-	case "kd":
-		return paratreet.TreeKD, nil
-	case "longest":
-		return paratreet.TreeLongestDim, nil
-	}
-	return 0, fmt.Errorf("unknown -tree %q (oct, kd, longest)", s)
-}
-
-func parseDecomp(s string) (paratreet.DecompType, error) {
-	switch s {
-	case "sfc":
-		return paratreet.DecompSFC, nil
-	case "hilbert":
-		return paratreet.DecompSFCHilbert, nil
-	case "oct":
-		return paratreet.DecompOct, nil
-	case "orb":
-		return paratreet.DecompORB, nil
-	}
-	return 0, fmt.Errorf("unknown -decomp %q (sfc, hilbert, oct, orb)", s)
-}
-
-func parsePolicy(s string) (paratreet.CachePolicy, error) {
-	switch s {
-	case "waitfree":
-		return paratreet.CacheWaitFree, nil
-	case "xwrite":
-		return paratreet.CacheXWrite, nil
-	case "single":
-		return paratreet.CacheSingleWorker, nil
-	case "perthread":
-		return paratreet.CachePerThread, nil
-	}
-	return 0, fmt.Errorf("unknown -policy %q (waitfree, xwrite, single, perthread)", s)
 }
 
 func writeTrace(dest string, snap *paratreet.MetricsSnapshot) error {

@@ -1,7 +1,8 @@
 // Command sph runs smoothed-particle hydrodynamics density + pressure
 // iterations over a generated or loaded dataset, with a choice between
 // ParaTreeT's k-nearest-neighbors algorithm and the Gadget-2-style
-// ball-iteration baseline (the Fig 11 comparison).
+// ball-iteration baseline (the Fig 11 comparison). The kNN algorithm also
+// evaluates pressure accelerations from each particle's neighbor list.
 package main
 
 import (
@@ -62,23 +63,12 @@ func main() {
 			Procs: *procs, WorkersPerProc: *wpp,
 			Tree: paratreet.TreeOct, Decomp: paratreet.DecompSFC, BucketSize: *bucket,
 		}
+		density := sph.Driver(par)
 		driver = paratreet.DriverFuncs[knn.Data]{
-			TraversalFn: func(s *paratreet.Simulation[knn.Data], iter int) {
-				for _, p := range s.Partitions() {
-					knn.Attach(p.Buckets(), par.K)
-				}
-				paratreet.StartUpAndDown(s, func(p *paratreet.Partition[knn.Data]) knn.Visitor {
-					return knn.Visitor{K: par.K, ExcludeSelf: true}
-				})
-			},
+			TraversalFn: density.Traversal,
 			PostTraversalFn: func(s *paratreet.Simulation[knn.Data], iter int) {
-				s.ForEachBucket(func(_ *paratreet.Partition[knn.Data], b *paratreet.Bucket) {
-					st := b.State.(*knn.State)
-					for i := range b.Particles {
-						sph.DensityFromNeighbors(&b.Particles[i], st.Neighbors(i))
-						sph.Pressure(&b.Particles[i], par)
-					}
-				})
+				density.PostTraversal(s, iter)
+				pressureAccel(s)
 			},
 		}
 	default:
@@ -109,6 +99,37 @@ func main() {
 		fmt.Printf("density median %.4g  p99/p10 %.1fx\n",
 			rhos[len(rhos)/2], rhos[int(0.99*float64(len(rhos)-1))]/rhos[int(0.10*float64(len(rhos)-1))])
 	}
+	if *algo == "knn" && len(sim.Particles()) > 0 {
+		var accs []float64
+		for _, p := range sim.Particles() {
+			accs = append(accs, p.Acc.Norm())
+		}
+		sort.Float64s(accs)
+		fmt.Printf("pressure accel median |a| %.4g\n", accs[len(accs)/2])
+	}
 	fmt.Printf("mean iteration %v (total %v)\n",
 		(elapsed / time.Duration(*iters)).Round(time.Millisecond), elapsed.Round(time.Millisecond))
+}
+
+// pressureAccel sets every particle's acceleration to the SPH pressure
+// force from its kNN neighbor list, reading each neighbor's density,
+// pressure and smoothing length as the density pass left them.
+func pressureAccel(s *paratreet.Simulation[knn.Data]) {
+	state := map[int64][3]float64{}
+	s.ForEachBucket(func(_ *paratreet.Partition[knn.Data], b *paratreet.Bucket) {
+		for _, p := range b.Particles {
+			state[p.ID] = [3]float64{p.Density, p.Pressure, p.SmoothLen}
+		}
+	})
+	lookup := func(id int64) (float64, float64, float64, bool) {
+		v, ok := state[id]
+		return v[0], v[1], v[2], ok
+	}
+	s.ForEachBucket(func(_ *paratreet.Partition[knn.Data], b *paratreet.Bucket) {
+		st := b.State.(*knn.State)
+		for i := range b.Particles {
+			b.Particles[i].Acc = paratreet.Vec3{}
+			sph.PressureAccel(&b.Particles[i], st.Neighbors(i), lookup)
+		}
+	})
 }

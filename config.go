@@ -77,12 +77,10 @@ type Config struct {
 	// interconnect, driven by a PRNG seeded per proc pair from Faults.Seed.
 	// Only fault-tolerant traffic (cache fetch/fill) is ever dropped or
 	// duplicated; jitter and pauses apply to all cross-proc messages.
+	// When Faults can lose messages, a cache fetch unanswered past a
+	// deadline derived from the link model is re-sent with exponential
+	// backoff; otherwise retries are disabled.
 	Faults *FaultConfig
-	// FetchTimeout is the cache's first fill deadline; a fetch unanswered
-	// past it is re-sent with exponential backoff. 0 picks a default
-	// derived from the link model when Faults can lose messages, and
-	// disables retries otherwise.
-	FetchTimeout time.Duration
 
 	// Metrics, when non-nil, enables the runtime observability layer: the
 	// runtime, cache, and traversal engines record counters, sketches,
@@ -91,14 +89,10 @@ type Config struct {
 	Metrics *metrics.Registry
 }
 
-// fetchTimeout resolves the effective cache fill deadline: the explicit
-// FetchTimeout if set; otherwise a deadline comfortably above one
-// fault-free round trip when the configured faults can lose messages, and
-// 0 (retries disabled) on a lossless link.
+// fetchTimeout resolves the cache's first fill deadline: comfortably above
+// one fault-free round trip when the configured faults can lose messages,
+// and 0 (retries disabled) on a lossless link.
 func (c *Config) fetchTimeout() time.Duration {
-	if c.FetchTimeout > 0 {
-		return c.FetchTimeout
-	}
 	if c.Faults == nil || (c.Faults.DropProb <= 0 && c.Faults.DupProb <= 0) {
 		return 0
 	}
@@ -153,6 +147,50 @@ func ParseFaultSpec(spec string) (*FaultConfig, error) {
 		}
 	}
 	return fc, nil
+}
+
+// named pairs a command-line spelling with its value.
+type named[T any] struct {
+	name string
+	v    T
+}
+
+// parseName returns the value spelled s (case-insensitively) among
+// choices, or an error naming what was parsed and every choice.
+func parseName[T any](what, s string, choices []named[T]) (T, error) {
+	names := make([]string, len(choices))
+	for i, c := range choices {
+		if strings.EqualFold(s, c.name) {
+			return c.v, nil
+		}
+		names[i] = c.name
+	}
+	var zero T
+	return zero, fmt.Errorf("unknown %s %q (want %s)", what, s, strings.Join(names, "|"))
+}
+
+// ParseTree maps a -tree flag value (oct|kd|longest) to its TreeType.
+func ParseTree(s string) (TreeType, error) {
+	return parseName("tree type", s, []named[TreeType]{{"oct", TreeOct}, {"kd", TreeKD}, {"longest", TreeLongestDim}})
+}
+
+// ParseDecomp maps a -decomp flag value (sfc|hilbert|oct|orb) to its
+// DecompType.
+func ParseDecomp(s string) (DecompType, error) {
+	return parseName("decomposition", s, []named[DecompType]{
+		{"sfc", DecompSFC}, {"hilbert", DecompSFCHilbert}, {"oct", DecompOct}, {"orb", DecompORB}})
+}
+
+// ParseCachePolicy maps a -policy flag value
+// (waitfree|xwrite|single|perthread) to its CachePolicy.
+func ParseCachePolicy(s string) (CachePolicy, error) {
+	return parseName("cache policy", s, []named[CachePolicy]{
+		{"waitfree", CacheWaitFree}, {"xwrite", CacheXWrite}, {"single", CacheSingleWorker}, {"perthread", CachePerThread}})
+}
+
+// ParseLB maps a -lb flag value (off|sfc|spatial) to its LBMode.
+func ParseLB(s string) (LBMode, error) {
+	return parseName("load balancer", s, []named[LBMode]{{"off", LBOff}, {"sfc", LBSFC}, {"spatial", LBSpatial}})
 }
 
 // Validate reports configuration errors.

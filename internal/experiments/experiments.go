@@ -45,9 +45,6 @@ type Options struct {
 	// duplicates, jitter, pauses) into every simulation the experiment
 	// runs; results must not change, only timings and retry counters.
 	Faults *paratreet.FaultConfig
-	// FetchTimeout overrides the cache fill deadline used with Faults
-	// (0 derives one from the link model).
-	FetchTimeout time.Duration
 }
 
 // MetricsCollector accumulates labeled observability snapshots across an
@@ -253,8 +250,7 @@ func RunFig3(opts Options) (*Result, error) {
 		for _, pc := range policies {
 			ps := particle.NewClustered(opts.N, opts.Seed, box, 8)
 			sim, err := paratreet.NewSimulation[gravity.CentroidData](paratreet.Config{
-				Procs: procs, WorkersPerProc: wpp,
-				Faults: opts.Faults, FetchTimeout: opts.FetchTimeout,
+				Procs: procs, WorkersPerProc: wpp, Faults: opts.Faults,
 				Tree: paratreet.TreeOct, Decomp: paratreet.DecompSFC,
 				BucketSize: 16, CachePolicy: pc.policy, FetchDepth: 2,
 				Latency: 20 * time.Microsecond, PerByte: 2 * time.Nanosecond,
@@ -301,8 +297,7 @@ func RunFig9(opts Options) (*Result, error) {
 	procs, wpp := opts.procsFor(w)
 	ps := particle.NewUniform(opts.N, opts.Seed, vec.UnitBox())
 	sim, err := paratreet.NewSimulation[gravity.CentroidData](paratreet.Config{
-		Procs: procs, WorkersPerProc: wpp,
-		Faults: opts.Faults, FetchTimeout: opts.FetchTimeout,
+		Procs: procs, WorkersPerProc: wpp, Faults: opts.Faults,
 		Tree: paratreet.TreeOct, Decomp: paratreet.DecompSFC,
 		BucketSize: 16,
 		Latency:    20 * time.Microsecond, PerByte: 2 * time.Nanosecond,
@@ -368,8 +363,7 @@ func RunFig10(opts Options) (*Result, error) {
 		}
 
 		base := paratreet.Config{
-			Procs: procs, WorkersPerProc: wpp,
-			Faults: opts.Faults, FetchTimeout: opts.FetchTimeout,
+			Procs: procs, WorkersPerProc: wpp, Faults: opts.Faults,
 			Tree: paratreet.TreeOct, Decomp: paratreet.DecompSFC, BucketSize: 16,
 			Latency: 20 * time.Microsecond, PerByte: 2 * time.Nanosecond,
 		}
@@ -402,6 +396,22 @@ func RunFig10(opts Options) (*Result, error) {
 	return res, nil
 }
 
+// knnParams are the SPH parameters of Fig 11 and the knn experiment.
+var knnParams = sph.Params{K: 24, Gamma: 5.0 / 3.0, U: 1}
+
+// newKNNSim builds the simulation of ParaTreeT's arm of Fig 11: a
+// cosmological volume on an octree with SFC decomposition and the
+// modelled interconnect.
+func newKNNSim(opts Options, procs, wpp int, reg *paratreet.MetricsRegistry) (*paratreet.Simulation[knn.Data], error) {
+	ps := particle.NewCosmological(opts.N, opts.Seed, vec.UnitBox())
+	return paratreet.NewSimulation[knn.Data](paratreet.Config{
+		Procs: procs, WorkersPerProc: wpp, Faults: opts.Faults,
+		Tree: paratreet.TreeOct, Decomp: paratreet.DecompSFC, BucketSize: 16,
+		Latency: 20 * time.Microsecond, PerByte: 2 * time.Nanosecond,
+		Metrics: reg,
+	}, knn.Accumulator{}, knn.Codec{}, ps)
+}
+
 // RunFig11 reproduces Fig 11: SPH density iteration time — ParaTreeT's
 // k-nearest-neighbors algorithm vs the Gadget-2-style smoothing-length
 // convergence by repeated ball searches — on a cosmological volume.
@@ -412,42 +422,16 @@ func RunFig11(opts Options) (*Result, error) {
 		XLabel: "workers",
 		Series: []string{"ParaTreeT", "Gadget2", "PTT-msgs", "G2-msgs", "G2-rounds"},
 	}
-	par := sph.Params{K: 24, Gamma: 5.0 / 3.0, U: 1}
 	for _, w := range opts.Workers {
 		procs, wpp := opts.procsFor(w)
 		row := Row{X: w, Values: map[string]float64{}}
 
 		// ParaTreeT: one up-and-down kNN traversal.
-		ps := particle.NewCosmological(opts.N, opts.Seed, vec.UnitBox())
-		sim, err := paratreet.NewSimulation[knn.Data](paratreet.Config{
-			Procs: procs, WorkersPerProc: wpp,
-			Faults: opts.Faults, FetchTimeout: opts.FetchTimeout,
-			Tree: paratreet.TreeOct, Decomp: paratreet.DecompSFC, BucketSize: 16,
-			Latency: 20 * time.Microsecond, PerByte: 2 * time.Nanosecond,
-		}, knn.Accumulator{}, knn.Codec{}, ps)
+		sim, err := newKNNSim(opts, procs, wpp, nil)
 		if err != nil {
 			return nil, err
 		}
-		knnDriver := paratreet.DriverFuncs[knn.Data]{
-			TraversalFn: func(s *paratreet.Simulation[knn.Data], iter int) {
-				for _, p := range s.Partitions() {
-					knn.Attach(p.Buckets(), par.K)
-				}
-				paratreet.StartUpAndDown(s, func(p *paratreet.Partition[knn.Data]) knn.Visitor {
-					return knn.Visitor{K: par.K, ExcludeSelf: true}
-				})
-			},
-			PostTraversalFn: func(s *paratreet.Simulation[knn.Data], iter int) {
-				s.ForEachBucket(func(_ *paratreet.Partition[knn.Data], b *paratreet.Bucket) {
-					st := b.State.(*knn.State)
-					for i := range b.Particles {
-						sph.DensityFromNeighbors(&b.Particles[i], st.Neighbors(i))
-						sph.Pressure(&b.Particles[i], par)
-					}
-				})
-			},
-		}
-		mean, err := timeIterations(sim, knnDriver, opts.Iters)
+		mean, err := timeIterations(sim, sph.Driver(knnParams), opts.Iters)
 		if err != nil {
 			sim.Close()
 			return nil, err
@@ -471,7 +455,7 @@ func RunFig11(opts Options) (*Result, error) {
 		var rounds int
 		gdriver := paratreet.DriverFuncs[knn.Data]{
 			TraversalFn: func(s *paratreet.Simulation[knn.Data], iter int) {
-				r := gadget.DensityIteration(s, par, 2, 30, 0.05)
+				r := gadget.DensityIteration(s, knnParams, 2, 30, 0.05)
 				rounds = r.Rounds
 			},
 		}
@@ -504,39 +488,12 @@ func RunKNN(opts Options) (*Result, error) {
 	start := time.Now()
 	w := opts.Workers[len(opts.Workers)-1]
 	procs, wpp := opts.procsFor(w)
-	par := sph.Params{K: 24, Gamma: 5.0 / 3.0, U: 1}
-	ps := particle.NewCosmological(opts.N, opts.Seed, vec.UnitBox())
-	sim, err := paratreet.NewSimulation[knn.Data](paratreet.Config{
-		Procs: procs, WorkersPerProc: wpp,
-		Faults: opts.Faults, FetchTimeout: opts.FetchTimeout,
-		Tree: paratreet.TreeOct, Decomp: paratreet.DecompSFC, BucketSize: 16,
-		Latency: 20 * time.Microsecond, PerByte: 2 * time.Nanosecond,
-		Metrics: opts.Metrics.registry(),
-	}, knn.Accumulator{}, knn.Codec{}, ps)
+	sim, err := newKNNSim(opts, procs, wpp, opts.Metrics.registry())
 	if err != nil {
 		return nil, err
 	}
 	defer sim.Close()
-	driver := paratreet.DriverFuncs[knn.Data]{
-		TraversalFn: func(s *paratreet.Simulation[knn.Data], iter int) {
-			for _, p := range s.Partitions() {
-				knn.Attach(p.Buckets(), par.K)
-			}
-			paratreet.StartUpAndDown(s, func(p *paratreet.Partition[knn.Data]) knn.Visitor {
-				return knn.Visitor{K: par.K, ExcludeSelf: true}
-			})
-		},
-		PostTraversalFn: func(s *paratreet.Simulation[knn.Data], iter int) {
-			s.ForEachBucket(func(_ *paratreet.Partition[knn.Data], b *paratreet.Bucket) {
-				st := b.State.(*knn.State)
-				for i := range b.Particles {
-					sph.DensityFromNeighbors(&b.Particles[i], st.Neighbors(i))
-					sph.Pressure(&b.Particles[i], par)
-				}
-			})
-		},
-	}
-	virtual, wall, err := timeIterations2(sim, driver, opts.Iters)
+	virtual, wall, err := timeIterations2(sim, sph.Driver(knnParams), opts.Iters)
 	if err != nil {
 		return nil, err
 	}

@@ -147,12 +147,45 @@ func DefaultDiskOptions() DiskOptions {
 
 // DiskResult carries the Fig 12 reproduction outputs.
 type DiskResult struct {
+	// N and Steps are the disk's body count and integration steps.
+	N, Steps   int
 	Collisions int
 	RadialBins []int
 	PeriodBins []int
 	RMin, RMax float64
 	Resonances map[string]float64
 	Elapsed    time.Duration
+}
+
+// diskDriver is the planetesimal-disk driver (§IV): each step runs a
+// Barnes-Hut gravity traversal and a collision sweep over one tree,
+// recording collisions into rec, then kicks and drifts every body by dt.
+// mergeChanga first merges branch nodes the way the ChaNGa profile does.
+func diskDriver(gp gravity.Params, dt, starMass float64, rec *collision.Recorder, mergeChanga bool) paratreet.Driver[collision.DiskData] {
+	return paratreet.DriverFuncs[collision.DiskData]{
+		TraversalFn: func(s *paratreet.Simulation[collision.DiskData], iter int) {
+			if mergeChanga {
+				changa.MergeBranchNodes(s, collision.DiskCodec{})
+			}
+			s.ForEachBucket(func(_ *paratreet.Partition[collision.DiskData], b *paratreet.Bucket) {
+				particle.ResetAcc(b.Particles)
+			})
+			for _, p := range s.Partitions() {
+				collision.Attach(p.Buckets())
+			}
+			paratreet.StartDown(s, func(p *paratreet.Partition[collision.DiskData]) gravity.Visitor[collision.DiskData] {
+				return collision.DiskGravityVisitor(gp)
+			})
+			paratreet.StartDown(s, func(p *paratreet.Partition[collision.DiskData]) collision.Visitor[collision.DiskData] {
+				return collision.DiskCollisionVisitor(dt, starMass, rec, 2)
+			})
+		},
+		PostTraversalFn: func(s *paratreet.Simulation[collision.DiskData], iter int) {
+			s.ForEachBucket(func(_ *paratreet.Partition[collision.DiskData], b *paratreet.Bucket) {
+				gravity.KickDrift(b.Particles, dt)
+			})
+		},
+	}
 }
 
 // RunFig12 reproduces Fig 12: evolve a planetesimal disk with a
@@ -179,36 +212,16 @@ func RunFig12(opts DiskOptions) (*DiskResult, error) {
 	defer sim.Close()
 	rec := collision.NewRecorder()
 	gp := gravity.Params{G: 1, Theta: 0.7, Soft: 1e-5}
-	driver := paratreet.DriverFuncs[collision.DiskData]{
-		TraversalFn: func(s *paratreet.Simulation[collision.DiskData], iter int) {
-			s.ForEachBucket(func(_ *paratreet.Partition[collision.DiskData], b *paratreet.Bucket) {
-				particle.ResetAcc(b.Particles)
-			})
-			for _, p := range s.Partitions() {
-				collision.Attach(p.Buckets())
-			}
-			paratreet.StartDown(s, func(p *paratreet.Partition[collision.DiskData]) gravity.Visitor[collision.DiskData] {
-				return collision.DiskGravityVisitor(gp)
-			})
-			paratreet.StartDown(s, func(p *paratreet.Partition[collision.DiskData]) collision.Visitor[collision.DiskData] {
-				return collision.DiskCollisionVisitor(opts.Dt, dp.StarMass, rec, 2)
-			})
-		},
-		PostTraversalFn: func(s *paratreet.Simulation[collision.DiskData], iter int) {
-			s.ForEachBucket(func(_ *paratreet.Partition[collision.DiskData], b *paratreet.Bucket) {
-				gravity.KickDrift(b.Particles, opts.Dt)
-			})
-		},
-	}
-	if err := sim.Run(opts.Steps, driver); err != nil {
+	if err := sim.Run(opts.Steps, diskDriver(gp, opts.Dt, dp.StarMass, rec, false)); err != nil {
 		return nil, err
 	}
 	const bins = 25
 	res := &DiskResult{
+		N: opts.N, Steps: opts.Steps,
 		Collisions: rec.Count(),
 		RMin:       dp.RMin, RMax: dp.RMax,
 		RadialBins: collision.Histogram(rec.Events, dp.RMin, dp.RMax, bins),
-		PeriodBins: collision.PeriodHistogram(rec.Events, 0, 75, bins),
+		PeriodBins: collision.PeriodHistogram(rec.Events, 0, periodMax, bins),
 		Resonances: map[string]float64{
 			"3:1": collision.ResonanceRadius(dp.PlanetA, 3, 1),
 			"2:1": collision.ResonanceRadius(dp.PlanetA, 2, 1),
@@ -219,20 +232,24 @@ func RunFig12(opts DiskOptions) (*DiskResult, error) {
 	return res, nil
 }
 
-// Format renders the disk result as a text histogram.
+// periodMax is the upper edge, in code time units, of Fig 12's
+// orbital-period histogram.
+const periodMax = 75.0
+
+// Format renders the disk result as two text histograms: collisions by
+// distance from the star, then by orbital period.
 func (d *DiskResult) Format() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "# Fig 12: planetesimal collision profile (%d collisions total)\n", d.Collisions)
+	fmt.Fprintf(&b, "# Fig 12: planetesimal collision profile, %d bodies, %d steps (%d collisions total)\n",
+		d.N, d.Steps, d.Collisions)
 	width := (d.RMax - d.RMin) / float64(len(d.RadialBins))
-	max := 1
+	maxR := 1
 	for _, c := range d.RadialBins {
-		if c > max {
-			max = c
-		}
+		maxR = max(maxR, c)
 	}
 	for i, c := range d.RadialBins {
 		r := d.RMin + (float64(i)+0.5)*width
-		bar := strings.Repeat("*", c*50/max)
+		bar := strings.Repeat("*", c*50/maxR)
 		marks := ""
 		for name, rr := range d.Resonances {
 			if rr >= d.RMin+float64(i)*width && rr < d.RMin+float64(i+1)*width {
@@ -240,6 +257,18 @@ func (d *DiskResult) Format() string {
 			}
 		}
 		fmt.Fprintf(&b, "r=%5.2f AU %5d %s%s\n", r, c, bar, marks)
+	}
+	b.WriteString("\nperiod profile (collisions per orbital-period bin):\n")
+	maxP := 1
+	for _, c := range d.PeriodBins {
+		maxP = max(maxP, c)
+	}
+	for i, c := range d.PeriodBins {
+		if c == 0 {
+			continue
+		}
+		p := periodMax * (float64(i) + 0.5) / float64(len(d.PeriodBins))
+		fmt.Fprintf(&b, "P=%5.1f %4d %s\n", p, c, strings.Repeat("*", c*40/maxP))
 	}
 	fmt.Fprintf(&b, "elapsed: %v\n", d.Elapsed.Round(time.Millisecond))
 	b.WriteString("paper: 258 collisions in a 10M-body disk, concentrated near the 2:1 resonance at 3.27 AU\n")
@@ -262,33 +291,6 @@ func RunFig13(opts Options) (*Result, error) {
 	gp := gravity.Params{G: 1, Theta: 0.6, Soft: 1e-5}
 	dt := 0.01
 
-	mkDriver := func(rec *collision.Recorder, mergeChanga bool) paratreet.Driver[collision.DiskData] {
-		return paratreet.DriverFuncs[collision.DiskData]{
-			TraversalFn: func(s *paratreet.Simulation[collision.DiskData], iter int) {
-				if mergeChanga {
-					changa.MergeBranchNodes(s, collision.DiskCodec{})
-				}
-				s.ForEachBucket(func(_ *paratreet.Partition[collision.DiskData], b *paratreet.Bucket) {
-					particle.ResetAcc(b.Particles)
-				})
-				for _, p := range s.Partitions() {
-					collision.Attach(p.Buckets())
-				}
-				paratreet.StartDown(s, func(p *paratreet.Partition[collision.DiskData]) gravity.Visitor[collision.DiskData] {
-					return collision.DiskGravityVisitor(gp)
-				})
-				paratreet.StartDown(s, func(p *paratreet.Partition[collision.DiskData]) collision.Visitor[collision.DiskData] {
-					return collision.DiskCollisionVisitor(dt, dp.StarMass, rec, 2)
-				})
-			},
-			PostTraversalFn: func(s *paratreet.Simulation[collision.DiskData], iter int) {
-				s.ForEachBucket(func(_ *paratreet.Partition[collision.DiskData], b *paratreet.Bucket) {
-					gravity.KickDrift(b.Particles, dt)
-				})
-			},
-		}
-	}
-
 	type variant struct {
 		name   string
 		tree   paratreet.TreeType
@@ -308,8 +310,7 @@ func RunFig13(opts Options) (*Result, error) {
 		for _, v := range variants {
 			ps := particle.NewDisk(opts.N, opts.Seed, dp)
 			sim, err := paratreet.NewSimulation[collision.DiskData](paratreet.Config{
-				Procs: procs, WorkersPerProc: wpp,
-				Faults: opts.Faults, FetchTimeout: opts.FetchTimeout,
+				Procs: procs, WorkersPerProc: wpp, Faults: opts.Faults,
 				Tree: v.tree, Decomp: v.decomp, BucketSize: 32,
 				Style: v.style, CachePolicy: v.cache,
 				Latency: 20 * time.Microsecond, PerByte: 2 * time.Nanosecond,
@@ -318,7 +319,7 @@ func RunFig13(opts Options) (*Result, error) {
 				return nil, err
 			}
 			rec := collision.NewRecorder()
-			mean, err := timeIterations(sim, mkDriver(rec, v.merge), opts.Iters)
+			mean, err := timeIterations(sim, diskDriver(gp, dt, dp.StarMass, rec, v.merge), opts.Iters)
 			sim.Close()
 			if err != nil {
 				return nil, err
@@ -358,8 +359,7 @@ func RunLBAblation(opts Options) (*Result, error) {
 		for name, mode := range modes {
 			ps := particle.NewClustered(opts.N, opts.Seed, vec.UnitBox(), 3)
 			sim, err := paratreet.NewSimulation[gravity.CentroidData](paratreet.Config{
-				Procs: procs, WorkersPerProc: wpp,
-				Faults: opts.Faults, FetchTimeout: opts.FetchTimeout,
+				Procs: procs, WorkersPerProc: wpp, Faults: opts.Faults,
 				Tree: paratreet.TreeOct, Decomp: paratreet.DecompSFC,
 				BucketSize: 16, Partitions: procs * 16,
 				LB: mode, LBPeriod: 1,
@@ -401,8 +401,7 @@ func RunFetchDepthAblation(opts Options, depths []int) (*Result, error) {
 	for _, depth := range depths {
 		ps := particle.NewUniform(opts.N, opts.Seed, vec.UnitBox())
 		sim, err := paratreet.NewSimulation[gravity.CentroidData](paratreet.Config{
-			Procs: procs, WorkersPerProc: wpp,
-			Faults: opts.Faults, FetchTimeout: opts.FetchTimeout,
+			Procs: procs, WorkersPerProc: wpp, Faults: opts.Faults,
 			Tree: paratreet.TreeOct, Decomp: paratreet.DecompSFC,
 			BucketSize: 16, FetchDepth: depth,
 			Latency: 20 * time.Microsecond, PerByte: 2 * time.Nanosecond,
@@ -445,8 +444,7 @@ func RunShareDepthAblation(opts Options, depths []int) (*Result, error) {
 	for _, depth := range depths {
 		ps := particle.NewUniform(opts.N, opts.Seed, vec.UnitBox())
 		sim, err := paratreet.NewSimulation[gravity.CentroidData](paratreet.Config{
-			Procs: procs, WorkersPerProc: wpp,
-			Faults: opts.Faults, FetchTimeout: opts.FetchTimeout,
+			Procs: procs, WorkersPerProc: wpp, Faults: opts.Faults,
 			Tree: paratreet.TreeOct, Decomp: paratreet.DecompSFC,
 			BucketSize: 16, ShareDepth: depth,
 			Latency: 20 * time.Microsecond, PerByte: 2 * time.Nanosecond,
@@ -489,8 +487,7 @@ func RunStyleComparison(opts Options) (*Result, error) {
 		for _, style := range []traverse.Style{traverse.Transposed, traverse.PerBucket} {
 			ps := particle.NewUniform(opts.N, opts.Seed, vec.UnitBox())
 			sim, err := paratreet.NewSimulation[gravity.CentroidData](paratreet.Config{
-				Procs: procs, WorkersPerProc: wpp,
-				Faults: opts.Faults, FetchTimeout: opts.FetchTimeout,
+				Procs: procs, WorkersPerProc: wpp, Faults: opts.Faults,
 				Tree: paratreet.TreeOct, Decomp: paratreet.DecompSFC,
 				BucketSize: 16, Style: style,
 			}, gravity.Accumulator{}, gravity.Codec{}, ps)

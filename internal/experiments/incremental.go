@@ -32,7 +32,7 @@ func RunIncremental(opts Options) (*Result, error) {
 		return paratreet.NewSimulation[knn.Data](paratreet.Config{
 			Procs: procs, WorkersPerProc: wpp, BuildWorkers: wpp,
 			Tree: paratreet.TreeOct, Decomp: paratreet.DecompSFC, BucketSize: 16,
-			Faults: opts.Faults, FetchTimeout: opts.FetchTimeout,
+			Faults: opts.Faults,
 			// No simulated link latency: this walkthrough compares the CPU
 			// work of the two build paths, and injected delivery delay would
 			// swamp the patch savings with identical sleep time on both arms.

@@ -118,7 +118,7 @@ func RunServe(opts Options) (*Result, error) {
 			Procs: procs, WorkersPerProc: wpp,
 			Tree: paratreet.TreeOct, Decomp: paratreet.DecompSFC, BucketSize: 16,
 			CachePolicy: paratreet.CacheWaitFree, FetchDepth: 3,
-			Faults: opts.Faults, FetchTimeout: opts.FetchTimeout,
+			Faults:  opts.Faults,
 			Metrics: reg,
 		}
 		eng, err := serve.NewEngine(cfg, particle.NewClustered(opts.N, opts.Seed, box, 8))

@@ -1,8 +1,10 @@
 package particle
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 
 	"paratreet/internal/vec"
 )
@@ -132,6 +134,24 @@ func NewCosmological(n int, seed int64, box vec.Box) []Particle {
 		ps[i].ID = int64(i)
 	}
 	return ps
+}
+
+// Generate builds n particles in the unit box from the named
+// distribution, case-insensitively: uniform, plummer (scale radius 0.1 at
+// the box centre), clustered (8 clusters) or cosmo (NewCosmological).
+func Generate(dist string, n int, seed int64) ([]Particle, error) {
+	box := vec.UnitBox()
+	switch strings.ToLower(dist) {
+	case "uniform":
+		return NewUniform(n, seed, box), nil
+	case "plummer":
+		return NewPlummer(n, seed, box.Center(), 0.1), nil
+	case "clustered":
+		return NewClustered(n, seed, box, 8), nil
+	case "cosmo":
+		return NewCosmological(n, seed, box), nil
+	}
+	return nil, fmt.Errorf("unknown distribution %q (want uniform|plummer|clustered|cosmo)", dist)
 }
 
 // DiskParams configures a protoplanetary-disk initial condition (the §IV

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"paratreet/internal/vec"
@@ -144,6 +145,33 @@ func TestNewCosmological(t *testing.T) {
 		if !box.Contains(ps[i].Pos) {
 			t.Fatalf("particle outside box: %v", ps[i].Pos)
 		}
+	}
+}
+
+func TestGenerateByName(t *testing.T) {
+	box := vec.UnitBox()
+	for name, want := range map[string][]Particle{
+		"uniform":   NewUniform(300, 3, box),
+		"Plummer":   NewPlummer(300, 3, vec.V(0.5, 0.5, 0.5), 0.1),
+		"clustered": NewClustered(300, 3, box, 8),
+		"COSMO":     NewCosmological(300, 3, box),
+	} {
+		got, err := Generate(name, 300, 3)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d particles, want %d", name, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: particle %d = %+v, want %+v", name, i, got[i], want[i])
+			}
+		}
+	}
+	_, err := Generate("bogus", 10, 1)
+	if err == nil || !strings.Contains(err.Error(), "uniform|plummer|clustered|cosmo") {
+		t.Fatalf("unknown distribution: err %v, want one listing the choices", err)
 	}
 }
 

@@ -14,6 +14,7 @@ package sph
 import (
 	"math"
 
+	"paratreet"
 	"paratreet/internal/knn"
 	"paratreet/internal/particle"
 	"paratreet/internal/traverse"
@@ -137,6 +138,32 @@ func BruteForceDensity(ps []particle.Particle, par Params) {
 	for i := range ps {
 		DensityFromNeighbors(&ps[i], lists[i])
 		Pressure(&ps[i], par)
+	}
+}
+
+// Driver returns ParaTreeT's SPH density driver: each iteration attaches
+// k-nearest-neighbor heaps to every bucket, runs one up-and-down kNN
+// traversal, then sets each particle's smoothing length, density and
+// pressure from its neighbor list.
+func Driver(par Params) paratreet.Driver[knn.Data] {
+	return paratreet.DriverFuncs[knn.Data]{
+		TraversalFn: func(s *paratreet.Simulation[knn.Data], iter int) {
+			for _, p := range s.Partitions() {
+				knn.Attach(p.Buckets(), par.K)
+			}
+			paratreet.StartUpAndDown(s, func(p *paratreet.Partition[knn.Data]) knn.Visitor {
+				return knn.Visitor{K: par.K, ExcludeSelf: true}
+			})
+		},
+		PostTraversalFn: func(s *paratreet.Simulation[knn.Data], iter int) {
+			s.ForEachBucket(func(_ *paratreet.Partition[knn.Data], b *paratreet.Bucket) {
+				st := b.State.(*knn.State)
+				for i := range b.Particles {
+					DensityFromNeighbors(&b.Particles[i], st.Neighbors(i))
+					Pressure(&b.Particles[i], par)
+				}
+			})
+		},
 	}
 }
 

@@ -105,8 +105,9 @@ func TestUniformLatticeDensity(t *testing.T) {
 	}
 }
 
-// runKNNDensity computes densities through the framework with the
-// up-and-down kNN traversal, returning density by particle ID.
+// runKNNDensity computes densities through the framework with sph.Driver
+// (the up-and-down kNN traversal that cmd/sph and Fig 11 run), returning
+// density by particle ID.
 func runKNNDensity(t *testing.T, ps []particle.Particle, par sph.Params, procs, workers int) map[int64]float64 {
 	t.Helper()
 	sim, err := paratreet.NewSimulation[knn.Data](paratreet.Config{
@@ -117,29 +118,12 @@ func runKNNDensity(t *testing.T, ps []particle.Particle, par sph.Params, procs, 
 		t.Fatal(err)
 	}
 	defer sim.Close()
-	out := map[int64]float64{}
-	driver := paratreet.DriverFuncs[knn.Data]{
-		TraversalFn: func(s *paratreet.Simulation[knn.Data], iter int) {
-			for _, p := range s.Partitions() {
-				knn.Attach(p.Buckets(), par.K)
-			}
-			paratreet.StartUpAndDown(s, func(p *paratreet.Partition[knn.Data]) knn.Visitor {
-				return knn.Visitor{K: par.K, ExcludeSelf: true}
-			})
-		},
-		PostTraversalFn: func(s *paratreet.Simulation[knn.Data], iter int) {
-			s.ForEachBucket(func(p *paratreet.Partition[knn.Data], b *paratreet.Bucket) {
-				st := b.State.(*knn.State)
-				for i := range b.Particles {
-					sph.DensityFromNeighbors(&b.Particles[i], st.Neighbors(i))
-					sph.Pressure(&b.Particles[i], par)
-					out[b.Particles[i].ID] = b.Particles[i].Density
-				}
-			})
-		},
-	}
-	if err := sim.Run(1, driver); err != nil {
+	if err := sim.Run(1, sph.Driver(par)); err != nil {
 		t.Fatal(err)
+	}
+	out := map[int64]float64{}
+	for _, p := range sim.Particles() {
+		out[p.ID] = p.Density
 	}
 	return out
 }

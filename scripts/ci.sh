@@ -167,6 +167,31 @@ for kind in drop retry; do
 	esac
 done
 
+echo "==> runner smoke"
+# Every application runner end to end at small scale: gravity on two
+# processes, SPH density by both algorithms (kNN with its pressure pass),
+# and the disk case study at its -quick scale. A bad -tree must fail with
+# a message listing the choices, in both binaries that parse it.
+bindir="$tracedir/bin" # under the trace stage's temp dir, removed on exit
+go build -o "$bindir/" ./cmd/gravity ./cmd/sph ./cmd/paratreet-bench ./cmd/paratreet-serve
+"$bindir/gravity" -n 2000 -iters 1 -procs 2 > /dev/null
+"$bindir/sph" -n 2000 -iters 1 > /dev/null
+"$bindir/sph" -n 2000 -iters 1 -algo gadget > /dev/null
+"$bindir/paratreet-bench" -quick fig12 > /dev/null
+for runner in gravity paratreet-serve; do
+	if out="$("$bindir/$runner" -tree bogus 2>&1)"; then
+		echo "$runner accepted -tree bogus" >&2
+		exit 1
+	fi
+	case "$out" in
+	*"oct|kd|longest"*) ;;
+	*)
+		echo "$runner -tree bogus does not list the choices: $out" >&2
+		exit 1
+		;;
+	esac
+done
+
 echo "==> serve smoke"
 # End-to-end daemon check: build paratreet-serve, start it on an
 # ephemeral port, answer kNN and range queries over HTTP, then verify a
