@@ -73,21 +73,13 @@ func main() {
 	defer sim.Close()
 
 	start := time.Now()
+	forces := gravity.Driver(par, *dt)
 	driver := paratreet.DriverFuncs[gravity.CentroidData]{
-		TraversalFn: func(s *paratreet.Simulation[gravity.CentroidData], iter int) {
-			s.ForEachBucket(func(_ *paratreet.Partition[gravity.CentroidData], b *paratreet.Bucket) {
-				particle.ResetAcc(b.Particles)
-			})
-			paratreet.StartDown(s, func(p *paratreet.Partition[gravity.CentroidData]) gravity.Visitor[gravity.CentroidData] {
-				return gravity.New(par)
-			})
-		},
+		TraversalFn: forces.Traversal,
 		PostTraversalFn: func(s *paratreet.Simulation[gravity.CentroidData], iter int) {
+			forces.PostTraversal(s, iter)
 			var ke, pe float64
 			s.ForEachBucket(func(_ *paratreet.Partition[gravity.CentroidData], b *paratreet.Bucket) {
-				if *dt > 0 {
-					gravity.KickDrift(b.Particles, *dt)
-				}
 				ke += gravity.KineticEnergy(b.Particles)
 				pe += gravity.PotentialEnergy(b.Particles)
 			})

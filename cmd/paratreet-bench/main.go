@@ -20,12 +20,11 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -35,235 +34,146 @@ import (
 	"paratreet/internal/trace"
 )
 
+// errUsage reports a command line the usage message has already rejected.
+var errUsage = errors.New("usage")
+
 func main() {
+	if err := cli(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		if err == errUsage {
+			os.Exit(2)
+		}
+		fmt.Fprintln(os.Stderr, "paratreet-bench:", err)
+		os.Exit(1)
+	}
+}
+
+// cli runs one command line (without the program name): the experiment
+// text goes to stdout, the metrics JSON to stdout or -metrics-out, and
+// diagnostics to stderr.
+func cli(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("paratreet-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		n          = flag.Int("n", 0, "particle count (0 = experiment default)")
-		iters      = flag.Int("iters", 0, "measured iterations (0 = default)")
-		workers    = flag.String("workers", "", "comma-separated worker sweep, e.g. 1,2,4,8")
-		wpp        = flag.Int("wpp", 0, "workers per simulated process (0 = default)")
-		quick      = flag.Bool("quick", false, "fast smoke-test scale")
-		seed       = flag.Int64("seed", 42, "dataset seed")
-		useMetrics = flag.Bool("metrics", false, "collect observability snapshots and emit them as JSON")
-		metricsOut = flag.String("metrics-out", "-", "metrics JSON destination: - for stdout, or a file path")
-		traceCap   = flag.Int("trace", 0, "trace-span ring capacity per run (0 = tracing off; implies -metrics)")
-		traceOut   = flag.String("trace-out", "", "write spans as Chrome Trace Event JSON to this file (implies -trace 65536 when -trace is unset); spans are then omitted from the metrics JSON")
-		httpAddr   = flag.String("http", "", "serve live pprof/expvar introspection and /snapshot on this address, e.g. :6060 (implies -metrics)")
-		faults     = flag.String("faults", "", "inject delivery faults, e.g. drop=0.02,dup=0.02,jitter=200us,pause=1ms,pauseprob=0.01,seed=7 (results are unchanged; timings and retry counters are not)")
+		n          = fs.Int("n", 0, "particle count (0 = experiment default)")
+		iters      = fs.Int("iters", 0, "measured iterations (0 = default)")
+		wpp        = fs.Int("wpp", 0, "workers per simulated process (0 = default)")
+		quick      = fs.Bool("quick", false, "fast smoke-test scale")
+		seed       = fs.Int64("seed", 42, "dataset seed")
+		useMetrics = fs.Bool("metrics", false, "collect observability snapshots and emit them as JSON")
+		metricsOut = fs.String("metrics-out", "-", "metrics JSON destination: - for stdout, or a file path")
+		traceCap   = fs.Int("trace", 0, "trace-span ring capacity per run (0 = tracing off; implies -metrics)")
+		traceOut   = fs.String("trace-out", "", "write spans as Chrome Trace Event JSON to this file (implies -trace 65536 when -trace is unset); spans are then omitted from the metrics JSON")
+		httpAddr   = fs.String("http", "", "serve live pprof/expvar introspection and /snapshot on this address, e.g. :6060 (implies -metrics)")
 	)
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: %s [flags] <experiment>  (the experiment may also come first)\n", os.Args[0])
-		fmt.Fprintln(os.Stderr, "experiments: fig3 fig9 fig10 fig11 fig12 fig13 table1 table2 table3 lb fetchdepth sharedepth style knn serve incremental all")
-		flag.PrintDefaults()
+	var sweep []int
+	fs.Func("workers", "comma-separated worker sweep, e.g. 1,2,4,8", func(s string) error {
+		for _, tok := range strings.Split(s, ",") {
+			v, err := strconv.Atoi(strings.TrimSpace(tok))
+			if err != nil || v <= 0 {
+				return fmt.Errorf("bad value %q", tok)
+			}
+			sweep = append(sweep, v)
+		}
+		return nil
+	})
+	var faults *paratreet.FaultConfig
+	fs.Func("faults", "inject delivery faults, e.g. drop=0.02,dup=0.02,jitter=200us,pause=1ms,pauseprob=0.01,seed=7 (results are unchanged; timings and retry counters are not)", func(s string) (err error) {
+		faults, err = paratreet.ParseFaultSpec(s)
+		return err
+	})
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "usage: paratreet-bench [flags] <experiment>  (the experiment may also come first)")
+		fmt.Fprintln(stderr, "experiments:", strings.Join(experiments.Names, " "), "all")
+		fs.PrintDefaults()
 	}
 	// Go's flag package stops parsing at the first non-flag argument, so
 	// "paratreet-bench knn -quick" would silently ignore -quick. Accept
 	// the subcommand in front by rotating it behind the flags.
-	if len(os.Args) > 2 && !strings.HasPrefix(os.Args[1], "-") {
-		rotated := make([]string, 0, len(os.Args))
-		rotated = append(rotated, os.Args[0])
-		rotated = append(rotated, os.Args[2:]...)
-		rotated = append(rotated, os.Args[1])
-		os.Args = rotated
+	if len(args) > 1 && !strings.HasPrefix(args[0], "-") {
+		args = append(append([]string(nil), args[1:]...), args[0])
 	}
-	flag.Parse()
-	if flag.NArg() != 1 {
-		flag.Usage()
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return nil
+		}
+		return errUsage
+	}
+	if fs.NArg() != 1 {
+		fs.Usage()
+		return errUsage
 	}
 
-	sc := scale{quick: *quick, n: *n, iters: *iters}
-	if *workers != "" {
-		for _, tok := range strings.Split(*workers, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(tok))
-			if err != nil || v <= 0 {
-				fatal(fmt.Errorf("bad -workers value %q", tok))
-			}
-			sc.workers = append(sc.workers, v)
-		}
-	}
-	opts := experiments.Defaults()
-	if *quick {
-		opts = experiments.Quick()
-	}
-	if *n > 0 {
-		opts.N = *n
-	}
-	if *iters > 0 {
-		opts.Iters = *iters
-	}
-	if *wpp > 0 {
-		opts.WorkersPerProc = *wpp
-	}
-	opts.Seed = *seed
-	if sc.workers != nil {
-		opts.Workers = sc.workers
-	}
-	if *faults != "" {
-		fc, err := paratreet.ParseFaultSpec(*faults)
-		if err != nil {
-			fatal(err)
-		}
-		opts.Faults = fc
-	}
 	if *traceOut != "" && *traceCap == 0 {
 		*traceCap = 65536
 	}
+	var collector *experiments.MetricsCollector
 	if *useMetrics || *traceCap > 0 || *httpAddr != "" {
-		opts.Metrics = &experiments.MetricsCollector{TraceCapacity: *traceCap}
+		collector = &experiments.MetricsCollector{TraceCapacity: *traceCap}
 	}
 	if *httpAddr != "" {
-		startHTTP(*httpAddr, opts.Metrics)
+		startHTTP(*httpAddr, collector)
 	}
 
-	name := flag.Arg(0)
-	if name == "all" {
-		for _, exp := range []string{"table1", "fig3", "fig9", "fig10", "fig11", "fig12", "fig13", "table2", "table3", "lb", "fetchdepth", "sharedepth", "style"} {
-			if err := run(os.Stdout, exp, opts, sc); err != nil {
-				fatal(err)
-			}
-			fmt.Println()
+	names := []string{fs.Arg(0)}
+	if names[0] == "all" {
+		names = experiments.All()
+	}
+	for _, name := range names {
+		// Each set flag overrides its part of the experiment's own scale.
+		opts := experiments.Scale(name, *quick)
+		if *n > 0 {
+			opts.N = *n
 		}
-	} else if err := run(os.Stdout, name, opts, sc); err != nil {
-		fatal(err)
+		if *iters > 0 {
+			opts.Iters = *iters
+		}
+		if sweep != nil {
+			opts.Workers = sweep
+		}
+		if *wpp > 0 {
+			opts.WorkersPerProc = *wpp
+		}
+		opts.Seed, opts.Faults, opts.Metrics = *seed, faults, collector
+		if err := run(stdout, name, opts); err != nil {
+			return err
+		}
+		if len(names) > 1 {
+			fmt.Fprintln(stdout)
+		}
 	}
 
-	if opts.Metrics != nil {
-		snaps := opts.Metrics.Snapshots()
-		warnDroppedSpans(os.Stderr, snaps, *traceCap)
-		writeTails(os.Stderr, snaps)
-		if *traceOut != "" {
-			if err := writeChromeTrace(*traceOut, snaps); err != nil {
-				fatal(err)
-			}
-			snaps = stripSpans(snaps)
-		}
-		if err := emitMetrics(os.Stdout, *metricsOut, snaps); err != nil {
-			fatal(err)
-		}
+	if collector == nil {
+		return nil
 	}
-}
-
-// scale is what the -quick, -n, -iters and -workers flags asked for; a
-// zero n or iters and a nil workers mean the flag was not set. The sweep
-// experiments read them through Options. fig12 and table2 have scales of
-// their own, and each set flag overrides only its own part of them.
-type scale struct {
-	quick    bool
-	n, iters int
-	workers  []int
+	snaps := collector.Snapshots()
+	warnDroppedSpans(stderr, snaps, *traceCap)
+	writeTails(stderr, snaps)
+	if *traceOut != "" {
+		if err := writeChromeTrace(*traceOut, snaps); err != nil {
+			return err
+		}
+		snaps = stripSpans(snaps)
+	}
+	return emitMetrics(stdout, *metricsOut, snaps)
 }
 
 // run executes one named experiment and writes its text rendering to w.
-func run(w io.Writer, name string, opts experiments.Options, sc scale) error {
-	var res *experiments.Result
-	var err error
-	switch name {
-	case "table1":
-		fmt.Fprint(w, experiments.RunTable1())
-		return nil
-	case "fig3":
-		res, err = experiments.RunFig3(opts)
-	case "fig9":
-		res, err = experiments.RunFig9(opts)
-	case "fig10":
-		res, err = experiments.RunFig10(opts)
-	case "fig11":
-		res, err = experiments.RunFig11(opts)
-	case "fig12":
-		dopts := experiments.DefaultDiskOptions()
-		dopts.Seed = opts.Seed
-		if sc.quick {
-			dopts.N, dopts.Steps, dopts.RadiusBoost = 8000, 40, 5000
-		}
-		if sc.n > 0 {
-			dopts.N = sc.n
-		}
-		if sc.iters > 0 {
-			dopts.Steps = sc.iters
-		}
-		if sc.workers != nil {
-			dopts.Workers = slices.Max(sc.workers)
-		}
-		dres, err := experiments.RunFig12(dopts)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, dres.Format())
-		return nil
-	case "fig13":
-		fopts := opts
-		if fopts.N > 20000 {
-			fopts.N = 20000
-		}
-		res, err = experiments.RunFig13(fopts)
-	case "table2":
-		n, cpus, iters := 100000, []int{1, 2, 4, 8, 16}, max(1, opts.Iters-1)
-		if sc.quick {
-			n, cpus = 10000, []int{1, 4}
-		}
-		if sc.n > 0 {
-			n = sc.n
-		}
-		if sc.iters > 0 {
-			iters = sc.iters
-		}
-		if sc.workers != nil {
-			cpus = sc.workers
-		}
-		rows, err := experiments.RunTable2(n, cpus, iters, opts.Seed)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, experiments.FormatTable2(rows))
-		return nil
-	case "table3":
-		root, err := repoRoot()
-		if err != nil {
-			return err
-		}
-		out, err := experiments.RunTable3(root)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, out)
-		return nil
-	case "lb":
-		res, err = experiments.RunLBAblation(opts)
-	case "fetchdepth":
-		res, err = experiments.RunFetchDepthAblation(opts, []int{1, 2, 3, 5, 8})
-	case "sharedepth":
-		res, err = experiments.RunShareDepthAblation(opts, []int{0, 1, 2, 4})
-	case "style":
-		res, err = experiments.RunStyleComparison(opts)
-	case "knn":
-		res, err = experiments.RunKNN(opts)
-	case "serve":
-		res, err = experiments.RunServe(opts)
-	case "incremental":
-		res, err = experiments.RunIncremental(opts)
-	default:
-		return fmt.Errorf("unknown experiment %q", name)
-	}
+func run(w io.Writer, name string, opts experiments.Options) error {
+	out, err := experiments.Run(name, opts)
 	if err != nil {
 		return err
 	}
-	fmt.Fprint(w, res.Format())
-	return nil
+	_, err = io.WriteString(w, out)
+	return err
 }
 
 // emitMetrics writes the collected snapshots as an indented JSON array to
 // stdout (dest "-") or to the named file.
 func emitMetrics(stdout io.Writer, dest string, snaps []*paratreet.MetricsSnapshot) error {
-	w := stdout
-	if dest != "-" && dest != "" {
-		f, err := os.Create(dest)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
+	if dest == "-" || dest == "" {
+		return writeMetricsJSON(stdout, snaps)
 	}
-	return writeMetricsJSON(w, snaps)
+	return create(dest, func(w io.Writer) error { return writeMetricsJSON(w, snaps) })
 }
 
 func writeMetricsJSON(w io.Writer, snaps []*paratreet.MetricsSnapshot) error {
@@ -275,11 +185,17 @@ func writeMetricsJSON(w io.Writer, snaps []*paratreet.MetricsSnapshot) error {
 // writeChromeTrace exports the snapshots' spans as a Chrome Trace Event
 // file for Perfetto / chrome://tracing / paratreet-trace.
 func writeChromeTrace(dest string, snaps []*paratreet.MetricsSnapshot) error {
+	return create(dest, func(w io.Writer) error { return trace.WriteChrome(w, snaps) })
+}
+
+// create writes the file dest with write and closes it, reporting the
+// first error.
+func create(dest string, write func(io.Writer) error) error {
 	f, err := os.Create(dest)
 	if err != nil {
 		return err
 	}
-	if err := trace.WriteChrome(f, snaps); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}
@@ -345,29 +261,4 @@ func warnDroppedSpans(w io.Writer, snaps []*paratreet.MetricsSnapshot, traceCap 
 		fmt.Fprintf(w, "paratreet-bench: trace ring dropped %d of %d spans (%.1f%%); raise -trace above %d\n",
 			dropped, total, 100*float64(dropped)/float64(total), traceCap)
 	}
-}
-
-// repoRoot finds the module root by walking up from the working directory
-// to the first go.mod.
-func repoRoot() (string, error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", err
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			break
-		}
-		dir = parent
-	}
-	return "", fmt.Errorf("go.mod not found above working directory")
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "paratreet-bench:", err)
-	os.Exit(1)
 }

@@ -31,7 +31,7 @@ func TestMetricsEmission(t *testing.T) {
 	opts.Metrics = &experiments.MetricsCollector{TraceCapacity: 256}
 
 	var out bytes.Buffer
-	if err := run(&out, "fig3", opts, scale{quick: true}); err != nil {
+	if err := run(&out, "fig3", opts); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "Fig 3") {
@@ -100,7 +100,7 @@ func TestKNNTracePipeline(t *testing.T) {
 	opts.Metrics = &experiments.MetricsCollector{TraceCapacity: 65536}
 
 	var out bytes.Buffer
-	if err := run(&out, "knn", opts, scale{quick: true}); err != nil {
+	if err := run(&out, "knn", opts); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "kNN SPH density") {
@@ -220,17 +220,38 @@ func TestHTTPIntrospection(t *testing.T) {
 // TestRunUnknownExperiment checks the CLI error path.
 func TestRunUnknownExperiment(t *testing.T) {
 	var out bytes.Buffer
-	if err := run(&out, "nonsense", experiments.Quick(), scale{quick: true}); err == nil {
+	if err := run(&out, "nonsense", experiments.Quick()); err == nil {
 		t.Fatal("run(nonsense) succeeded, want error")
 	}
 }
 
-// fig12Collisions runs fig12 at the given scale and returns its output
-// and the collision count its header reports.
+// scale is the part of a command line that sets an experiment's scale:
+// -quick, and -n and -iters when nonzero.
+type scale struct {
+	quick    bool
+	n, iters int
+}
+
+func (sc scale) args() []string {
+	var args []string
+	if sc.quick {
+		args = append(args, "-quick")
+	}
+	if sc.n > 0 {
+		args = append(args, "-n", strconv.Itoa(sc.n))
+	}
+	if sc.iters > 0 {
+		args = append(args, "-iters", strconv.Itoa(sc.iters))
+	}
+	return args
+}
+
+// fig12Collisions runs fig12 through the command line at the given scale
+// and returns its output and the collision count its header reports.
 func fig12Collisions(t *testing.T, sc scale) (string, int) {
 	t.Helper()
 	var out bytes.Buffer
-	if err := run(&out, "fig12", experiments.Quick(), sc); err != nil {
+	if err := cli(append(sc.args(), "fig12"), &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	m := regexp.MustCompile(`\((\d+) collisions total\)`).FindStringSubmatch(out.String())
@@ -255,5 +276,36 @@ func TestFig12HonoursScaleFlags(t *testing.T) {
 func TestQuickFig12RecordsCollisions(t *testing.T) {
 	if out, c := fig12Collisions(t, scale{quick: true}); c == 0 {
 		t.Fatalf("quick fig12 recorded no collisions:\n%s", out)
+	}
+}
+
+// TestFlagsReachEveryRun drives every experiment through run at a tiny
+// scale with a metrics collector: each one that runs a simulation must
+// collect at least one snapshot labelled with its name.
+func TestFlagsReachEveryRun(t *testing.T) {
+	for _, name := range experiments.Names {
+		t.Run(name, func(t *testing.T) {
+			opts := experiments.Scale(name, true)
+			opts.N, opts.Iters, opts.Workers = 1000, 1, []int{2}
+			opts.Metrics = &experiments.MetricsCollector{}
+			if err := run(io.Discard, name, opts); err != nil {
+				t.Fatal(err)
+			}
+			snaps := opts.Metrics.Snapshots()
+			if name == "table1" || name == "table3" { // no simulation
+				if len(snaps) != 0 {
+					t.Fatalf("%d snapshots from a table that runs no simulation", len(snaps))
+				}
+				return
+			}
+			if len(snaps) == 0 {
+				t.Fatal("no snapshot collected")
+			}
+			for _, s := range snaps {
+				if !strings.HasPrefix(s.Label, name+"/") {
+					t.Errorf("snapshot label %q, want %s/...", s.Label, name)
+				}
+			}
+		})
 	}
 }

@@ -100,7 +100,7 @@ func main() {
 	flag.IntVar(&o.wpp, "wpp", 2, "workers per simulated process")
 	flag.StringVar(&o.treeKind, "tree", "oct", "tree type: oct, kd, longest")
 	flag.StringVar(&o.decompKind, "decomp", "sfc", "decomposition: sfc, hilbert, oct, orb")
-	flag.StringVar(&o.policy, "policy", "waitfree", "cache policy: waitfree, xwrite, single, perthread")
+	flag.StringVar(&o.policy, "policy", "waitfree", "cache policy: waitfree, xwrite, perthread")
 	flag.IntVar(&o.bucket, "bucket", 16, "max particles per leaf")
 	flag.IntVar(&o.batch, "batch", 32, "max queries coalesced into one wave")
 	flag.IntVar(&o.queueCap, "queue", 0, "admission queue bound (0 = 4x batch)")

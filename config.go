@@ -182,10 +182,10 @@ func ParseDecomp(s string) (DecompType, error) {
 }
 
 // ParseCachePolicy maps a -policy flag value
-// (waitfree|xwrite|single|perthread) to its CachePolicy.
+// (waitfree|xwrite|perthread) to its CachePolicy.
 func ParseCachePolicy(s string) (CachePolicy, error) {
 	return parseName("cache policy", s, []named[CachePolicy]{
-		{"waitfree", CacheWaitFree}, {"xwrite", CacheXWrite}, {"single", CacheSingleWorker}, {"perthread", CachePerThread}})
+		{"waitfree", CacheWaitFree}, {"xwrite", CacheXWrite}, {"perthread", CachePerThread}})
 }
 
 // ParseLB maps a -lb flag value (off|sfc|spatial) to its LBMode.

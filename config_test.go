@@ -51,7 +51,7 @@ func TestParseNames(t *testing.T) {
 			{"oct", paratreet.DecompOct}, {"orb", paratreet.DecompORB}}},
 		{"policy", func(s string) (any, error) { return paratreet.ParseCachePolicy(s) }, []spelling{
 			{"waitfree", paratreet.CacheWaitFree}, {"xwrite", paratreet.CacheXWrite},
-			{"single", paratreet.CacheSingleWorker}, {"perthread", paratreet.CachePerThread}}},
+			{"perthread", paratreet.CachePerThread}}},
 		{"lb", func(s string) (any, error) { return paratreet.ParseLB(s) }, []spelling{
 			{"off", paratreet.LBOff}, {"sfc", paratreet.LBSFC}, {"spatial", paratreet.LBSpatial}}},
 	} {

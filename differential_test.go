@@ -44,7 +44,6 @@ var diffPolicies = []struct {
 }{
 	{"waitfree", paratreet.CacheWaitFree},
 	{"xwrite", paratreet.CacheXWrite},
-	{"singleworker", paratreet.CacheSingleWorker},
 	{"perthread", paratreet.CachePerThread},
 }
 

@@ -6,12 +6,10 @@
 // traversals parked on lock-free waiter lists are resumed on the least busy
 // worker.
 //
-// Four insertion policies reproduce the paper's comparison (Fig 3):
+// Three insertion policies reproduce the paper's comparison (Fig 3):
 //
 //   - WaitFree: the paper's model — any worker inserts concurrently.
 //   - XWrite: every insertion holds a process-wide lock ("exclusive-write").
-//   - SingleWorker: all insertions are directed to worker 0 (an ablation of
-//     the "don't design thread-safe insertion" approach).
 //   - PerThread: every worker keeps a private cache of remote data, so no
 //     synchronization is needed but each worker misses and fetches
 //     independently — the "per-thread software cache" the paper evaluates
@@ -37,8 +35,6 @@ const (
 	WaitFree Policy = iota
 	// XWrite serializes insertions behind a process-wide mutex.
 	XWrite
-	// SingleWorker directs all insertions to worker 0.
-	SingleWorker
 	// PerThread gives each worker a private cache of remote data
 	// (the paper's "Sequential" comparison curve).
 	PerThread
@@ -51,8 +47,6 @@ func (p Policy) String() string {
 		return "waitfree"
 	case XWrite:
 		return "xwrite"
-	case SingleWorker:
-		return "single-worker"
 	case PerThread:
 		return "per-thread"
 	default:
@@ -477,7 +471,7 @@ func (c *Cache[D]) HandleRequest(msg RequestMsg) error {
 // HandleFill schedules cache insertion of an arriving fill according to the
 // policy; runs on the communication goroutine, which must stay responsive,
 // so the actual insertion is a worker task (least busy under WaitFree and
-// XWrite; worker 0 under SingleWorker; the owning worker under PerThread).
+// XWrite; the owning worker under PerThread).
 func (c *Cache[D]) HandleFill(msg FillMsg) {
 	c.proc.Stats().Fills.Add(1)
 	c.mx.fills.Inc(c.proc.Rank())
@@ -504,12 +498,9 @@ func (c *Cache[D]) HandleFill(msg FillMsg) {
 			c.mx.tracer.Emit(metrics.EvFill, "fill", c.proc.Rank(), -1, flow, start, dur)
 		}
 	}
-	switch c.policy {
-	case SingleWorker:
-		c.proc.SubmitTo(0, insert)
-	case PerThread:
+	if c.policy == PerThread {
 		c.proc.SubmitTo(msg.View, insert)
-	default:
+	} else {
 		c.proc.Submit(insert)
 	}
 }

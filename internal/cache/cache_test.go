@@ -122,7 +122,7 @@ func firstRemote(root *tree.Node[countData]) *tree.Node[countData] {
 }
 
 func TestPolicyStrings(t *testing.T) {
-	for _, p := range []Policy{WaitFree, XWrite, SingleWorker, PerThread} {
+	for _, p := range []Policy{WaitFree, XWrite, PerThread} {
 		if p.String() == "unknown" || p.String() == "" {
 			t.Errorf("policy %d bad string", p)
 		}
@@ -164,7 +164,7 @@ func TestTopViewHasRemoteSummaries(t *testing.T) {
 }
 
 func TestRequestFillSwap(t *testing.T) {
-	for _, policy := range []Policy{WaitFree, XWrite, SingleWorker, PerThread} {
+	for _, policy := range []Policy{WaitFree, XWrite, PerThread} {
 		t.Run(policy.String(), func(t *testing.T) {
 			w := setupWorld(t, 2, 2, policy, 2, 1000)
 			c := w.caches[0]

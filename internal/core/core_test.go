@@ -5,17 +5,17 @@ import (
 
 	"paratreet/internal/cache"
 	"paratreet/internal/decomp"
-	"paratreet/internal/gravity"
+	"paratreet/internal/knn"
 	"paratreet/internal/particle"
 	"paratreet/internal/rt"
 	"paratreet/internal/tree"
 	"paratreet/internal/vec"
 )
 
-func newWorld(t *testing.T, nprocs, workers int, cfg Config) (*rt.Machine, *World[gravity.CentroidData]) {
+func newWorld(t *testing.T, nprocs, workers int, cfg Config) (*rt.Machine, *World[knn.Data]) {
 	t.Helper()
 	m := rt.NewMachine(rt.Config{Procs: nprocs, WorkersPerProc: workers})
-	w := NewWorld[gravity.CentroidData](m, cfg, gravity.Accumulator{}, gravity.Codec{})
+	w := NewWorld[knn.Data](m, cfg, knn.Accumulator{}, knn.Codec{})
 	m.Start()
 	t.Cleanup(m.Stop)
 	return m, w

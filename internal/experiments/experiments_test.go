@@ -112,7 +112,7 @@ func TestRunFig11(t *testing.T) {
 }
 
 func TestRunFig12(t *testing.T) {
-	res, err := RunFig12(DiskOptions{N: 2500, Steps: 6, Dt: 0.02, Workers: 2, Seed: 7, RadiusBoost: 8000})
+	res, err := RunFig12(Options{N: 2500, Iters: 6, Workers: []int{2}, WorkersPerProc: 2, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestRunTable1(t *testing.T) {
 }
 
 func TestRunTable2(t *testing.T) {
-	rows, err := RunTable2(4000, []int{1, 2}, 1, 7)
+	rows, err := RunTable2(Options{N: 4000, Iters: 1, Workers: []int{1, 2}, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestRunTable2(t *testing.T) {
 			t.Error("runtimes not measured")
 		}
 	}
-	out := FormatTable2(rows)
+	out := rows.Format()
 	if !strings.Contains(out, "Table II") {
 		t.Error("format missing header")
 	}

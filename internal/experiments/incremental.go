@@ -8,6 +8,7 @@ import (
 	"paratreet"
 	"paratreet/internal/knn"
 	"paratreet/internal/particle"
+	"paratreet/internal/sph"
 	"paratreet/internal/vec"
 )
 
@@ -22,22 +23,18 @@ import (
 // speedup column is earned by skipped work, not changed answers.
 func RunIncremental(opts Options) (*Result, error) {
 	start := time.Now()
-	w := opts.Workers[len(opts.Workers)-1]
+	w := opts.largest()
 	procs, wpp := opts.procsFor(w)
-	const k = 24
 	steps := opts.Iters + 1 // step 0 is the mandatory scratch build
 	movers := opts.N / 100
 
 	mk := func(incremental bool) (*paratreet.Simulation[knn.Data], error) {
-		return paratreet.NewSimulation[knn.Data](paratreet.Config{
-			Procs: procs, WorkersPerProc: wpp, BuildWorkers: wpp,
-			Tree: paratreet.TreeOct, Decomp: paratreet.DecompSFC, BucketSize: 16,
-			Faults: opts.Faults,
-			// No simulated link latency: this walkthrough compares the CPU
-			// work of the two build paths, and injected delivery delay would
-			// swamp the patch savings with identical sleep time on both arms.
-			Incremental: incremental,
-		}, knn.Accumulator{}, knn.Codec{}, anchoredCloud(opts.N, opts.Seed))
+		// No simulated link latency: this walkthrough compares the CPU
+		// work of the two build paths, and injected delivery delay would
+		// swamp the patch savings with identical sleep time on both arms.
+		cfg := octree(procs, wpp)
+		cfg.BuildWorkers, cfg.Incremental = wpp, incremental
+		return newSim(opts, cfg, knn.Accumulator{}, knn.Codec{}, anchoredCloud(opts.N, opts.Seed))
 	}
 	inc, err := mk(true)
 	if err != nil {
@@ -60,17 +57,10 @@ func RunIncremental(opts Options) (*Result, error) {
 		})
 		return out
 	}
-	driver := paratreet.DriverFuncs[knn.Data]{
-		TraversalFn: func(s *paratreet.Simulation[knn.Data], iter int) {
-			for _, p := range s.Partitions() {
-				knn.Attach(p.Buckets(), k)
-			}
-			paratreet.StartUpAndDown(s, func(p *paratreet.Partition[knn.Data]) knn.Visitor {
-				return knn.Visitor{K: k, ExcludeSelf: true}
-			})
-		},
-	}
-
+	// SPH density's kNN traversal without its density pass, which would
+	// rewrite every particle and so dirty every leaf: the walkthrough
+	// moves nothing but the movers' positions.
+	driver := paratreet.DriverFuncs[knn.Data]{TraversalFn: sph.Driver(knnParams).Traversal}
 	res := &Result{
 		Title: fmt.Sprintf("incremental vs scratch rebuild, %d particles, %d%% movers/step, %d procs x %d workers",
 			opts.N, 100*movers/opts.N, procs, wpp),
@@ -112,10 +102,10 @@ func RunIncremental(opts Options) (*Result, error) {
 		// (tree build + top share + leaf share), not wall clock: on an
 		// oversubscribed host the phase timers are far less noisy, since
 		// they measure the work actually executed rather than scheduling.
-		scratchMs := phaseSumMs(sbefore, safter,
-			paratreet.PhaseTreeBuild, paratreet.PhaseTopShare, paratreet.PhaseLeafShare)
-		incMs := phaseSumMs(before, after,
-			paratreet.PhaseTreeBuild, paratreet.PhaseTopShare, paratreet.PhaseLeafShare)
+		build := []paratreet.Phase{paratreet.PhaseTreeBuild, paratreet.PhaseTopShare, paratreet.PhaseLeafShare}
+		scratchMs, _ := phaseCost(sbefore, safter, build...)
+		incMs, imbBuild := phaseCost(before, after, build...)
+		_, imbTrav := phaseCost(before, after, paratreet.PhaseLocalTraversal, paratreet.PhaseResume)
 		if step > 0 {
 			scratchTotal += scratchMs
 			incTotal += incMs
@@ -128,12 +118,12 @@ func RunIncremental(opts Options) (*Result, error) {
 			"dirty-lv":   float64(st.DirtyLeaves),
 			"reused-lv":  float64(st.ReusedLeaves),
 			"cache-kept": float64(st.CacheKept),
-			"imb-build": phaseImbalance(before, after,
-				paratreet.PhaseTreeBuild, paratreet.PhaseTopShare, paratreet.PhaseLeafShare),
-			"imb-trav": phaseImbalance(before, after,
-				paratreet.PhaseLocalTraversal, paratreet.PhaseResume),
+			"imb-build":  imbBuild,
+			"imb-trav":   imbTrav,
 		}})
 	}
+	opts.Metrics.collect(fmt.Sprintf("incremental/inc/w%d", w), inc.MetricsSnapshot())
+	opts.Metrics.collect(fmt.Sprintf("incremental/scratch/w%d", w), scr.MetricsSnapshot())
 	if incTotal > 0 {
 		res.Notes = append(res.Notes, fmt.Sprintf(
 			"steady-state build speedup (steps 1..%d): %.2fx (scratch %.1fms vs incremental %.1fms of summed build-phase time)",
@@ -146,43 +136,27 @@ func RunIncremental(opts Options) (*Result, error) {
 	return res, nil
 }
 
-// phaseSumMs sums the given phases' time deltas across all processes, in
-// milliseconds.
-func phaseSumMs(before, after [][paratreet.NumPhases]time.Duration, phases ...paratreet.Phase) float64 {
-	var total time.Duration
+// phaseCost sums the given phases' time deltas between two PhasePerProc
+// readings across all processes, in milliseconds, and reports their
+// imbalance: max/mean of the per-process deltas (1 when no time was
+// recorded).
+func phaseCost(before, after [][paratreet.NumPhases]time.Duration, phases ...paratreet.Phase) (ms, imbalance float64) {
+	var total, most time.Duration
 	for r := range after {
+		var d time.Duration
 		for _, ph := range phases {
-			total += after[r][ph]
-			if r < len(before) {
-				total -= before[r][ph]
-			}
-		}
-	}
-	return float64(total.Microseconds()) / 1000
-}
-
-// phaseImbalance is max/mean across processes of the given phases' time
-// deltas between two PhasePerProc readings (1 when no time was recorded).
-func phaseImbalance(before, after [][paratreet.NumPhases]time.Duration, phases ...paratreet.Phase) float64 {
-	perProc := make([]float64, len(after))
-	var total, max float64
-	for r := range after {
-		for _, ph := range phases {
-			d := after[r][ph]
+			d += after[r][ph]
 			if r < len(before) {
 				d -= before[r][ph]
 			}
-			perProc[r] += float64(d)
 		}
-		total += perProc[r]
-		if perProc[r] > max {
-			max = perProc[r]
-		}
+		total += d
+		most = max(most, d)
 	}
 	if total == 0 {
-		return 1
+		return 0, 1
 	}
-	return max / (total / float64(len(after)))
+	return float64(total.Microseconds()) / 1000, float64(most) / (float64(total) / float64(len(after)))
 }
 
 // anchoredCloud is the incremental workload: a clustered cloud clamped
@@ -205,15 +179,8 @@ func anchoredCloud(n int, seed int64) []particle.Particle {
 	return ps
 }
 
-func anchorClamp(x float64) float64 {
-	if x < 0.01 {
-		return 0.01
-	}
-	if x > 0.99 {
-		return 0.99
-	}
-	return x
-}
+// anchorClamp keeps a coordinate strictly inside the anchors' cube.
+func anchorClamp(x float64) float64 { return min(max(x, 0.01), 0.99) }
 
 // driftCloud nudges `movers` interior particles, selected and displaced
 // by particle ID so the same mutation applies to both arms even though

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -109,17 +110,11 @@ func RunServe(opts Options) (*Result, error) {
 	}
 	qs := NewQuerySet(nq, opts.Seed+1, box, 16, 0.05)
 	for _, workers := range opts.Workers {
-		procs, wpp := opts.procsFor(workers)
-		reg := opts.Metrics.StartRun()
-		if reg == nil {
-			reg = paratreet.NewMetricsRegistry(paratreet.MetricsOptions{})
-		}
-		cfg := paratreet.Config{
-			Procs: procs, WorkersPerProc: wpp,
-			Tree: paratreet.TreeOct, Decomp: paratreet.DecompSFC, BucketSize: 16,
-			CachePolicy: paratreet.CacheWaitFree, FetchDepth: 3,
-			Faults:  opts.Faults,
-			Metrics: reg,
+		cfg := octree(opts.procsFor(workers))
+		cfg.CachePolicy, cfg.FetchDepth = paratreet.CacheWaitFree, 3
+		cfg = opts.config(cfg)
+		if cfg.Metrics == nil { // MeanBatch reads the engine's registry
+			cfg.Metrics = paratreet.NewMetricsRegistry(paratreet.MetricsOptions{})
 		}
 		eng, err := serve.NewEngine(cfg, particle.NewClustered(opts.N, opts.Seed, box, 8))
 		if err != nil {
@@ -132,7 +127,7 @@ func RunServe(opts Options) (*Result, error) {
 			return nil, err
 		}
 		singleDur := time.Since(t0)
-		bcfg := serve.BatchConfig{MaxBatch: 32, MaxWaves: 2, Registry: reg}
+		bcfg := serve.BatchConfig{MaxBatch: 32, MaxWaves: 2, Registry: cfg.Metrics}
 		t0 = time.Now()
 		batched, err := RunBatched(eng, bcfg, qs, 32)
 		if err != nil {
@@ -141,7 +136,7 @@ func RunServe(opts Options) (*Result, error) {
 		}
 		batchedDur := time.Since(t0)
 		for i := range qs {
-			if !answersEqual(single[i], batched[i]) {
+			if !slices.Equal(single[i].Hits, batched[i].Hits) { // the batcher must not change answers
 				eng.Close()
 				return nil, fmt.Errorf("serve: batched answer %d diverges from single-shot", i)
 			}
@@ -162,18 +157,4 @@ func RunServe(opts Options) (*Result, error) {
 	)
 	res.Elapsed = time.Since(start)
 	return res, nil
-}
-
-// answersEqual compares two deterministically ordered answers exactly:
-// the batcher must not change results, only amortize their traversals.
-func answersEqual(a, b serve.Answer) bool {
-	if len(a.Hits) != len(b.Hits) {
-		return false
-	}
-	for i := range a.Hits {
-		if a.Hits[i] != b.Hits[i] {
-			return false
-		}
-	}
-	return true
 }

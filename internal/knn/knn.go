@@ -318,10 +318,7 @@ type Visitor struct {
 // farther from some target particle than that particle's current k-th
 // neighbor.
 func (v Visitor) Open(source *tree.Node[Data], target *traverse.Bucket) bool {
-	if source.Data.N == 0 {
-		return false
-	}
-	return openByBounds(source.Box, target)
+	return openSource(source.Data.N, source.Box, target)
 }
 
 // Node implements traverse.Visitor: an unopened node contributes nothing.
@@ -341,20 +338,7 @@ func (v Visitor) Leaf(source *tree.Node[Data], target *traverse.Bucket) {
 //
 //paratreet:hotpath
 func (v Visitor) VisitSource(source *tree.Node[Data], buckets []*traverse.Bucket, active, opened []int32, leaf bool) []int32 {
-	if source.Data.N == 0 {
-		return opened
-	}
-	for _, bi := range active {
-		b := buckets[bi]
-		if !openByBounds(source.Box, b) {
-			continue
-		}
-		if leaf {
-			leafInteract(source.Particles, b, v.ExcludeSelf)
-		}
-		opened = append(opened, bi)
-	}
-	return opened
+	return visitSource(source.Data.N, source.Box, source.Particles, buckets, active, opened, leaf, v.ExcludeSelf)
 }
 
 // GenericVisitor runs the same k-nearest-neighbor search over a tree
@@ -369,10 +353,7 @@ type GenericVisitor[D any] struct {
 
 // Open implements traverse.Visitor; see Visitor.Open.
 func (v GenericVisitor[D]) Open(source *tree.Node[D], target *traverse.Bucket) bool {
-	if v.Count(&source.Data) == 0 {
-		return false
-	}
-	return openByBounds(source.Box, target)
+	return openSource(v.Count(&source.Data), source.Box, target)
 }
 
 // Node implements traverse.Visitor: an unopened node contributes nothing.
@@ -389,16 +370,31 @@ func (v GenericVisitor[D]) Leaf(source *tree.Node[D], target *traverse.Bucket) {
 //
 //paratreet:hotpath
 func (v GenericVisitor[D]) VisitSource(source *tree.Node[D], buckets []*traverse.Bucket, active, opened []int32, leaf bool) []int32 {
-	if v.Count(&source.Data) == 0 {
+	return visitSource(v.Count(&source.Data), source.Box, source.Particles, buckets, active, opened, leaf, v.ExcludeSelf)
+}
+
+// openSource is the Open decision of both visitors for a source of n
+// particles in box: never into an empty subtree, otherwise by
+// openByBounds.
+func openSource(n int, box vec.Box, target *traverse.Bucket) bool {
+	return n != 0 && openByBounds(box, target)
+}
+
+// visitSource is the VisitSource body of both visitors for a source of n
+// particles in box, the leaf's particles ps.
+//
+//paratreet:hotpath
+func visitSource(n int, box vec.Box, ps []particle.Particle, buckets []*traverse.Bucket, active, opened []int32, leaf, excludeSelf bool) []int32 {
+	if n == 0 {
 		return opened
 	}
 	for _, bi := range active {
 		b := buckets[bi]
-		if !openByBounds(source.Box, b) {
+		if !openByBounds(box, b) {
 			continue
 		}
 		if leaf {
-			leafInteract(source.Particles, b, v.ExcludeSelf)
+			leafInteract(ps, b, excludeSelf)
 		}
 		opened = append(opened, bi)
 	}

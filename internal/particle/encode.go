@@ -7,25 +7,15 @@ import (
 
 // BinarySize is the byte length of one particle's wire record, used by the
 // remote-fill serialization in the cache layer.
-const BinarySize = 8 + recordFloats*8 + 8 + 3*8 + 4 // ID, floats, Key, Acc, Partition
+const BinarySize = recordSize + 8 + 3*8 + 4 // dataset record, Key, Acc, Partition
 
 // AppendBinary appends p's wire record to dst and returns the extended
-// slice. Unlike the dataset format, the wire record carries Key and Acc so
-// remote leaf buckets arrive traversal-ready.
+// slice. The wire record is the dataset record followed by Key, Acc and
+// Partition, so remote leaf buckets arrive traversal-ready.
 func AppendBinary(dst []byte, p *Particle) []byte {
 	var buf [BinarySize]byte
-	binary.LittleEndian.PutUint64(buf[0:], uint64(p.ID))
-	vals := [recordFloats]float64{
-		p.Mass,
-		p.Pos.X, p.Pos.Y, p.Pos.Z,
-		p.Vel.X, p.Vel.Y, p.Vel.Z,
-		p.Radius, p.Density, p.SmoothLen, p.Pressure,
-	}
-	off := 8
-	for _, v := range vals {
-		binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(v))
-		off += 8
-	}
+	putRecord(buf[:], p)
+	off := recordSize
 	binary.LittleEndian.PutUint64(buf[off:], p.Key)
 	off += 8
 	for _, v := range [3]float64{p.Acc.X, p.Acc.Y, p.Acc.Z} {
@@ -42,17 +32,8 @@ func DecodeBinary(b []byte, p *Particle) int {
 	if len(b) < BinarySize {
 		return 0
 	}
-	p.ID = int64(binary.LittleEndian.Uint64(b[0:]))
-	var vals [recordFloats]float64
-	off := 8
-	for j := range vals {
-		vals[j] = math.Float64frombits(binary.LittleEndian.Uint64(b[off:]))
-		off += 8
-	}
-	p.Mass = vals[0]
-	p.Pos.X, p.Pos.Y, p.Pos.Z = vals[1], vals[2], vals[3]
-	p.Vel.X, p.Vel.Y, p.Vel.Z = vals[4], vals[5], vals[6]
-	p.Radius, p.Density, p.SmoothLen, p.Pressure = vals[7], vals[8], vals[9], vals[10]
+	getRecord(b, p)
+	off := recordSize
 	p.Key = binary.LittleEndian.Uint64(b[off:])
 	off += 8
 	p.Acc.X = math.Float64frombits(binary.LittleEndian.Uint64(b[off:]))

@@ -28,6 +28,42 @@ var (
 
 const recordFloats = 11 // mass, pos(3), vel(3), radius, density, smoothlen, pressure
 
+// recordSize is the byte length of the record both the dataset file and
+// the wire record (AppendBinary) start with: the ID, then the
+// recordFloats floats.
+const recordSize = 8 + recordFloats*8
+
+// maxPrealloc bounds the records Read allocates before it has read them,
+// so a header claiming more particles than the input holds cannot exhaust
+// memory.
+const maxPrealloc = 1 << 16
+
+// putRecord writes p's ID and floats into b[:recordSize].
+func putRecord(b []byte, p *Particle) {
+	binary.LittleEndian.PutUint64(b, uint64(p.ID))
+	for j, v := range [recordFloats]float64{
+		p.Mass,
+		p.Pos.X, p.Pos.Y, p.Pos.Z,
+		p.Vel.X, p.Vel.Y, p.Vel.Z,
+		p.Radius, p.Density, p.SmoothLen, p.Pressure,
+	} {
+		binary.LittleEndian.PutUint64(b[8+j*8:], math.Float64bits(v))
+	}
+}
+
+// getRecord reads p's ID and floats from b[:recordSize].
+func getRecord(b []byte, p *Particle) {
+	p.ID = int64(binary.LittleEndian.Uint64(b))
+	var vals [recordFloats]float64
+	for j := range vals {
+		vals[j] = math.Float64frombits(binary.LittleEndian.Uint64(b[8+j*8:]))
+	}
+	p.Mass = vals[0]
+	p.Pos.X, p.Pos.Y, p.Pos.Z = vals[1], vals[2], vals[3]
+	p.Vel.X, p.Vel.Y, p.Vel.Z = vals[4], vals[5], vals[6]
+	p.Radius, p.Density, p.SmoothLen, p.Pressure = vals[7], vals[8], vals[9], vals[10]
+}
+
 // Write serializes the particle set to w in the native binary format.
 func Write(w io.Writer, ps []Particle) error {
 	bw := bufio.NewWriter(w)
@@ -35,27 +71,19 @@ func Write(w io.Writer, ps []Particle) error {
 	if err := binary.Write(bw, binary.LittleEndian, hdr[:]); err != nil {
 		return fmt.Errorf("particle: writing header: %w", err)
 	}
-	buf := make([]byte, 8+recordFloats*8)
+	var buf [recordSize]byte
 	for i := range ps {
-		p := &ps[i]
-		binary.LittleEndian.PutUint64(buf[0:], uint64(p.ID))
-		vals := [recordFloats]float64{
-			p.Mass,
-			p.Pos.X, p.Pos.Y, p.Pos.Z,
-			p.Vel.X, p.Vel.Y, p.Vel.Z,
-			p.Radius, p.Density, p.SmoothLen, p.Pressure,
-		}
-		for j, v := range vals {
-			binary.LittleEndian.PutUint64(buf[8+j*8:], math.Float64bits(v))
-		}
-		if _, err := bw.Write(buf); err != nil {
+		putRecord(buf[:], &ps[i])
+		if _, err := bw.Write(buf[:]); err != nil {
 			return fmt.Errorf("particle: writing record %d: %w", i, err)
 		}
 	}
 	return bw.Flush()
 }
 
-// Read deserializes a particle set written by Write.
+// Read deserializes a particle set written by Write. The slice grows as
+// records arrive, so a file shorter than its header claims reports the
+// first missing record.
 func Read(r io.Reader) ([]Particle, error) {
 	br := bufio.NewReader(r)
 	var hdr [3]uint32
@@ -69,22 +97,14 @@ func Read(r io.Reader) ([]Particle, error) {
 		return nil, fmt.Errorf("%w: %d", ErrBadVersion, hdr[1])
 	}
 	n := int(hdr[2])
-	ps := make([]Particle, n)
-	buf := make([]byte, 8+recordFloats*8)
+	ps := make([]Particle, 0, min(n, maxPrealloc))
+	var buf [recordSize]byte
 	for i := 0; i < n; i++ {
-		if _, err := io.ReadFull(br, buf); err != nil {
+		if _, err := io.ReadFull(br, buf[:]); err != nil {
 			return nil, fmt.Errorf("particle: reading record %d: %w", i, err)
 		}
-		p := &ps[i]
-		p.ID = int64(binary.LittleEndian.Uint64(buf[0:]))
-		var vals [recordFloats]float64
-		for j := range vals {
-			vals[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8+j*8:]))
-		}
-		p.Mass = vals[0]
-		p.Pos.X, p.Pos.Y, p.Pos.Z = vals[1], vals[2], vals[3]
-		p.Vel.X, p.Vel.Y, p.Vel.Z = vals[4], vals[5], vals[6]
-		p.Radius, p.Density, p.SmoothLen, p.Pressure = vals[7], vals[8], vals[9], vals[10]
+		ps = append(ps, Particle{})
+		getRecord(buf[:], &ps[i])
 	}
 	return ps, nil
 }

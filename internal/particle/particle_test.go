@@ -2,6 +2,7 @@ package particle
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"path/filepath"
 	"strings"
@@ -277,6 +278,14 @@ func TestIOBadInput(t *testing.T) {
 	trunc := buf.Bytes()[:buf.Len()-4]
 	if _, err := Read(bytes.NewReader(trunc)); err == nil {
 		t.Error("truncated record should error")
+	}
+	// A bare header claiming 2^32-1 particles: an error about the first
+	// record, not an allocation of the claimed count.
+	hostile := binary.LittleEndian.AppendUint32(nil, fileMagic)
+	hostile = binary.LittleEndian.AppendUint32(hostile, fileVersion)
+	hostile = binary.LittleEndian.AppendUint32(hostile, math.MaxUint32)
+	if _, err := Read(bytes.NewReader(hostile)); err == nil || !strings.Contains(err.Error(), "reading record 0") {
+		t.Errorf("hostile header: got %v, want a reading record 0 error", err)
 	}
 }
 

@@ -274,7 +274,7 @@ func TestTraversalPausesOnRemote(t *testing.T) {
 }
 
 func TestAllCachePoliciesAgree(t *testing.T) {
-	for _, policy := range []cache.Policy{cache.WaitFree, cache.XWrite, cache.SingleWorker, cache.PerThread} {
+	for _, policy := range []cache.Policy{cache.WaitFree, cache.XWrite, cache.PerThread} {
 		t.Run(policy.String(), func(t *testing.T) {
 			w := setupWorld(t, 2, 3, policy, 1200)
 			for r := 0; r < 2; r++ {

@@ -116,8 +116,6 @@ const (
 	CacheWaitFree = cache.WaitFree
 	// CacheXWrite locks every insertion ("exclusive-write").
 	CacheXWrite = cache.XWrite
-	// CacheSingleWorker directs all insertions to worker 0.
-	CacheSingleWorker = cache.SingleWorker
 	// CachePerThread gives each worker a private cache (the paper's
 	// "Sequential" comparison model).
 	CachePerThread = cache.PerThread

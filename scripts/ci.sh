@@ -170,7 +170,8 @@ done
 echo "==> runner smoke"
 # Every application runner end to end at small scale: gravity on two
 # processes, SPH density by both algorithms (kNN with its pressure pass),
-# and the disk case study at its -quick scale. A bad -tree must fail with
+# the disk case study at its -quick scale, and every paratreet-bench
+# experiment at a tiny scale. A bad -tree must fail with
 # a message listing the choices, in both binaries that parse it.
 bindir="$tracedir/bin" # under the trace stage's temp dir, removed on exit
 go build -o "$bindir/" ./cmd/gravity ./cmd/sph ./cmd/paratreet-bench ./cmd/paratreet-serve
@@ -178,6 +179,10 @@ go build -o "$bindir/" ./cmd/gravity ./cmd/sph ./cmd/paratreet-bench ./cmd/parat
 "$bindir/sph" -n 2000 -iters 1 > /dev/null
 "$bindir/sph" -n 2000 -iters 1 -algo gadget > /dev/null
 "$bindir/paratreet-bench" -quick fig12 > /dev/null
+# Every paratreet-bench experiment: `all`, plus the three it leaves out.
+for exp in all knn serve incremental; do
+	"$bindir/paratreet-bench" -quick -n 2000 -iters 1 "$exp" > /dev/null
+done
 for runner in gravity paratreet-serve; do
 	if out="$("$bindir/$runner" -tree bogus 2>&1)"; then
 		echo "$runner accepted -tree bogus" >&2
