@@ -14,8 +14,8 @@ vet:
 	$(GO) vet ./...
 
 # Repo-specific static analysis: concurrency, quiescence-accounting, and
-# hot-path invariants (atomicalign, hotpath, leakcheck, lockcheck,
-# lockorder, nilrecv, pendingbalance, purevisit). Pure stdlib; see
+# hot-path invariants (hotpath, leakcheck, lockcheck, lockorder, nilrecv,
+# pendingbalance, purevisit). Pure stdlib; see
 # DESIGN.md "Static analysis" for the directive conventions.
 lint:
 	$(GO) run ./cmd/paratreet-lint ./...

@@ -27,7 +27,6 @@ func main() {
 		iters  = flag.Int("iters", 10, "iterations")
 		theta  = flag.Float64("theta", 0.7, "opening angle")
 		soft   = flag.Float64("soft", 1e-4, "softening length")
-		quad   = flag.Bool("quad", false, "enable quadrupole moments")
 		dt     = flag.Float64("dt", 1e-3, "leapfrog step (0 disables integration)")
 		procs  = flag.Int("procs", 4, "simulated processes")
 		wpp    = flag.Int("wpp", 2, "workers per process")
@@ -49,7 +48,7 @@ func main() {
 	})
 	flag.Parse()
 	cfg.Procs, cfg.WorkersPerProc, cfg.BucketSize = *procs, *wpp, *bucket
-	par := gravity.Params{G: 1, Theta: *theta, Soft: *soft, Quadrupole: *quad}
+	par := gravity.Params{G: 1, Theta: *theta, Soft: *soft}
 	if err := par.Validate(); err != nil {
 		// A usage error, reported the way flag reports a malformed value.
 		fmt.Fprintf(flag.CommandLine.Output(), "invalid -theta or -soft: %v\n", err)
@@ -93,13 +92,9 @@ func main() {
 		log.Fatal(err)
 	}
 	st := sim.Stats()
-	kernels := gravity.Kernels()
-	if par.Quadrupole {
-		kernels = "go" // the vector kernels are monopole only
-	}
 	m := sim.Machine()
 	fmt.Printf("total %v for %d iterations on %d procs x %d workers, %s kernels\n",
-		time.Since(start).Round(time.Millisecond), *iters, m.NumProcs(), m.Config().WorkersPerProc, kernels)
+		time.Since(start).Round(time.Millisecond), *iters, m.NumProcs(), m.Config().WorkersPerProc, gravity.Kernels())
 	fmt.Printf("comm: %d messages, %.1f MB, %d node requests, %d fills\n",
 		st.MessagesSent, float64(st.BytesSent)/1e6, st.NodeRequests, st.Fills)
 

@@ -23,7 +23,6 @@ import (
 const (
 	goldenGravityTransposed = 0x21445fff0391d62f
 	goldenGravityPerBucket  = 0x62d1b36e442c8a3f
-	goldenGravityQuadrupole = 0xb45e68f17f3fc163
 	goldenKNNHeapOrder      = 0x431a710206c601ad
 )
 
@@ -124,8 +123,6 @@ func goldenKNN(t *testing.T) uint64 {
 
 func TestGoldenSingleProcess(t *testing.T) {
 	mono := gravity.Params{G: 1, Theta: 0.6, Soft: 1e-4}
-	quad := mono
-	quad.Quadrupole = true
 	for _, c := range []struct {
 		name string
 		got  uint64
@@ -133,7 +130,6 @@ func TestGoldenSingleProcess(t *testing.T) {
 	}{
 		{"gravity/transposed", goldenGravity(t, paratreet.StyleTransposed, mono), goldenGravityTransposed},
 		{"gravity/per-bucket", goldenGravity(t, paratreet.StylePerBucket, mono), goldenGravityPerBucket},
-		{"gravity/quadrupole", goldenGravity(t, paratreet.StyleTransposed, quad), goldenGravityQuadrupole},
 		{"knn/heap-order", goldenKNN(t), goldenKNNHeapOrder},
 	} {
 		if c.got != c.want {

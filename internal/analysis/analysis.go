@@ -6,12 +6,11 @@
 // The invariants it enforces are the ones the paper's correctness and
 // performance story rests on: the wait-free software cache must never grow
 // locking onto the traversal path, per-visit loops must stay clock- and
-// allocation-free, the nil-safe metrics handles must stay nil-safe, 64-bit
-// atomics must stay addressable on 32-bit platforms, quiescence detection
-// must see every pending unit retired on every path, lock acquisition
-// must stay cycle-free and off the hot path, and Visitor callbacks must
-// not mutate shared state. Those rules used to live in comments; here
-// they are encoded as eight analyzers (atomicalign, hotpath, leakcheck,
+// allocation-free, the nil-safe metrics handles must stay nil-safe,
+// quiescence detection must see every pending unit retired on every path,
+// lock acquisition must stay cycle-free and off the hot path, and Visitor
+// callbacks must not mutate shared state. Those rules used to live in
+// comments; here they are encoded as seven analyzers (hotpath, leakcheck,
 // lockcheck, lockorder, nilrecv, pendingbalance, purevisit) driven by
 // source directives:
 //
@@ -108,7 +107,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // Analyzers returns every registered analyzer, sorted by name.
 func Analyzers() []*Analyzer {
 	all := []*Analyzer{
-		AtomicAlignAnalyzer,
 		HotPathAnalyzer,
 		LeakCheckAnalyzer,
 		LockCheckAnalyzer,

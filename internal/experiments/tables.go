@@ -61,7 +61,7 @@ func RunTable3(repoRoot string) (string, error) {
 	b.WriteString("# Table III: user-code line counts, gravity application\n")
 	fmt.Fprintf(&b, "%-32s %5d code lines (+%d comment, +%d blank)\n",
 		"examples/gravity/main.go", code, comment, blank)
-	fmt.Fprintf(&b, "%-32s %5d lines (full library app: quadrupoles, direct solver, energy diagnostics)\n",
+	fmt.Fprintf(&b, "%-32s %5d lines (full library app: direct solver, energy diagnostics)\n",
 		"internal/gravity/gravity.go", strings.Count(string(lib), "\n"))
 	b.WriteString("paper: 135 lines of user code (50 Data + 45 Visitor + 40 Driver); ChaNGa ~4500\n")
 	return b.String(), nil

@@ -1,7 +1,7 @@
 package gravity
 
-// DisableKernels turns the packed vector kernels off, so Pack does nothing
-// and VisitSource runs the per-pair loop, and returns what restores them.
+// DisableKernels turns the assembly off, so every kernel call runs its Go
+// body, and returns what restores it.
 func DisableKernels() (restore func()) {
 	prev := useKernels
 	useKernels = false

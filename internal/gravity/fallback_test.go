@@ -12,11 +12,11 @@ import (
 	"paratreet/internal/particle"
 )
 
-// TestFallbackMatchesGoldens runs the monopole passes of the root
-// package's TestGoldenSingleProcess with the vector kernels in use (where
-// the CPU has them) and turned off: both must give the checksums recorded
-// there, so the per-pair Go loops a host without AVX2 runs are the
-// answers the packed kernels reproduce.
+// TestFallbackMatchesGoldens runs the gravity passes of the root
+// package's TestGoldenSingleProcess with the assembly in use (where the
+// CPU has it) and turned off: both must give the checksums recorded
+// there, so the Go bodies a host without AVX2 runs give the answers the
+// assembly gives.
 func TestFallbackMatchesGoldens(t *testing.T) {
 	const (
 		goldenGravityTransposed = 0x21445fff0391d62f // as in golden_test.go

@@ -42,27 +42,6 @@ func TestAccumulatorAdditivity(t *testing.T) {
 	if sum.M1.Sub(whole.M1).Norm() > 1e-12 {
 		t.Errorf("M1: %v vs %v", sum.M1, whole.M1)
 	}
-	for i := range sum.M2 {
-		if math.Abs(sum.M2[i]-whole.M2[i]) > 1e-12 {
-			t.Errorf("M2[%d]: %v vs %v", i, sum.M2[i], whole.M2[i])
-		}
-	}
-}
-
-func TestQuadrupoleTraceless(t *testing.T) {
-	ps := particle.NewUniform(100, 3, vec.UnitBox())
-	d := gravity.Accumulator{}.FromLeaf(ps, vec.UnitBox())
-	q := d.Quadrupole()
-	if tr := q[0] + q[1] + q[2]; math.Abs(tr) > 1e-9 {
-		t.Errorf("quadrupole trace %v", tr)
-	}
-	// A single particle has zero quadrupole about its own centroid.
-	single := gravity.Accumulator{}.FromLeaf(ps[:1], vec.UnitBox())
-	for i, v := range single.Quadrupole() {
-		if math.Abs(v) > 1e-12 {
-			t.Errorf("single-particle quadrupole[%d] = %v", i, v)
-		}
-	}
 }
 
 func TestCodecRoundTrip(t *testing.T) {
@@ -75,6 +54,14 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 	if got != d {
 		t.Fatalf("round trip %+v vs %+v", got, d)
+	}
+	if len(blob) != 32 {
+		t.Fatalf("encoded %d bytes, want 32", len(blob))
+	}
+	for n := range len(blob) {
+		if _, used := (gravity.Codec{}).DecodeData(blob[:n]); used != -1 {
+			t.Errorf("%d-byte prefix decoded with used %d, want -1", n, used)
+		}
 	}
 }
 
@@ -170,32 +157,6 @@ func TestBarnesHutMatchesDirect(t *testing.T) {
 	}
 }
 
-func TestQuadrupoleImprovesAccuracy(t *testing.T) {
-	const n = 600
-	ps := particle.NewClustered(n, 7, vec.UnitBox(), 3)
-	base := gravity.Params{G: 1, Theta: 0.9, Soft: 1e-3}
-
-	ref := particle.Clone(ps)
-	gravity.Direct(ref, base)
-	refByID := make([]particle.Particle, n)
-	for i := range ref {
-		refByID[ref[i].ID] = ref[i]
-	}
-	cfg := paratreet.Config{
-		Procs: 1, WorkersPerProc: 2,
-		Tree: paratreet.TreeOct, Decomp: paratreet.DecompSFC,
-		BucketSize: 8, CachePolicy: paratreet.CacheWaitFree,
-	}
-	mono := runBH(t, cfg, particle.Clone(ps), base)
-	quad := runBH(t, cfg, particle.Clone(ps), gravity.Params{G: 1, Theta: 0.9, Soft: 1e-3, Quadrupole: true})
-
-	monoErr := gravity.MedianError(gravity.AccelError(mono, refByID))
-	quadErr := gravity.MedianError(gravity.AccelError(quad, refByID))
-	if quadErr >= monoErr {
-		t.Errorf("quadrupole error %.5f not better than monopole %.5f", quadErr, monoErr)
-	}
-}
-
 func TestBHAcrossTreeTypes(t *testing.T) {
 	const n = 500
 	ps := particle.NewUniform(n, 8, vec.UnitBox())
@@ -264,7 +225,6 @@ func TestParamsValidate(t *testing.T) {
 		{"default", gravity.DefaultParams(), true},
 		{"exact theta 0", gravity.Params{G: 1, Theta: 0, Soft: 1e-4}, true},
 		{"no softening", gravity.Params{G: 1, Theta: 0.7, Soft: 0}, true},
-		{"quadrupole", gravity.Params{G: 1, Theta: 0.7, Soft: 1e-4, Quadrupole: true}, true},
 		{"negative G", gravity.Params{G: -1, Theta: 0.7}, true},
 		{"NaN theta", gravity.Params{G: 1, Theta: nan, Soft: 1e-4}, false},
 		{"negative theta", gravity.Params{G: 1, Theta: -0.7, Soft: 1e-4}, false},

@@ -2,8 +2,9 @@ package gravity
 
 import "paratreet/internal/particle"
 
-// useKernels selects the packed vector kernels. It is set once, from
-// CPUID: AVX2, with the operating system saving the YMM registers.
+// useKernels selects the assembly over the Go bodies for every kernel
+// call. It is set once, from CPUID: AVX2, with the operating system
+// saving the YMM registers.
 var useKernels = haveAVX2()
 
 func haveAVX2() bool {
@@ -26,25 +27,44 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
 
-// p2p is Leaf over n packed targets, four at a time: t points at the
-// first target's x in a slab whose columns are stride float64s apart, and
-// src at ns source particles. The assembly reads Particle's ID, Mass and
-// Pos at offsets 0, 8 and 16, and steps 144 bytes per particle
+// The kernel calls: each runs its AVX2 body where useKernels is set.
+func p2p(t *float64, stride, n int, src *particle.Particle, ns int, eps2, grav float64) {
+	if useKernels {
+		p2pAVX2(t, stride, n, src, ns, eps2, grav)
+	} else {
+		p2pGo(t, stride, n, src, ns, eps2, grav)
+	}
+}
+
+func m2p(t *float64, stride, n int, cx, cy, cz, gm, eps2 float64) {
+	if useKernels {
+		m2pAVX2(t, stride, n, cx, cy, cz, gm, eps2)
+	} else {
+		m2pGo(t, stride, n, cx, cy, cz, gm, eps2)
+	}
+}
+
+func reach(boxes *float64, nb int, active *int32, n int, cx, cy, cz, rsq float64, open *uint8) {
+	if useKernels {
+		reachAVX2(boxes, nb, active, n, cx, cy, cz, rsq, open)
+	} else {
+		reachGo(boxes, nb, active, n, cx, cy, cz, rsq, open)
+	}
+}
+
+// p2pAVX2 is p2pGo four targets at a time. It reads Particle's ID, Mass
+// and Pos at offsets 0, 8 and 16, and steps 144 bytes per particle
 // (TestKernelParticleLayout pins them).
 //
 //go:noescape
-func p2p(t *float64, stride, n int, src *particle.Particle, ns int, eps2, grav float64)
+func p2pAVX2(t *float64, stride, n int, src *particle.Particle, ns int, eps2, grav float64)
 
-// m2p is applyNode's monopole over n packed targets, four at a time.
+// m2pAVX2 is m2pGo four targets at a time.
 //
 //go:noescape
-func m2p(t *float64, stride, n int, cx, cy, cz, gm, eps2 float64)
+func m2pAVX2(t *float64, stride, n int, cx, cy, cz, gm, eps2 float64)
 
-// reach is the opening test of one source against n listed buckets, four
-// at a time: boxes points at six columns of nb float64s (min x/y/z, max
-// x/y/z, indexed by bucket), and the decision for entry i of active is
-// bit i%4 of open[i/4], set where vec.SphereReaches says the sphere at c
-// of squared radius rsq reaches the bucket's box.
+// reachAVX2 is reachGo four buckets at a time.
 //
 //go:noescape
-func reach(boxes *float64, nb int, active *int32, n int, cx, cy, cz, rsq float64, open *uint8)
+func reachAVX2(boxes *float64, nb int, active *int32, n int, cx, cy, cz, rsq float64, open *uint8)

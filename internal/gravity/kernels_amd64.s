@@ -2,8 +2,8 @@
 
 // The packed gravity kernels. Four targets (p2p, m2p) or four buckets
 // (reach) sit in each YMM register; the operations and their order are
-// those of Leaf, applyNode and vec.SphereReaches, with no fused
-// multiply-add, so every lane gets the bits the Go code gets. Only
+// those of the Go bodies in kernels.go, with no fused multiply-add, so
+// every lane gets the bits Leaf, Node and vec.SphereReaches get. Only
 // VEX-encoded instructions are used (a legacy-SSE instruction between
 // them costs a state transition per call), and every kernel ends with
 // VZEROUPPER.
@@ -46,14 +46,14 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func p2p(t *float64, stride, n int, src *particle.Particle, ns int, eps2, grav float64)
+// func p2pAVX2(t *float64, stride, n int, src *particle.Particle, ns int, eps2, grav float64)
 //
 // Per target, as Leaf: a = 0, pot = 0; per source j in order, skipping a
 // source with the target's ID (the lane keeps its accumulators by blend,
 // so a -0 stays -0), dx = s - p, r2 = ((dx·dx + dy·dy) + dz·dz) + eps2,
 // r = sqrt(r2), a += dx·(m/(r2·r)), pot -= m/r; then Acc += a·G and
 // Potential += G·pot.
-TEXT ·p2p(SB), NOSPLIT, $0-56
+TEXT ·p2pAVX2(SB), NOSPLIT, $0-56
 	MOVQ t+0(FP), DI
 	MOVQ stride+8(FP), R8
 	SHLQ $3, R8
@@ -150,11 +150,11 @@ p2pdone:
 	VZEROUPPER
 	RET
 
-// func m2p(t *float64, stride, n int, cx, cy, cz, gm, eps2 float64)
+// func m2pAVX2(t *float64, stride, n int, cx, cy, cz, gm, eps2 float64)
 //
-// Per target, as applyNode: dx = c - p, r2 = ((dx·dx + dy·dy) + dz·dz) +
+// Per target, as Node: dx = c - p, r2 = ((dx·dx + dy·dy) + dz·dz) +
 // eps2, r = sqrt(r2), Acc += dx·(gm·(1/(r2·r))), Potential -= gm/r.
-TEXT ·m2p(SB), NOSPLIT, $0-64
+TEXT ·m2pAVX2(SB), NOSPLIT, $0-64
 	MOVQ t+0(FP), DI
 	MOVQ stride+8(FP), R8
 	SHLQ $3, R8
@@ -230,7 +230,7 @@ DATA dmasks<>+24(SB)/4, $0
 DATA dmasks<>+28(SB)/4, $0
 GLOBL dmasks<>(SB), RODATA|NOPTR, $32
 
-// func reach(boxes *float64, nb int, active *int32, n int, cx, cy, cz, rsq float64, open *uint8)
+// func reachAVX2(boxes *float64, nb int, active *int32, n int, cx, cy, cz, rsq float64, open *uint8)
 //
 // Per entry, as vec.SphereReaches on the box of bucket active[i]: with
 // t = (c-Max > 0) ? c-Max : 0 and d = (Min-c > t) ? Min-c : t on each
@@ -243,7 +243,7 @@ GLOBL dmasks<>(SB), RODATA|NOPTR, $32
 // on the int32 indices; the decisions of entries 4g..4g+3 go to bits 0-3
 // of open[g]. A last group of 1-3 entries loads its indices and gathers
 // under a mask, so nothing past active[n-1] is read.
-TEXT ·reach(SB), NOSPLIT, $0-72
+TEXT ·reachAVX2(SB), NOSPLIT, $0-72
 	MOVQ boxes+0(FP), SI
 	MOVQ nb+8(FP), R8
 	SHLQ $3, R8

@@ -34,8 +34,9 @@ func TestKernelParticleLayout(t *testing.T) {
 	}
 }
 
-// FuzzPackedKernels holds the assembly to the Go loops it replaces, bit
-// for bit: p2p against Leaf and m2p against applyNode, on n targets and ns
+// FuzzPackedKernels holds the kernel bodies to the per-pair calls, bit for
+// bit: p2p against Leaf and m2p against Node, the Go bodies on every host
+// and the assembly too where the CPU has it, on n targets and ns
 // sources (0 to 40 each) drawn from a coarse lattice with a handful of IDs,
 // so coincident positions, self-pairs and shared IDs are common, with zero
 // softening among the choices. The span starts at a random offset in a
@@ -47,9 +48,6 @@ func FuzzPackedKernels(f *testing.F) {
 	f.Add(int64(4), uint8(40), uint8(40), uint8(23))
 	f.Add(int64(5), uint8(3), uint8(1), uint8(35))
 	f.Fuzz(func(t *testing.T, seed int64, n8, ns8, mode uint8) {
-		if !useKernels {
-			t.Skip("no vector kernels on this CPU")
-		}
 		n, ns := int(n8%41), int(ns8%41)
 		soft := [3]float64{0, 1e-4, 0.3}[mode%3]
 		grav := [3]float64{1, 6.674e-11, -2}[mode/3%3]
@@ -69,46 +67,70 @@ func FuzzPackedKernels(f *testing.F) {
 		}
 		targets, src := gen(n), gen(ns)
 		stride := off + n + lanes + rng.Intn(3)
-		packed := make([]float64, nCols*stride)
-		c := columns(packed)
+		slab := make([]float64, nCols*stride)
+		c := columns(slab)
 		for j, p := range gen(stride) {
 			c.put(j, &p)
 		}
 		for i := range targets {
 			c.put(off+i, &targets[i])
 		}
-		check := func(kernel string, before []float64, want []particle.Particle) {
-			t.Helper()
-			after := columns(packed)
-			for i := range want {
-				got := particle.Particle{ID: want[i].ID}
-				after.get(off+i, &got)
-				if bits(got) != bits(want[i]) {
-					t.Fatalf("%s target %d: assembly (%v, %v), Go (%v, %v)", kernel, i, got.Acc, got.Potential, want[i].Acc, want[i].Potential)
-				}
-				for col := colAX; col < nCols; col++ {
-					before[col*stride+off+i] = after[col][off+i]
-				}
-			}
-			if !slices.Equal(asBits(before), asBits(packed)) {
-				t.Fatalf("%s wrote outside its %d targets at offset %d", kernel, n, off)
-			}
-		}
 		v := New(Params{G: grav, Theta: 0.7, Soft: soft})
+		leafWant := particle.Clone(targets)
+		v.Leaf(&tree.Node[CentroidData]{Particles: src}, &traverse.Bucket{Particles: leafWant})
+		cm, mass := vec.V(float64(rng.Intn(3))/2, 0.5, float64(rng.Intn(2))), float64(rng.Intn(3))
+		node := &tree.Node[CentroidData]{Data: CentroidData{Mass: mass, M1: cm.Scale(mass)}}
+		s := v.terms(node)
+		nodeWant := particle.Clone(leafWant)
+		v.Node(node, &traverse.Bucket{Particles: nodeWant})
 
-		before := slices.Clone(packed)
-		want := particle.Clone(targets)
-		leaf := &tree.Node[CentroidData]{Particles: src}
-		v.Leaf(leaf, &traverse.Bucket{Particles: want})
-		p2p(&packed[off], stride, n, unsafe.SliceData(src), ns, soft*soft, grav)
-		check("p2p", before, want)
+		for _, k := range kernelBodies() {
+			packed := slices.Clone(slab)
+			check := func(kernel string, before []float64, want []particle.Particle) {
+				t.Helper()
+				after := columns(packed)
+				for i := range want {
+					got := particle.Particle{ID: want[i].ID}
+					after.get(off+i, &got)
+					if bits(got) != bits(want[i]) {
+						t.Fatalf("%s %s target %d: body (%v, %v), per-pair (%v, %v)", k.name, kernel, i, got.Acc, got.Potential, want[i].Acc, want[i].Potential)
+					}
+					for col := colAX; col < nCols; col++ {
+						before[col*stride+off+i] = after[col][off+i]
+					}
+				}
+				if !slices.Equal(asBits(before), asBits(packed)) {
+					t.Fatalf("%s %s wrote outside its %d targets at offset %d", k.name, kernel, n, off)
+				}
+			}
+			before := slices.Clone(packed)
+			k.p2p(&packed[off], stride, n, unsafe.SliceData(src), ns, soft*soft, grav)
+			check("p2p", before, leafWant)
 
-		before = slices.Clone(packed)
-		s := sourceTerms{c: vec.V(float64(rng.Intn(3))/2, 0.5, float64(rng.Intn(2))), gm: grav * float64(rng.Intn(3))}
-		v.applyNode(&s, &traverse.Bucket{Particles: want})
-		m2p(&packed[off], stride, n, s.c.X, s.c.Y, s.c.Z, s.gm, soft*soft)
-		check("m2p", before, want)
+			before = slices.Clone(packed)
+			k.m2p(&packed[off], stride, n, s.c.X, s.c.Y, s.c.Z, s.gm, soft*soft)
+			check("m2p", before, nodeWant)
+		}
 	})
+}
+
+// kernelBody is one set of kernel bodies: the Go bodies, or the dispatch
+// to the assembly where the CPU has it.
+type kernelBody struct {
+	name  string
+	p2p   func(t *float64, stride, n int, src *particle.Particle, ns int, eps2, grav float64)
+	m2p   func(t *float64, stride, n int, cx, cy, cz, gm, eps2 float64)
+	reach func(boxes *float64, nb int, active *int32, n int, cx, cy, cz, rsq float64, open *uint8)
+}
+
+// kernelBodies returns the Go bodies, and the assembly too where the CPU
+// has it.
+func kernelBodies() []kernelBody {
+	bodies := []kernelBody{{"go", p2pGo, m2pGo, reachGo}}
+	if useKernels {
+		bodies = append(bodies, kernelBody{Kernels(), p2p, m2p, reach})
+	}
+	return bodies
 }
 
 // asBits reinterprets floats as their bits, so NaNs compare equal.
@@ -120,7 +142,8 @@ func asBits(fs []float64) []uint64 {
 	return out
 }
 
-// FuzzReach holds the reach kernel to vec.SphereReaches, entry by entry.
+// FuzzReach holds the reach kernel to vec.SphereReaches, entry by entry:
+// the Go body on every host, and the assembly too where the CPU has it.
 // Box corners and centres are drawn from a few coordinates — signed
 // zeros, NaN and ±Inf among them — so centres sit on faces and corners,
 // and boxes include EmptyBox, point boxes and boxes empty or NaN on one
@@ -136,9 +159,6 @@ func FuzzReach(f *testing.F) {
 	f.Add(int64(5), uint8(40), uint8(41))
 	f.Add(int64(12), uint8(7), uint8(3))
 	f.Fuzz(func(t *testing.T, seed int64, n8, mode uint8) {
-		if !useKernels {
-			t.Skip("no vector kernels on this CPU")
-		}
 		n := int(n8 % 41)
 		rng := rand.New(rand.NewSource(seed))
 		inf, nan := math.Inf(1), math.NaN()
@@ -192,22 +212,24 @@ func FuzzReach(f *testing.F) {
 			}
 		}
 		groups := (n + lanes - 1) / lanes
-		open := make([]uint8, groups+2)
-		for i := range open {
-			open[i] = 0xa5
-		}
-		reach(&cols[0], nb, unsafe.SliceData(active), n, c.X, c.Y, c.Z, rsq, &open[0])
-		for i, bi := range active {
-			got := open[i/lanes]>>(i%lanes)&1 != 0
-			if want := vec.SphereReaches(&boxes[bi], c, rsq); got != want {
-				t.Fatalf("entry %d (bucket %d, box %v) centre %v rsq %v: reach %v, SphereReaches %v", i, bi, boxes[bi], c, rsq, got, want)
+		for _, k := range kernelBodies() {
+			open := make([]uint8, groups+2)
+			for i := range open {
+				open[i] = 0xa5
 			}
-		}
-		if groups > 0 && open[groups-1]>>(n-(groups-1)*lanes) != 0 {
-			t.Fatalf("n %d: bits past the last entry set in %08b", n, open[groups-1])
-		}
-		if open[groups] != 0xa5 || open[groups+1] != 0xa5 {
-			t.Fatalf("n %d: reach wrote past its %d groups", n, groups)
+			k.reach(&cols[0], nb, unsafe.SliceData(active), n, c.X, c.Y, c.Z, rsq, &open[0])
+			for i, bi := range active {
+				got := open[i/lanes]>>(i%lanes)&1 != 0
+				if want := vec.SphereReaches(&boxes[bi], c, rsq); got != want {
+					t.Fatalf("%s: entry %d (bucket %d, box %v) centre %v rsq %v: reach %v, SphereReaches %v", k.name, i, bi, boxes[bi], c, rsq, got, want)
+				}
+			}
+			if groups > 0 && open[groups-1]>>(n-(groups-1)*lanes) != 0 {
+				t.Fatalf("%s: n %d: bits past the last entry set in %08b", k.name, n, open[groups-1])
+			}
+			if open[groups] != 0xa5 || open[groups+1] != 0xa5 {
+				t.Fatalf("%s: n %d: reach wrote past its %d groups", k.name, n, groups)
+			}
 		}
 	})
 }

@@ -9,13 +9,13 @@ import (
 	"paratreet/internal/tree"
 )
 
-// The packed targets: while a traversal runs with the vector kernels, a
-// partition's targets live in one slab of nCols columns, each indexed by
-// particle offset (Bucket.Offset + i) and padded by lanes so the kernels'
-// full-width loads stay in bounds. After them come nBucketCols columns
-// indexed by the traversal's bucket index: the bucket's box, and its
-// particle range [Offset, Offset+len) as the low and high 32 bits of one
-// word. The slab hangs off Targets.Packed from Pack to Unpack.
+// The packed targets: while a traversal runs, a partition's targets live
+// in one slab of nCols columns, each indexed by particle offset
+// (Bucket.Offset + i) and padded by lanes so the kernels' full-width
+// loads stay in bounds. After them come nBucketCols columns indexed by the
+// traversal's bucket index: the bucket's box, and its particle range
+// [Offset, Offset+len) as the low and high 32 bits of one word. The slab
+// hangs off Targets.Packed from Pack to Unpack.
 const (
 	colX = iota
 	colY
@@ -39,10 +39,9 @@ const (
 	reachChunk = 256 // active entries one reach call decides
 )
 
-// Kernels names the gravity kernels this process runs for monopole
-// traversals of partition buckets: "avx2" for the packed vector kernels,
-// "go" for the per-pair Go loops (no AVX2, another architecture). Both
-// give the same bits; the Go loops take about twice as long.
+// Kernels names the kernel bodies visitPacked calls in this process:
+// "avx2" for the amd64 assembly, "go" for the portable Go bodies (no
+// AVX2, another architecture). Both give the same bits.
 func Kernels() string {
 	if useKernels {
 		return "avx2"
@@ -76,16 +75,12 @@ func (c *cols) get(j int, p *particle.Particle) {
 	p.Potential = c[colPot][j]
 }
 
-// Pack implements traverse.Packer. Where the vector kernels run, a
-// monopole visitor copies the traversal's targets into a fresh slab on
-// their shared Targets, accumulators seeded from Acc and Potential, with
-// each bucket's box and particle range beside them. It does nothing (and
-// VisitSource takes the per-pair loop) without the kernels, with
-// Quadrupole, or when the buckets do not share one numbered Targets.
+// Pack implements traverse.Packer: it copies the traversal's targets
+// into a fresh slab on their shared Targets, accumulators seeded from Acc
+// and Potential, with each bucket's box and particle range beside them.
+// It does nothing (and VisitSource runs Open, Node and Leaf per bucket)
+// when the buckets do not share one numbered Targets.
 func (v Visitor[D]) Pack(buckets []*traverse.Bucket) {
-	if !useKernels || v.P.Quadrupole {
-		return
-	}
 	t := traverse.SharedTargets(buckets)
 	if t == nil || t.N > math.MaxInt32 {
 		return
@@ -142,7 +137,8 @@ type span struct{ start, end int }
 // traversal's buckets to both.
 //
 //paratreet:hotpath
-func (v Visitor[D]) visitPacked(s *sourceTerms, source *tree.Node[D], t *traverse.Targets, active, opened []int32, leaf bool) []int32 {
+func (v Visitor[D]) visitPacked(source *tree.Node[D], t *traverse.Targets, active, opened []int32, leaf bool) []int32 {
+	s := v.terms(source)
 	stride := t.N + lanes
 	nt := nCols * stride
 	k := packedKernels{packed: t.Packed[:nt], stride: stride, eps2: v.P.Soft * v.P.Soft}
@@ -160,7 +156,7 @@ func (v Visitor[D]) visitPacked(s *sourceTerms, source *tree.Node[D], t *travers
 			start, end := int(uint32(r)), int(r>>32)
 			if open[i/lanes]>>(i%lanes)&1 == 0 {
 				if start != far.end {
-					k.m2p(s, far)
+					k.m2p(&s, far)
 					far.start = start
 				}
 				far.end = end
@@ -176,22 +172,21 @@ func (v Visitor[D]) visitPacked(s *sourceTerms, source *tree.Node[D], t *travers
 			opened = append(opened, bi)
 		}
 	}
-	k.m2p(s, far)
+	k.m2p(&s, far)
 	if leaf {
 		k.p2p(source.Particles, v.P.G, near)
 	}
 	return opened
 }
 
-// packedKernels calls the vector kernels on one slab.
+// packedKernels calls the kernels on one slab.
 type packedKernels struct {
 	packed []float64
 	stride int
 	eps2   float64
 }
 
-// m2p applies the monopole of s to the targets of r: applyNode's
-// arithmetic.
+// m2p applies the monopole of s to the targets of r: Node's arithmetic.
 //
 //paratreet:hotpath
 func (k *packedKernels) m2p(s *sourceTerms, r span) {

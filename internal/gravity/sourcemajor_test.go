@@ -19,11 +19,12 @@ func bits(p particle.Particle) [4]uint64 {
 	return [4]uint64{math.Float64bits(p.Acc.X), math.Float64bits(p.Acc.Y), math.Float64bits(p.Acc.Z), math.Float64bits(p.Potential)}
 }
 
-// TestSourceMajorMatchesPerPair holds the native VisitSource to the per-pair
-// contract it hoists: over every node of random trees — with a massless
-// corner, so some nodes have Mass == 0 — and random bucket lists that include
-// buckets with empty boxes, one VisitSource call must open the same buckets
-// as Open does pair by pair and leave the bits Node and Leaf leave.
+// TestSourceMajorMatchesPerPair holds VisitSource on buckets no Partition
+// numbered to the per-pair contract: over every node of random trees —
+// with a massless corner, so some nodes have Mass == 0 — and random bucket
+// lists that include buckets with empty boxes, one VisitSource call must
+// open the same buckets as Open does pair by pair and leave the bits Node
+// and Leaf leave.
 func TestSourceMajorMatchesPerPair(t *testing.T) {
 	box := vec.UnitBox()
 	for seed := int64(1); seed <= 4; seed++ {
@@ -66,39 +67,37 @@ func TestSourceMajorMatchesPerPair(t *testing.T) {
 			}
 		}
 
-		for _, quad := range []bool{false, true} {
-			v := New(Params{G: 1, Theta: 0.6, Soft: 1e-4, Quadrupole: quad})
-			for _, n := range nodes {
-				active := make([]int32, 1+rng.Intn(24))
-				for i := range active {
-					active[i] = int32(rng.Intn(len(native)))
-				}
-				leaf := n.Kind().IsLeaf()
-				got := v.VisitSource(n, native, active, nil, leaf)
-				var want []int32
-				for _, bi := range active {
-					b := ref[bi]
-					switch {
-					case !v.Open(n, b):
-						v.Node(n, b)
-					case leaf:
-						v.Leaf(n, b)
-						fallthrough
-					default:
-						want = append(want, bi)
-					}
-				}
-				if !slices.Equal(got, want) {
-					t.Fatalf("seed %d quad %v node %#x: opened %v, per-pair opens %v", seed, quad, n.Key, got, want)
+		v := New(Params{G: 1, Theta: 0.6, Soft: 1e-4})
+		for _, n := range nodes {
+			active := make([]int32, 1+rng.Intn(24))
+			for i := range active {
+				active[i] = int32(rng.Intn(len(native)))
+			}
+			leaf := n.Kind().IsLeaf()
+			got := v.VisitSource(n, native, active, nil, leaf)
+			var want []int32
+			for _, bi := range active {
+				b := ref[bi]
+				switch {
+				case !v.Open(n, b):
+					v.Node(n, b)
+				case leaf:
+					v.Leaf(n, b)
+					fallthrough
+				default:
+					want = append(want, bi)
 				}
 			}
-			for bi := range native {
-				for i := range native[bi].Particles {
-					g, w := native[bi].Particles[i], ref[bi].Particles[i]
-					if bits(g) != bits(w) {
-						t.Fatalf("seed %d quad %v bucket %d particle %d: source-major (%v, %v), per-pair (%v, %v)",
-							seed, quad, bi, i, g.Acc, g.Potential, w.Acc, w.Potential)
-					}
+			if !slices.Equal(got, want) {
+				t.Fatalf("seed %d node %#x: opened %v, per-pair opens %v", seed, n.Key, got, want)
+			}
+		}
+		for bi := range native {
+			for i := range native[bi].Particles {
+				g, w := native[bi].Particles[i], ref[bi].Particles[i]
+				if bits(g) != bits(w) {
+					t.Fatalf("seed %d bucket %d particle %d: source-major (%v, %v), per-pair (%v, %v)",
+						seed, bi, i, g.Acc, g.Potential, w.Acc, w.Potential)
 				}
 			}
 		}
@@ -139,11 +138,19 @@ func randomActive(rng *rand.Rand, nb int) []int32 {
 // buckets' own (self-pairs); every fifth bucket has an empty box. It runs
 // at θ = 0.6 and at θ = 0, where a node with mass and extent has rsq
 // +Inf and opens every bucket but the empty ones (a one-point box has rsq
-// NaN and opens none).
+// NaN and opens none). The theta=… arms run the bodies this host runs;
+// the go/theta=… arms turn the assembly off, so visitPacked runs the Go
+// bodies.
 func TestPackedMatchesPerPair(t *testing.T) {
-	for _, theta := range []float64{0.6, 0} {
-		t.Run(fmt.Sprintf("theta=%v", theta), func(t *testing.T) { testPackedMatchesPerPair(t, theta) })
+	arms := func(prefix string) {
+		for _, theta := range []float64{0.6, 0} {
+			t.Run(fmt.Sprintf("%stheta=%v", prefix, theta), func(t *testing.T) { testPackedMatchesPerPair(t, theta) })
+		}
 	}
+	arms("")
+	restore := DisableKernels()
+	defer restore()
+	arms("go/")
 }
 
 func testPackedMatchesPerPair(t *testing.T, theta float64) {
@@ -192,7 +199,7 @@ func testPackedMatchesPerPair(t *testing.T, theta float64) {
 
 		v := New(Params{G: 1, Theta: theta, Soft: 1e-4})
 		v.Pack(native)
-		if useKernels && targets.Packed == nil {
+		if targets.Packed == nil {
 			t.Fatal("Pack left no slab on the shared Targets")
 		}
 		for _, n := range nodes {

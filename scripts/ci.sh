@@ -12,6 +12,14 @@ go build ./...
 echo "==> go vet"
 go vet ./...
 
+echo "==> arm64 cross-build and vet"
+# No assembly exists for arm64, so this type-checks the portable gravity
+# kernel bodies, and everything else, where only they can run.
+# Two commands, not one && list: set -e does not stop on the left side of
+# an && that fails.
+GOARCH=arm64 go build ./...
+GOARCH=arm64 go vet ./...
+
 echo "==> gofmt"
 # gofmt gate: the lint golden tests and waiver comments are line-anchored,
 # so formatting drift is a correctness hazard, not just style.
@@ -25,7 +33,7 @@ fi
 echo "==> paratreet-lint"
 # The loader expands ./... over the whole module — internal/..., cmd/...,
 # examples/, scripts/, and the root package — so every package faces the
-# eight analyzers (see `paratreet-lint -list`), waiver hygiene included.
+# seven analyzers (see `paratreet-lint -list`), waiver hygiene included.
 go run ./cmd/paratreet-lint ./internal/... ./cmd/... ./examples/... ./scripts/... .
 
 echo "==> go test"
@@ -55,20 +63,21 @@ echo "==> fuzz the kNN heap"
 go test -run '^$' -fuzz FuzzHeap -fuzztime 10s ./internal/knn/
 
 echo "==> fuzz the packed gravity kernels"
-# The AVX2 P2P and M2P kernels against the Go loops they replace (Leaf,
-# applyNode), bit for bit: 0-40 targets and sources on a coarse lattice
-# with few IDs, so coincident positions and self-pairs are common, zero
-# softening included; a span's masked stores must leave every other
-# target's bits alone. Skips on a host without AVX2.
+# The P2P and M2P kernel bodies against the per-pair calls (Leaf, Node),
+# bit for bit: 0-40 targets and sources on a coarse lattice with few IDs,
+# so coincident positions and self-pairs are common, zero softening
+# included; a span's stores must leave every other target's bits alone.
+# The Go bodies run on every host, the AVX2 assembly too where it runs.
 go test -run '^$' -fuzz FuzzPackedKernels -fuzztime 10s ./internal/gravity/
 
 echo "==> fuzz the gravity opening test"
-# The AVX2 reach kernel against vec.SphereReaches, decision for decision:
+# The reach kernel bodies against vec.SphereReaches, decision for decision:
 # boxes empty (EmptyBox, or on one axis), points, NaN and ±Inf corners and
 # signed zeros, centres on faces and corners, rsq of -1, 0, finite, +Inf
 # and NaN, and active lists of 0-40 entries (every masked tail), repeated
 # and descending indices included; no bit or byte past the list may be
-# written. Skips on a host without AVX2.
+# written. The Go body runs on every host, the AVX2 assembly too where
+# it runs.
 go test -run '^$' -fuzz FuzzReach -fuzztime 10s ./internal/gravity/
 
 echo "==> rt wake protocol (lost-wakeup stress)"
@@ -122,8 +131,9 @@ go test -race -short -run 'TestAttachReuse|TestAttachDisjointSubsets|TestSourceM
 # per-pair calls leave and open what Open opens (TestPackedMatchesPerPair),
 # at θ = 0.6 and at θ = 0, where a node with mass and extent has rsq +Inf
 # and opens every bucket but the empty ones
-# (TestPackedMatchesPerPair/theta=0); the per-pair Go loops a host without
-# AVX2 runs give the golden checksums (TestFallbackMatchesGoldens); and
+# (TestPackedMatchesPerPair/theta=0), with the Go bodies too (its go/
+# arms); the Go bodies a host without AVX2 runs give the golden checksums
+# (TestFallbackMatchesGoldens); and
 # the engine runs Pack once before the first visit and Unpack once before
 # onDone, parked frames included (TestPackerLifecycle).
 go test -race -short -run 'TestPackedMatchesPerPair|TestSourceMajorMatchesPerPair|TestFallbackMatchesGoldens' ./internal/gravity/
