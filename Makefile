@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint lint-fix-check race bench fuzz ci
+.PHONY: all build test vet lint race bench fuzz ci
 
 all: build test
 
@@ -13,20 +13,11 @@ test:
 vet:
 	$(GO) vet ./...
 
-# Repo-specific static analysis: concurrency, quiescence-accounting, and
-# hot-path invariants (hotpath, leakcheck, lockcheck, lockorder, nilrecv,
-# pendingbalance, purevisit). Pure stdlib; see
-# DESIGN.md "Static analysis" for the directive conventions.
+# Repo-specific static analysis: hot-path discipline, guarded-field
+# locking, and quiescence accounting (hotpath, lockcheck,
+# pendingbalance). Pure stdlib; see DESIGN.md "Static analysis" for the
+# directive conventions.
 lint:
-	$(GO) run ./cmd/paratreet-lint ./...
-
-# lint-fix-check is the full hygiene gate for a lint-affecting change:
-# formatting (the golden tests and waivers are line-anchored), the
-# analyzers' own unit and golden tests, then the repo-wide sweep.
-lint-fix-check:
-	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
-		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
-	$(GO) test ./internal/analysis/...
 	$(GO) run ./cmd/paratreet-lint ./...
 
 # Race-mode gate: short mode keeps the differential crossproduct and the

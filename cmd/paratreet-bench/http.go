@@ -28,7 +28,6 @@ import (
 // library embedders) cannot panic on duplicate registration.
 func startHTTP(addr string, c *experiments.MetricsCollector) {
 	mux := introspectionMux(c)
-	//paratreet:allow(leakcheck) introspection server intentionally lives for the process lifetime
 	go func() {
 		if err := http.ListenAndServe(addr, mux); err != nil {
 			fmt.Fprintln(os.Stderr, "paratreet-bench: http:", err)

@@ -3,23 +3,18 @@
 // reimplementation of the small slice of the x/tools analysis machinery the
 // project needs to machine-check its concurrency and hot-path invariants.
 //
-// The invariants it enforces are the ones the paper's correctness and
-// performance story rests on: the wait-free software cache must never grow
-// locking onto the traversal path, per-visit loops must stay clock- and
-// allocation-free, the nil-safe metrics handles must stay nil-safe,
-// quiescence detection must see every pending unit retired on every path,
-// lock acquisition must stay cycle-free and off the hot path, and Visitor
-// callbacks must not mutate shared state. Those rules used to live in
-// comments; here they are encoded as seven analyzers (hotpath, leakcheck,
-// lockcheck, lockorder, nilrecv, pendingbalance, purevisit) driven by
-// source directives:
+// It keeps the invariants no test can see fail: per-visit loops must stay
+// clock-, allocation- and lock-free (a slow visit still answers right),
+// fields annotated as guarded must be read under their mutex (a race the
+// tests' schedules may never hit), and quiescence detection must see every
+// pending unit retired on every path (a leak shows only as a hang on a
+// path the tests do not take). They are three analyzers (hotpath,
+// lockcheck, pendingbalance) driven by source directives:
 //
 //	//paratreet:hotpath            function (and intra-package callees) is a
 //	                               per-visit path: no time.Now, fmt.*, map
 //	                               creation, closures, defer, go, or locks
 //	//paratreet:coldpath           stops hotpath propagation (miss paths)
-//	//paratreet:nilsafe            type's exported pointer methods must
-//	                               begin with a nil-receiver guard
 //	//paratreet:acquires-pending   function nets >= +1 pending unit on
 //	                               every exit (send paths; the unit belongs
 //	                               to the in-flight work it created)
@@ -28,10 +23,11 @@
 //	// guarded by <mu>             struct field only accessed under <mu>
 //	//paratreet:allow(<analyzer>) <why>   per-line waiver, reason required
 //
-// The interprocedural analyzers (pendingbalance, lockorder, purevisit)
-// share a package-level call graph with interface method-set resolution
-// (callgraph.go) and a path-sensitive balance engine (dataflow.go), all
-// still pure stdlib.
+// Any other //paratreet: comment is itself a finding: a directive no
+// analyzer reads does nothing, so a typo or a retired mark would pass
+// silently. pendingbalance is interprocedural: it runs over a
+// package-level call graph (callgraph.go) with a path-sensitive balance
+// engine (dataflow.go), all still pure stdlib.
 //
 // Diagnostics are deterministic: sorted by file, line, column, analyzer,
 // message, and deduplicated, so CI output and golden tests are stable.
@@ -108,12 +104,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 func Analyzers() []*Analyzer {
 	all := []*Analyzer{
 		HotPathAnalyzer,
-		LeakCheckAnalyzer,
 		LockCheckAnalyzer,
-		LockOrderAnalyzer,
-		NilRecvAnalyzer,
 		PendingBalanceAnalyzer,
-		PureVisitAnalyzer,
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].Name < all[j].Name })
 	return all
@@ -162,6 +154,24 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 					Col:      1,
 					Message:  fmt.Sprintf("//paratreet:allow names unknown analyzer %q; it suppresses nothing", w.analyzer),
 				})
+			}
+		}
+		// A directive no analyzer reads does nothing; flag it rather
+		// than let a typo or a retired mark pass for a check.
+		for _, f := range pkg.Files {
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					if word, ok := unknownDirective(c.Text); ok {
+						pos := pkg.Fset.Position(c.Pos())
+						diags = append(diags, Diagnostic{
+							Analyzer: "framework",
+							File:     pos.Filename,
+							Line:     pos.Line,
+							Col:      pos.Column,
+							Message:  fmt.Sprintf("unknown directive //paratreet:%s; no analyzer reads it", word),
+						})
+					}
+				}
 			}
 		}
 		for _, a := range analyzers {

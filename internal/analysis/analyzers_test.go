@@ -23,11 +23,11 @@ func TestGolden(t *testing.T) {
 	}
 }
 
-// TestWaiverHygiene covers the framework-side waiver rules (reasonless
-// waivers, unknown analyzer names) with their own golden package. The
-// hygiene diagnostics come from analysis.Run itself, so any analyzer
-// serves; lockcheck provides the finding a reasonless waiver fails to
-// suppress.
+// TestWaiverHygiene covers the framework-side directive rules (reasonless
+// waivers, unknown analyzer names, directives no analyzer reads) with
+// their own golden package. The hygiene diagnostics come from
+// analysis.Run itself, so any analyzer serves; lockcheck provides the
+// finding a reasonless waiver fails to suppress.
 func TestWaiverHygiene(t *testing.T) {
 	analysistest.Run(t, analysis.LockCheckAnalyzer, "testdata/framework")
 }

@@ -6,44 +6,23 @@ import (
 	"sort"
 )
 
-// Package-level call graph, the substrate for the interprocedural
-// analyzers (pendingbalance, lockorder, purevisit). Nodes are the
-// package's own function declarations, keyed by their generic-origin
-// *types.Func so instantiated calls resolve to the declared body. Edges
-// come in two flavors:
-//
-//   - static: the callee is named directly (function, method, explicit
-//     generic instantiation) — the same resolution staticCallee performs
-//     for the hotpath analyzer;
-//   - dynamic: the call goes through an interface method. These are
-//     resolved by method-set matching against every non-generic named
-//     type the package itself declares: if T (or *T) implements the
-//     interface, the call conservatively may reach T's method. Types
-//     declared in other packages are invisible by construction — the
-//     analysis is package-at-a-time, so cross-package dispatch stays
-//     opaque and each package vouches for its own implementations.
+// Package-level call graph, the substrate for pendingbalance's
+// callees-first summaries. Nodes are the package's own function
+// declarations, keyed by their generic-origin *types.Func so instantiated
+// calls resolve to the declared body. Edges are static calls only — the
+// callee is named directly (function, method, explicit generic
+// instantiation), as staticCallee resolves it; interface and func-value
+// calls reach no node, so each package vouches for its own surface.
 //
 // Calls inside function literals are attributed to the enclosing
-// declaration: for the summary-style analyses built on top (what a
-// function may lock, what it may write through), work a function's
-// closures do is still that function's doing.
+// declaration: work a function's closures do is still that function's
+// doing.
 
-// CGEdge is one call site within a function body.
-type CGEdge struct {
-	// Site is the call expression.
-	Site *ast.CallExpr
-	// Callee is the generic-origin declared function the call may reach.
-	Callee *types.Func
-	// Dynamic marks edges resolved through an interface method set
-	// rather than a direct static callee.
-	Dynamic bool
-}
-
-// CGNode is one declared function and its outgoing calls.
+// CGNode is one declared function and the in-package functions it calls.
 type CGNode struct {
 	Fn    *types.Func
 	Decl  *ast.FuncDecl
-	Calls []CGEdge
+	Calls []*types.Func
 }
 
 // CallGraph holds every declared function of one package.
@@ -55,8 +34,6 @@ type CallGraph struct {
 func BuildCallGraph(pass *Pass) *CallGraph {
 	info := pass.TypesInfo()
 	g := &CallGraph{Nodes: make(map[*types.Func]*CGNode)}
-
-	// Index declarations.
 	for _, file := range pass.Files() {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -68,105 +45,19 @@ func BuildCallGraph(pass *Pass) *CallGraph {
 			}
 		}
 	}
-
-	// Concrete named types declared by this package, for interface
-	// resolution. Generic types are skipped: their method sets are not
-	// comparable to a plain interface without instantiation.
-	var concrete []types.Type
-	for _, file := range pass.Files() {
-		for _, decl := range file.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok {
-					continue
-				}
-				tn, ok := info.Defs[ts.Name].(*types.TypeName)
-				if !ok || tn.IsAlias() {
-					continue
-				}
-				named, ok := tn.Type().(*types.Named)
-				if !ok || named.TypeParams().Len() > 0 {
-					continue
-				}
-				if types.IsInterface(named) {
-					continue
-				}
-				concrete = append(concrete, named)
-			}
-		}
-	}
-
 	for _, node := range g.Nodes {
-		node.Calls = collectEdges(info, g, node.Decl, concrete)
+		ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if callee := staticCallee(info, call); callee != nil {
+					if _, inPkg := g.Nodes[callee.Origin()]; inPkg {
+						node.Calls = append(node.Calls, callee.Origin())
+					}
+				}
+			}
+			return true
+		})
 	}
 	return g
-}
-
-// collectEdges walks one declaration body (closures included) and
-// resolves every call expression it can.
-func collectEdges(info *types.Info, g *CallGraph, fd *ast.FuncDecl, concrete []types.Type) []CGEdge {
-	var edges []CGEdge
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		callee := staticCallee(info, call)
-		if callee == nil {
-			return true
-		}
-		if iface := interfaceOf(callee); iface != nil {
-			// Interface method: fan out to in-package implementations.
-			for _, impl := range resolveInterfaceCall(iface, callee.Name(), concrete) {
-				if _, inPkg := g.Nodes[impl]; inPkg {
-					edges = append(edges, CGEdge{Site: call, Callee: impl, Dynamic: true})
-				}
-			}
-			return true
-		}
-		origin := callee.Origin()
-		if _, inPkg := g.Nodes[origin]; inPkg {
-			edges = append(edges, CGEdge{Site: call, Callee: origin})
-		}
-		return true
-	})
-	return edges
-}
-
-// interfaceOf returns the interface a method belongs to, or nil for
-// concrete functions and methods.
-func interfaceOf(fn *types.Func) *types.Interface {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return nil
-	}
-	iface, _ := sig.Recv().Type().Underlying().(*types.Interface)
-	return iface
-}
-
-// resolveInterfaceCall returns the generic-origin methods named name of
-// every concrete type whose pointer method set satisfies iface.
-func resolveInterfaceCall(iface *types.Interface, name string, concrete []types.Type) []*types.Func {
-	var out []*types.Func
-	for _, t := range concrete {
-		ptr := types.NewPointer(t)
-		if !types.Implements(t, iface) && !types.Implements(ptr, iface) {
-			continue
-		}
-		ms := types.NewMethodSet(ptr)
-		for i := 0; i < ms.Len(); i++ {
-			m := ms.At(i)
-			fn, ok := m.Obj().(*types.Func)
-			if ok && fn.Name() == name {
-				out = append(out, fn.Origin())
-			}
-		}
-	}
-	return out
 }
 
 // SCCs returns the strongly connected components of the call graph in
@@ -211,7 +102,7 @@ func (g *CallGraph) SCCs() [][]*CGNode {
 		for len(dfs) > 0 {
 			f := &dfs[len(dfs)-1]
 			if f.edge < len(f.node.Calls) {
-				callee := g.Nodes[f.node.Calls[f.edge].Callee]
+				callee := g.Nodes[f.node.Calls[f.edge]]
 				f.edge++
 				if callee == nil {
 					continue
@@ -252,84 +143,4 @@ func (g *CallGraph) SCCs() [][]*CGNode {
 	}
 	// Tarjan emits components callees-first already.
 	return sccs
-}
-
-// CalleesAt returns the possible in-package callees of one call site.
-func (n *CGNode) CalleesAt(call *ast.CallExpr) []*types.Func {
-	var out []*types.Func
-	for _, e := range n.Calls {
-		if e.Site == call {
-			out = append(out, e.Callee)
-		}
-	}
-	return out
-}
-
-// hotFuncs reproduces the hotpath analyzer's propagation: functions
-// marked //paratreet:hotpath plus everything they reach through
-// intra-package static calls, stopping at //paratreet:coldpath. The map
-// value is the name of the root that made the function hot (BFS order,
-// so attribution matches the hotpath analyzer's). Shared by hotpath
-// (discipline checks) and lockorder (no locks on hot paths).
-func hotFuncs(pass *Pass) (hot map[*types.Func]string, decls map[*types.Func]*ast.FuncDecl) {
-	info := pass.TypesInfo()
-	decls = make(map[*types.Func]*ast.FuncDecl)
-	hot = make(map[*types.Func]string)
-	cold := make(map[*types.Func]bool)
-	var roots []*types.Func
-	for _, file := range pass.Files() {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			obj, ok := info.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			decls[obj] = fd
-			if funcDirective(fd, DirColdPath) {
-				cold[obj] = true
-				continue
-			}
-			if funcDirective(fd, DirHotPath) {
-				hot[obj] = fd.Name.Name
-				roots = append(roots, obj)
-			}
-		}
-	}
-	if len(roots) == 0 {
-		return hot, decls
-	}
-	sort.Slice(roots, func(i, j int) bool { return roots[i].Pos() < roots[j].Pos() })
-	queue := append([]*types.Func(nil), roots...)
-	for len(queue) > 0 {
-		fn := queue[0]
-		queue = queue[1:]
-		fd := decls[fn]
-		root := hot[fn]
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			if _, ok := n.(*ast.FuncLit); ok {
-				return false // closure bodies run at their own granularity
-			}
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			callee := staticCallee(info, call)
-			if callee == nil {
-				return true
-			}
-			callee = callee.Origin()
-			if _, inPkg := decls[callee]; !inPkg || cold[callee] {
-				return true
-			}
-			if _, seen := hot[callee]; !seen {
-				hot[callee] = root
-				queue = append(queue, callee)
-			}
-			return true
-		})
-	}
-	return hot, decls
 }

@@ -16,9 +16,6 @@ const (
 	// DirColdPath stops hotpath propagation into a callee (miss paths,
 	// error paths) — the callee may use clocks, closures, defer.
 	DirColdPath = "coldpath"
-	// DirNilSafe marks a type whose exported pointer-receiver methods must
-	// begin with a nil-receiver guard.
-	DirNilSafe = "nilsafe"
 	// DirAllow waives a finding: //paratreet:allow(<analyzer>) <reason>.
 	// The reason is mandatory; a bare allow is itself a diagnostic.
 	DirAllow = "allow"
@@ -55,6 +52,22 @@ func funcDirective(fd *ast.FuncDecl, name string) bool {
 }
 
 var allowRe = regexp.MustCompile(`^//paratreet:allow\((\w+)\)\s*(.*)$`)
+
+// unknownDirective reports a //paratreet: comment that is neither one of
+// the marks above nor a well-formed allow(<analyzer>) waiver, and its
+// first word.
+func unknownDirective(text string) (word string, unknown bool) {
+	rest, ok := strings.CutPrefix(text, "//paratreet:")
+	if !ok || allowRe.MatchString(text) {
+		return "", false
+	}
+	word, _, _ = strings.Cut(rest, " ")
+	switch word {
+	case DirHotPath, DirColdPath, DirAcquiresPending, DirRetires:
+		return "", false
+	}
+	return word, true
+}
 
 // allowEntry is one //paratreet:allow(<analyzer>) waiver comment. The
 // framework's hygiene checks validate every entry (reason present,

@@ -10,10 +10,12 @@ import (
 // HotPathAnalyzer enforces the per-visit discipline on functions marked
 // //paratreet:hotpath and everything they reach through intra-package
 // static calls: no clock reads (time.Now/Since/Until), no fmt.* calls, no
-// map creation, no closures, no defer, no goroutine launches. These are
-// the operations that turn a nanoseconds-per-node traversal loop into a
-// malloc-and-syscall loop; timing and formatting belong at frame/task
-// granularity, outside the marked functions.
+// map creation, no closures, no defer, no goroutine launches, no
+// sync.Mutex or sync.RWMutex Lock/RLock. These are the operations that
+// turn a nanoseconds-per-node traversal loop into a malloc-syscall-and-
+// futex loop; timing, formatting and locking belong at frame/task
+// granularity, outside the marked functions. A deliberate short critical
+// section (the work-stealing deque) carries a reasoned waiver.
 //
 // Propagation stops at //paratreet:coldpath functions (miss paths, error
 // paths), at cross-package calls (each package marks its own hot surface),
@@ -25,7 +27,7 @@ import (
 // 1064µs where this rule was written), not the event's.
 var HotPathAnalyzer = &Analyzer{
 	Name: "hotpath",
-	Doc:  "checks that //paratreet:hotpath functions (and intra-package callees) avoid clocks, fmt, map allocation, closures, defer, and go, and that the event-driven packages never sleep-poll",
+	Doc:  "checks that //paratreet:hotpath functions (and intra-package callees) avoid clocks, fmt, map allocation, closures, defer, go, and locks, and that the event-driven packages never sleep-poll",
 	Run:  runHotPath,
 }
 
@@ -63,8 +65,7 @@ func runHotPath(pass *Pass) error {
 		}
 	}
 
-	// Hot marks propagate through intra-package static calls (BFS in
-	// hotFuncs, shared with lockorder's no-locks-on-hot-paths rule).
+	// Hot marks propagate through intra-package static calls.
 	hot, declByObj := hotFuncs(pass)
 	if len(hot) == 0 {
 		return nil
@@ -85,6 +86,73 @@ func runHotPath(pass *Pass) error {
 		checkHotBody(pass, info, fd, where)
 	}
 	return nil
+}
+
+// hotFuncs returns the functions marked //paratreet:hotpath plus
+// everything they reach through intra-package static calls, stopping at
+// //paratreet:coldpath. The map value is the name of the root that made
+// the function hot (BFS from the roots in declaration order).
+func hotFuncs(pass *Pass) (hot map[*types.Func]string, decls map[*types.Func]*ast.FuncDecl) {
+	info := pass.TypesInfo()
+	decls = make(map[*types.Func]*ast.FuncDecl)
+	hot = make(map[*types.Func]string)
+	cold := make(map[*types.Func]bool)
+	var roots []*types.Func
+	for _, file := range pass.Files() {
+		for _, decl := range file.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			obj, ok := info.Defs[fd.Name].(*types.Func)
+			if !ok {
+				continue
+			}
+			decls[obj] = fd
+			if funcDirective(fd, DirColdPath) {
+				cold[obj] = true
+				continue
+			}
+			if funcDirective(fd, DirHotPath) {
+				hot[obj] = fd.Name.Name
+				roots = append(roots, obj)
+			}
+		}
+	}
+	if len(roots) == 0 {
+		return hot, decls
+	}
+	sort.Slice(roots, func(i, j int) bool { return roots[i].Pos() < roots[j].Pos() })
+	queue := append([]*types.Func(nil), roots...)
+	for len(queue) > 0 {
+		fn := queue[0]
+		queue = queue[1:]
+		fd := decls[fn]
+		root := hot[fn]
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			if _, ok := n.(*ast.FuncLit); ok {
+				return false // closure bodies run at their own granularity
+			}
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			callee := staticCallee(info, call)
+			if callee == nil {
+				return true
+			}
+			callee = callee.Origin()
+			if _, inPkg := decls[callee]; !inPkg || cold[callee] {
+				return true
+			}
+			if _, seen := hot[callee]; !seen {
+				hot[callee] = root
+				queue = append(queue, callee)
+			}
+			return true
+		})
+	}
+	return hot, decls
 }
 
 // checkHotBody reports every forbidden construct in one hot function.
@@ -125,6 +193,12 @@ func checkHotBody(pass *Pass, info *types.Info, fd *ast.FuncDecl, where string) 
 				}
 			case "fmt":
 				pass.Reportf(n.Pos(), "%s calls fmt.%s; formatting does not belong on the per-visit path", where, callee.Name())
+			case "sync":
+				recv := callee.Type().(*types.Signature).Recv()
+				if (callee.Name() == "Lock" || callee.Name() == "RLock") && recv != nil &&
+					(recv.Type().String() == "*sync.Mutex" || recv.Type().String() == "*sync.RWMutex") {
+					pass.Reportf(n.Pos(), "%s calls %s; keep the per-visit path lock-free", where, types.ExprString(n.Fun))
+				}
 			}
 		}
 		return true

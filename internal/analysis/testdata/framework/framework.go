@@ -1,6 +1,7 @@
-// Package framework exercises the waiver hygiene rules: a
+// Package framework exercises the directive hygiene rules: a
 // //paratreet:allow without a reason is itself a finding and suppresses
-// nothing, and one naming an unknown analyzer waives nothing.
+// nothing, one naming an unknown analyzer waives nothing, and a
+// //paratreet: word no analyzer reads is a finding.
 package framework
 
 import "sync"
@@ -31,3 +32,9 @@ func fine(b *box) int {
 	//paratreet:allow(lockcheck) quiescent snapshot read, workers joined
 	return b.n
 }
+
+// stale carries a retired mark and a typo; neither does anything.
+//
+//paratreet:nilsafe // want `unknown directive //paratreet:nilsafe`
+//paratreet:hotpth // want `unknown directive //paratreet:hotpth`
+func stale() {}

@@ -4,8 +4,11 @@ package hotpathdata
 
 import (
 	"fmt"
+	"sync"
 	"time"
 )
+
+var mu sync.RWMutex
 
 // visit is the marked root; it is clean itself but reaches step.
 //
@@ -28,6 +31,8 @@ func step(x int) int {
 	f := func() int { return x } // want `creates a closure`
 	fmt.Println(x)               // want `calls fmt\.Println`
 	elapsed := time.Since(t)     // want `calls time\.Since`
+	mu.Lock()                    // want `step \(reachable from hotpath visit\) calls mu\.Lock; keep the per-visit path lock-free`
+	mu.Unlock()
 	return len(m) + len(lit) + f() + int(elapsed)
 }
 
@@ -58,6 +63,8 @@ func visitWithMiss(xs []int) int {
 //paratreet:hotpath
 func spawny() {
 	go cleanup() // want `spawny launches a goroutine per visit`
+	mu.RLock()   // want `hotpath function spawny calls mu\.RLock`
+	mu.RUnlock()
 }
 
 // notHot is unmarked and unreachable from any root: anything goes.

@@ -37,10 +37,13 @@ func TestKernelParticleLayout(t *testing.T) {
 // FuzzPackedKernels holds the kernel bodies to the per-pair calls, bit for
 // bit: p2p against Leaf and m2p against Node, the Go bodies on every host
 // and the assembly too where the CPU has it, on n targets and ns
-// sources (0 to 40 each) drawn from a coarse lattice with a handful of IDs,
-// so coincident positions, self-pairs and shared IDs are common, with zero
-// softening among the choices. The span starts at a random offset in a
-// slab full of other targets, none of whose bits may change.
+// sources (0 to 40 each) with a handful of IDs, with zero softening among
+// the choices. Half the points sit on a coarse lattice, so coincident
+// positions, self-pairs and shared IDs are common; the rest lie anywhere
+// in the unit cube, where a distance's three squares sum inexactly, so a
+// body that adds them in another order changes bits. The span starts at
+// a random offset in a slab full of other targets, none of whose bits may
+// change.
 func FuzzPackedKernels(f *testing.F) {
 	f.Add(int64(1), uint8(16), uint8(16), uint8(0))
 	f.Add(int64(2), uint8(0), uint8(5), uint8(1))
@@ -53,13 +56,19 @@ func FuzzPackedKernels(f *testing.F) {
 		grav := [3]float64{1, 6.674e-11, -2}[mode/3%3]
 		off := int(mode / 9 % 4)
 		rng := rand.New(rand.NewSource(seed))
+		pos := func() vec.Vec3 {
+			if rng.Intn(2) == 0 {
+				return vec.V(float64(rng.Intn(3))/2, float64(rng.Intn(3))/2, float64(rng.Intn(2)))
+			}
+			return vec.V(rng.Float64(), rng.Float64(), rng.Float64())
+		}
 		gen := func(k int) []particle.Particle {
 			ps := make([]particle.Particle, k)
 			for i := range ps {
 				p := &ps[i]
 				p.ID = int64(rng.Intn(6))
 				p.Mass = float64(rng.Intn(4)) / 3
-				p.Pos = vec.V(float64(rng.Intn(3))/2, float64(rng.Intn(3))/2, float64(rng.Intn(2)))
+				p.Pos = pos()
 				p.Acc = vec.V(rng.NormFloat64(), math.Copysign(0, -1), float64(rng.Intn(2)))
 				p.Potential = -float64(rng.Intn(3))
 			}
@@ -78,7 +87,7 @@ func FuzzPackedKernels(f *testing.F) {
 		v := New(Params{G: grav, Theta: 0.7, Soft: soft})
 		leafWant := particle.Clone(targets)
 		v.Leaf(&tree.Node[CentroidData]{Particles: src}, &traverse.Bucket{Particles: leafWant})
-		cm, mass := vec.V(float64(rng.Intn(3))/2, 0.5, float64(rng.Intn(2))), float64(rng.Intn(3))
+		cm, mass := pos(), float64(rng.Intn(3))
 		node := &tree.Node[CentroidData]{Data: CentroidData{Mass: mass, M1: cm.Scale(mass)}}
 		s := v.terms(node)
 		nodeWant := particle.Clone(leafWant)

@@ -151,8 +151,6 @@ type cell struct {
 // Counter is a sharded atomic counter. The zero Counter is not usable;
 // obtain counters from a Registry. A nil *Counter is a disabled counter:
 // Add and Inc are no-ops and Value returns 0.
-//
-//paratreet:nilsafe
 type Counter struct {
 	shards []cell
 	mask   uint32
@@ -209,8 +207,6 @@ func (c *Counter) reset() {
 // bytes, readiness). Unlike counters it is not sharded: gauges are
 // written by samplers and state machines, not hot loops. A nil *Gauge is
 // disabled.
-//
-//paratreet:nilsafe
 type Gauge struct {
 	v atomic.Int64
 }
@@ -254,8 +250,6 @@ type Options struct {
 // Registry owns a named set of counters, gauges, and sketches plus an
 // optional tracer. A nil *Registry is the disabled layer: every method is
 // a no-op returning nil/zero handles that are themselves safe to use.
-//
-//paratreet:nilsafe
 type Registry struct {
 	opts   Options
 	tracer *Tracer

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/bits"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -83,6 +84,36 @@ func TestNilDisabled(t *testing.T) {
 	reg.Reset()
 	if reg.Snapshot() != nil {
 		t.Fatal("nil registry produced a snapshot")
+	}
+}
+
+// TestNilHandlesAreDisabled calls every exported method of every nil-safe
+// handle type on a nil receiver, with zero-valued arguments: none may
+// panic. Reflection keeps the sweep complete as methods are added, which
+// TestNilDisabled's hand-written calls cannot.
+func TestNilHandlesAreDisabled(t *testing.T) {
+	calls := 0
+	for _, nilHandle := range []any{(*Counter)(nil), (*Gauge)(nil), (*Registry)(nil), (*Sketch)(nil), (*Tracer)(nil)} {
+		typ := reflect.TypeOf(nilHandle)
+		for i := range typ.NumMethod() {
+			m := typ.Method(i)
+			calls++
+			t.Run(typ.Elem().Name()+"."+m.Name, func(t *testing.T) {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("panics on a nil receiver: %v", r)
+					}
+				}()
+				args := []reflect.Value{reflect.ValueOf(nilHandle)}
+				for j := 1; j < m.Type.NumIn(); j++ {
+					args = append(args, reflect.Zero(m.Type.In(j)))
+				}
+				m.Func.Call(args)
+			})
+		}
+	}
+	if calls < 24 {
+		t.Fatalf("swept %d methods, want at least the 24 the handles had when this test was written", calls)
 	}
 }
 

@@ -73,8 +73,6 @@ func sketchPow2(idx int) int {
 // and the exact power-of-two histogram view. A nil *Sketch is disabled.
 // Obtain sketches from Registry.Sketch; the serve layer's rolling SLO
 // window merges per-slot sketches with Merge.
-//
-//paratreet:nilsafe
 type Sketch struct {
 	counts [sketchBuckets]atomic.Int64
 	count  atomic.Int64

@@ -125,8 +125,6 @@ type Span struct {
 // worker task, per message dispatch, per fill insert — not per tree node,
 // so a small mutex-guarded ring is cheap relative to the work being
 // traced.
-//
-//paratreet:nilsafe
 type Tracer struct {
 	epoch time.Time
 	flow  atomic.Uint64
@@ -172,7 +170,7 @@ func (t *Tracer) Emit(kind EventKind, name string, proc, worker int, flow uint64
 		StartNs: start.Sub(t.epoch).Nanoseconds(),
 		DurNs:   dur.Nanoseconds(),
 	}
-	//paratreet:allow(lockorder) ring append is a few stores; contention only among emitting workers
+	//paratreet:allow(hotpath) ring append is a few stores; contention only among emitting workers
 	t.mu.Lock()
 	t.ring[t.next] = s
 	t.next++

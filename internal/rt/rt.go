@@ -1015,7 +1015,7 @@ type worker struct {
 
 //paratreet:hotpath
 func (w *worker) push(task func(), pin bool) {
-	//paratreet:allow(lockorder) deque critical section is one append; the deliberate tradeoff of a mutex deque
+	//paratreet:allow(hotpath) deque critical section is one append; the deliberate tradeoff of a mutex deque
 	w.mu.Lock()
 	if pin {
 		w.pinned = append(w.pinned, task)
@@ -1061,7 +1061,7 @@ func (w *worker) unpark() bool {
 //
 //paratreet:hotpath
 func (w *worker) pop() func() {
-	//paratreet:allow(lockorder) deque critical section is one slice pop; the deliberate tradeoff of a mutex deque
+	//paratreet:allow(hotpath) deque critical section is one slice pop; the deliberate tradeoff of a mutex deque
 	w.mu.Lock()
 	if len(w.pinned) > 0 {
 		t := w.pinned[0]
@@ -1085,7 +1085,7 @@ func (w *worker) pop() func() {
 //
 //paratreet:hotpath
 func (w *worker) stealFrom(v *worker) func() {
-	//paratreet:allow(lockorder) steal runs only when idle; thief holds no lock of its own while locking the victim
+	//paratreet:allow(hotpath) steal runs only when idle; thief holds no lock of its own while locking the victim
 	v.mu.Lock()
 	if len(v.queue) == 0 {
 		v.mu.Unlock()
