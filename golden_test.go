@@ -16,13 +16,14 @@ import (
 // Golden single-process checksums. On one process nothing parks, so every
 // bucket meets its sources in an order fixed by the tree alone: the bits of
 // every acceleration and the order of every neighbour heap are a function
-// of the walk. The constants below were recorded at the commit before the
-// traversal core was rebuilt around the source-major call (PR 13); a
-// change that reorders a bucket's visits, or the arithmetic of a kernel,
-// moves them.
+// of the walk. The kNN constant dates from before the traversal core was
+// rebuilt around the source-major call; the gravity ones were recorded
+// when the gravity kernels moved to float32 interactions with float64
+// accumulators. A change that reorders a bucket's visits, or the
+// arithmetic of a kernel, moves them.
 const (
-	goldenGravityTransposed = 0x21445fff0391d62f
-	goldenGravityPerBucket  = 0x62d1b36e442c8a3f
+	goldenGravityTransposed = 0x37858946863358bb
+	goldenGravityPerBucket  = 0xd8fb08c65a6a5e5b
 	goldenKNNHeapOrder      = 0x431a710206c601ad
 )
 

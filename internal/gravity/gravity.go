@@ -84,7 +84,14 @@ func (Codec) DecodeData(b []byte) (CentroidData, int) {
 	return CentroidData{Mass: f[0], M1: vec.V(f[1], f[2], f[3])}, 32
 }
 
-// Params holds the force calculation parameters.
+// Params holds the force calculation parameters. The interactions are
+// computed in float32 and summed into float64 accelerations and
+// potentials, so G times a node's mass, Soft², and every squared
+// separation times the separation must lie within float32's range (about
+// 1e-38 to 3e38); simulation units always do. Positions in a leaf
+// interaction are rounded to float32 relative to the leaf's centre, so
+// with Soft 0 two particles closer than about 6e-8 times their distance
+// from it coincide, and the pair is skipped as a particle and itself are.
 type Params struct {
 	// G is the gravitational constant (1 in simulation units).
 	G float64
@@ -97,14 +104,15 @@ type Params struct {
 // Validate reports parameters the solver would run with silently wrong
 // answers: Theta must be finite and at least 0 (a NaN opens nothing, so
 // the whole tree acts as one monopole; 0 is the exact mode, opening every
-// node with mass), Soft finite and at least 0, and G finite.
+// node with mass), Soft at least 0 with Soft² finite in float32 (an
+// infinite eps2 zeroes every force), and G finite.
 func (p Params) Validate() error {
 	finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 	switch {
 	case !finite(p.Theta) || p.Theta < 0:
 		return fmt.Errorf("gravity: theta %v: want a finite value of at least 0", p.Theta)
-	case !finite(p.Soft) || p.Soft < 0:
-		return fmt.Errorf("gravity: softening %v: want a finite value of at least 0", p.Soft)
+	case !finite(float64(float32(p.Soft*p.Soft))) || p.Soft < 0:
+		return fmt.Errorf("gravity: softening %v: want a value of at least 0 whose square is finite in float32", p.Soft)
 	case !finite(p.G):
 		return fmt.Errorf("gravity: G %v: want a finite value", p.G)
 	}
@@ -144,7 +152,7 @@ type sourceTerms struct {
 	// the centroid, scaled by 1/theta (ChaNGa-style criterion). Negative
 	// for a massless node, which never opens.
 	rsq float64
-	gm  float64 // G * mass
+	gm  float32 // G * mass, rounded for m2p
 }
 
 // terms computes source's sourceTerms.
@@ -152,7 +160,7 @@ type sourceTerms struct {
 //paratreet:hotpath
 func (v Visitor[D]) terms(source *tree.Node[D]) (s sourceTerms) {
 	d := v.Get(&source.Data)
-	s.gm = v.P.G * d.Mass
+	s.gm = float32(v.P.G * d.Mass)
 	if d.Mass == 0 {
 		s.rsq = -1
 		return s
@@ -170,21 +178,22 @@ func (v Visitor[D]) Open(source *tree.Node[D], target *traverse.Bucket) bool {
 	return vec.SphereReaches(&target.Box, s.c, s.rsq)
 }
 
-// Node implements traverse.Visitor: the monopole approximation.
+// Node implements traverse.Visitor: the monopole approximation, computed
+// in float32 on the float64 distance to the centroid and added to the
+// float64 accumulators (the m2p kernels' arithmetic).
 //
 //paratreet:hotpath
 func (v Visitor[D]) Node(source *tree.Node[D], target *traverse.Bucket) {
 	d := v.Get(&source.Data)
-	c, gm := d.Centroid(), v.P.G*d.Mass
-	eps2 := v.P.Soft * v.P.Soft
+	c, gm := d.Centroid(), float32(v.P.G*d.Mass)
+	eps2 := float32(v.P.Soft * v.P.Soft)
 	for i := range target.Particles {
 		p := &target.Particles[i]
-		dx := c.Sub(p.Pos)
-		r2 := dx.NormSq() + eps2
-		r := math.Sqrt(r2)
-		inv3 := 1 / (r2 * r)
-		p.Acc = p.Acc.Add(dx.Scale(gm * inv3))
-		p.Potential -= gm / r
+		ax, ay, az, pot := m2pTarget(float32(c.X-p.Pos.X), float32(c.Y-p.Pos.Y), float32(c.Z-p.Pos.Z), gm, eps2)
+		p.Acc.X += float64(ax)
+		p.Acc.Y += float64(ay)
+		p.Acc.Z += float64(az)
+		p.Potential -= float64(pot)
 	}
 }
 
@@ -198,7 +207,12 @@ func (v Visitor[D]) Node(source *tree.Node[D], target *traverse.Bucket) {
 func (v Visitor[D]) VisitSource(source *tree.Node[D], buckets []*traverse.Bucket, active, opened []int32, leaf bool) []int32 {
 	if len(active) > 0 {
 		if t := buckets[active[0]].Targets; t != nil && t.Packed != nil {
-			return v.visitPacked(source, t, active, opened, leaf)
+			if !leaf {
+				return v.visitPacked(source, t, active, opened, nil)
+			}
+			var slab leafSlab
+			slab.reset(source.Particles, &source.Box)
+			return v.visitPacked(source, t, active, opened, &slab)
 		}
 	}
 	for _, bi := range active {
@@ -215,30 +229,28 @@ func (v Visitor[D]) VisitSource(source *tree.Node[D], buckets []*traverse.Bucket
 	return opened
 }
 
-// Leaf implements traverse.Visitor: exact pairwise interactions. The
-// inner loop is pure value arithmetic — no allocation, enforced by the
-// AllocsPerRun gate in gravity_alloc_test.go.
+// Leaf implements traverse.Visitor: exact pairwise interactions, with the
+// p2p kernels' arithmetic. Positions are taken relative to the source
+// leaf's box centre and rounded to float32; each target sums a chunk of
+// sources in float32 and adds the sum, times G, to its float64
+// accumulators. The loops are pure value arithmetic over a stack slab — no
+// allocation, enforced by the AllocsPerRun gate in gravity_alloc_test.go.
 //
 //paratreet:hotpath
 func (v Visitor[D]) Leaf(source *tree.Node[D], target *traverse.Bucket) {
-	eps2 := v.P.Soft * v.P.Soft
-	for i := range target.Particles {
-		p := &target.Particles[i]
-		var acc vec.Vec3
-		var pot float64
-		for j := range source.Particles {
-			s := &source.Particles[j]
-			if s.ID == p.ID {
-				continue
-			}
-			dx := s.Pos.Sub(p.Pos)
-			r2 := dx.NormSq() + eps2
-			r := math.Sqrt(r2)
-			acc = acc.Add(dx.Scale(s.Mass / (r2 * r)))
-			pot -= s.Mass / r
+	var slab leafSlab
+	slab.reset(source.Particles, &source.Box)
+	eps2, o := float32(v.P.Soft*v.P.Soft), &slab.o
+	for at := 0; at < len(source.Particles); at += chunk {
+		slab.load(at)
+		for i := range target.Particles {
+			p := &target.Particles[i]
+			ax, ay, az, pot := p2pTarget(float32(p.Pos.X-o.X), float32(p.Pos.Y-o.Y), float32(p.Pos.Z-o.Z), p.ID, slab.xyzm[:slab.n], slab.ids[:slab.n], eps2)
+			p.Acc.X += float64(float64(ax) * v.P.G)
+			p.Acc.Y += float64(float64(ay) * v.P.G)
+			p.Acc.Z += float64(float64(az) * v.P.G)
+			p.Potential += float64(v.P.G * float64(pot))
 		}
-		p.Acc = p.Acc.Add(acc.Scale(v.P.G))
-		p.Potential += v.P.G * pot
 	}
 }
 

@@ -2,6 +2,7 @@ package gravity_test
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"paratreet"
@@ -232,11 +233,54 @@ func TestParamsValidate(t *testing.T) {
 		{"NaN softening", gravity.Params{G: 1, Theta: 0.7, Soft: nan}, false},
 		{"negative softening", gravity.Params{G: 1, Theta: 0.7, Soft: -1e-4}, false},
 		{"infinite softening", gravity.Params{G: 1, Theta: 0.7, Soft: inf}, false},
+		{"softening² past float32", gravity.Params{G: 1, Theta: 0.7, Soft: 2e19}, false},
+		{"softening² within float32", gravity.Params{G: 1, Theta: 0.7, Soft: 1e19}, true},
 		{"NaN G", gravity.Params{G: nan, Theta: 0.7, Soft: 1e-4}, false},
 		{"infinite G", gravity.Params{G: -inf, Theta: 0.7, Soft: 1e-4}, false},
 	} {
 		if err := c.p.Validate(); (err == nil) != c.ok {
 			t.Errorf("%s: Validate() = %v, want ok %v", c.name, err, c.ok)
+		}
+	}
+}
+
+// TestKernelsMatchDirect bounds the packed kernels' force error against
+// the direct sum on a clustered set of 3000. At θ 0 every interaction is
+// pairwise, so the error is the kernels' float32 rounding alone. At θ 0.6
+// it is the opening criterion's truncation, which the float32 kernels must
+// leave within 1e-6 of what the float64 kernels they replaced gave (the
+// recorded median and p99).
+func TestKernelsMatchDirect(t *testing.T) {
+	const n = 3000
+	ps := particle.NewClustered(n, 99, vec.UnitBox(), 5)
+	cfg := paratreet.Config{
+		Procs: 1, WorkersPerProc: 2,
+		Tree: paratreet.TreeOct, Decomp: paratreet.DecompSFC, BucketSize: 16,
+	}
+	for _, c := range []struct {
+		theta                float64
+		median, p99, maxDiff float64 // maxDiff 0: median and p99 are upper bounds
+	}{
+		{0, 1e-6, 1e-5, 0},
+		{0.6, 0.0009943254639, 0.006193417177, 1e-6},
+	} {
+		par := gravity.Params{G: 1, Theta: c.theta, Soft: 1e-4}
+		ref := particle.Clone(ps)
+		gravity.Direct(ref, par)
+		refByID := make([]particle.Particle, n)
+		for i := range ref {
+			refByID[ref[i].ID] = ref[i]
+		}
+		errs := gravity.AccelError(runBH(t, cfg, particle.Clone(ps), par), refByID)
+		slices.Sort(errs)
+		median, p99 := errs[n/2], errs[99*(n-1)/100]
+		t.Logf("theta %v: median %.10g, p99 %.10g", c.theta, median, p99)
+		if c.maxDiff == 0 {
+			if median > c.median || p99 > c.p99 {
+				t.Errorf("theta %v: median %g, p99 %g; want at most %g and %g", c.theta, median, p99, c.median, c.p99)
+			}
+		} else if math.Abs(median-c.median) > c.maxDiff || math.Abs(p99-c.p99) > c.maxDiff {
+			t.Errorf("theta %v: median %.10g, p99 %.10g; want within %g of the float64 kernels' %.10g and %.10g", c.theta, median, p99, c.maxDiff, c.median, c.p99)
 		}
 	}
 }

@@ -1,7 +1,5 @@
 package gravity
 
-import "paratreet/internal/particle"
-
 // useKernels selects the assembly over the Go bodies for every kernel
 // call. It is set once, from CPUID: AVX2, with the operating system
 // saving the YMM registers.
@@ -28,15 +26,15 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 // The kernel calls: each runs its AVX2 body where useKernels is set.
-func p2p(t *float64, stride, n int, src *particle.Particle, ns int, eps2, grav float64) {
+func p2p(t *float64, stride, n int, src *[4]float32, ids *int64, ns int, ox, oy, oz float64, eps2 float32, grav float64) {
 	if useKernels {
-		p2pAVX2(t, stride, n, src, ns, eps2, grav)
+		p2pAVX2(t, stride, n, src, ids, ns, ox, oy, oz, eps2, grav)
 	} else {
-		p2pGo(t, stride, n, src, ns, eps2, grav)
+		p2pGo(t, stride, n, src, ids, ns, ox, oy, oz, eps2, grav)
 	}
 }
 
-func m2p(t *float64, stride, n int, cx, cy, cz, gm, eps2 float64) {
+func m2p(t *float64, stride, n int, cx, cy, cz float64, gm, eps2 float32) {
 	if useKernels {
 		m2pAVX2(t, stride, n, cx, cy, cz, gm, eps2)
 	} else {
@@ -52,17 +50,15 @@ func reach(boxes *float64, nb int, active *int32, n int, cx, cy, cz, rsq float64
 	}
 }
 
-// p2pAVX2 is p2pGo four targets at a time. It reads Particle's ID, Mass
-// and Pos at offsets 0, 8 and 16, and steps 144 bytes per particle
-// (TestKernelParticleLayout pins them).
+// p2pAVX2 is p2pGo eight targets at a time.
 //
 //go:noescape
-func p2pAVX2(t *float64, stride, n int, src *particle.Particle, ns int, eps2, grav float64)
+func p2pAVX2(t *float64, stride, n int, src *[4]float32, ids *int64, ns int, ox, oy, oz float64, eps2 float32, grav float64)
 
-// m2pAVX2 is m2pGo four targets at a time.
+// m2pAVX2 is m2pGo eight targets at a time.
 //
 //go:noescape
-func m2pAVX2(t *float64, stride, n int, cx, cy, cz, gm, eps2 float64)
+func m2pAVX2(t *float64, stride, n int, cx, cy, cz float64, gm, eps2 float32)
 
 // reachAVX2 is reachGo four buckets at a time.
 //

@@ -1,31 +1,38 @@
 #include "textflag.h"
 
-// The packed gravity kernels. Four targets (p2p, m2p) or four buckets
+// The packed gravity kernels. Eight targets (p2p, m2p) or four buckets
 // (reach) sit in each YMM register; the operations and their order are
 // those of the Go bodies in kernels.go, with no fused multiply-add, so
-// every lane gets the bits Leaf, Node and vec.SphereReaches get. Only
+// every lane gets the bits Leaf, Node and vec.SphereReaches get. p2p and
+// m2p compute in float32 and add to float64 accumulators. Only
 // VEX-encoded instructions are used (a legacy-SSE instruction between
 // them costs a state transition per call), and every kernel ends with
 // VZEROUPPER.
 //
 // A slab's target columns are stride float64s apart: x, y, z, ID bits,
 // ax, ay, az, pot. With R8 = stride*8, column c is at DI + c*R8; in p2p
-// and m2p, R9, R10 and R11 hold 3, 5 and 7 columns.
+// and m2p, R9, R10 and R11 hold 3, 5 and 7 columns. Eight targets of a
+// column are two YMM registers of float64s, at 0 and 32 bytes.
 
-// Masks for the store of a span's last 1-3 targets: the four quadwords at
-// masks<>+8*(4-r) are r all-ones lanes, then zeros.
+// Masks for the store of a block's last 1-7 targets: the eight quadwords
+// at masks<>+8*(8-r) are r all-ones lanes, then zeros.
 DATA masks<>+0(SB)/8, $0xffffffffffffffff
 DATA masks<>+8(SB)/8, $0xffffffffffffffff
 DATA masks<>+16(SB)/8, $0xffffffffffffffff
 DATA masks<>+24(SB)/8, $0xffffffffffffffff
-DATA masks<>+32(SB)/8, $0
-DATA masks<>+40(SB)/8, $0
-DATA masks<>+48(SB)/8, $0
-DATA masks<>+56(SB)/8, $0
-GLOBL masks<>(SB), RODATA|NOPTR, $64
-
-DATA one<>+0(SB)/8, $0x3ff0000000000000
-GLOBL one<>(SB), RODATA|NOPTR, $8
+DATA masks<>+32(SB)/8, $0xffffffffffffffff
+DATA masks<>+40(SB)/8, $0xffffffffffffffff
+DATA masks<>+48(SB)/8, $0xffffffffffffffff
+DATA masks<>+56(SB)/8, $0xffffffffffffffff
+DATA masks<>+64(SB)/8, $0
+DATA masks<>+72(SB)/8, $0
+DATA masks<>+80(SB)/8, $0
+DATA masks<>+88(SB)/8, $0
+DATA masks<>+96(SB)/8, $0
+DATA masks<>+104(SB)/8, $0
+DATA masks<>+112(SB)/8, $0
+DATA masks<>+120(SB)/8, $0
+GLOBL masks<>(SB), RODATA|NOPTR, $128
 
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
@@ -46,14 +53,18 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func p2pAVX2(t *float64, stride, n int, src *particle.Particle, ns int, eps2, grav float64)
+// func p2pAVX2(t *float64, stride, n int, src *[4]float32, ids *int64, ns int, ox, oy, oz float64, eps2 float32, grav float64)
 //
-// Per target, as Leaf: a = 0, pot = 0; per source j in order, skipping a
-// source with the target's ID (the lane keeps its accumulators by blend,
-// so a -0 stays -0), dx = s - p, r2 = ((dx·dx + dy·dy) + dz·dz) + eps2,
-// r = sqrt(r2), a += dx·(m/(r2·r)), pot -= m/r; then Acc += a·G and
-// Potential += G·pot.
-TEXT ·p2pAVX2(SB), NOSPLIT, $0-56
+// Per target, as p2pGo: t' = float32(t - o); a = 0, pot = 0 in float32;
+// per source (x', y', z', m) in order, dx = s' - t',
+// r2 = ((dx·dx + dy·dy) + dz·dz) + eps2, r = sqrt(r2), f = m/(r2·r),
+// a += dx·f, pot -= m/r, skipping a source with the target's ID or a
+// non-finite f (the lane keeps its sums by blend, so a -0 stays -0);
+// then, in float64, Acc += a·G and Potential += G·pot. The IDs are
+// compared as two dwords each: Y3 holds the low halves of the eight
+// target IDs, Y4 the high halves. eps2 is broadcast from the frame per
+// source, so Y15 is free for the non-finite lanes.
+TEXT ·p2pAVX2(SB), NOSPLIT, $0-88
 	MOVQ t+0(FP), DI
 	MOVQ stride+8(FP), R8
 	SHLQ $3, R8
@@ -62,99 +73,164 @@ TEXT ·p2pAVX2(SB), NOSPLIT, $0-56
 	LEAQ (R9)(R8*4), R11
 	MOVQ n+16(FP), CX
 	MOVQ src+24(FP), SI
-	MOVQ ns+32(FP), DX
-	VBROADCASTSD eps2+40(FP), Y15
-	VBROADCASTSD grav+48(FP), Y14
+	MOVQ ids+32(FP), R12
+	MOVQ ns+40(FP), DX
 
 p2pblock:
 	CMPQ CX, $0
 	JLE  p2pdone
-	VMOVUPD (DI), Y0
-	VMOVUPD (DI)(R8*1), Y1
-	VMOVUPD (DI)(R8*2), Y2
-	VMOVUPD (DI)(R9*1), Y3
-	VXORPD  Y4, Y4, Y4
-	VXORPD  Y5, Y5, Y5
-	VXORPD  Y6, Y6, Y6
-	VXORPD  Y7, Y7, Y7
-	MOVQ    SI, AX
-	MOVQ    DX, BX
+	VBROADCASTSD ox+48(FP), Y9
+	VMOVUPD      (DI), Y10
+	VSUBPD       Y9, Y10, Y10          // x - ox, targets 0-3
+	VCVTPD2PSY   Y10, X0
+	VMOVUPD      32(DI), Y10
+	VSUBPD       Y9, Y10, Y10          // targets 4-7
+	VCVTPD2PSY   Y10, X10
+	VINSERTF128  $1, X10, Y0, Y0       // x'
+	VBROADCASTSD oy+56(FP), Y9
+	VMOVUPD      (DI)(R8*1), Y10
+	VSUBPD       Y9, Y10, Y10
+	VCVTPD2PSY   Y10, X1
+	VMOVUPD      32(DI)(R8*1), Y10
+	VSUBPD       Y9, Y10, Y10
+	VCVTPD2PSY   Y10, X10
+	VINSERTF128  $1, X10, Y1, Y1       // y'
+	VBROADCASTSD oz+64(FP), Y9
+	VMOVUPD      (DI)(R8*2), Y10
+	VSUBPD       Y9, Y10, Y10
+	VCVTPD2PSY   Y10, X2
+	VMOVUPD      32(DI)(R8*2), Y10
+	VSUBPD       Y9, Y10, Y10
+	VCVTPD2PSY   Y10, X10
+	VINSERTF128  $1, X10, Y2, Y2       // z'
+	VMOVDQU      (DI)(R9*1), Y10       // IDs 0-3
+	VMOVDQU      32(DI)(R9*1), Y11     // IDs 4-7
+	VSHUFPS      $0x88, Y11, Y10, Y3   // low dwords of IDs 0 1 4 5 | 2 3 6 7
+	VPERMQ       $0xd8, Y3, Y3         // low dwords of IDs 0-7
+	VSHUFPS      $0xdd, Y11, Y10, Y4
+	VPERMQ       $0xd8, Y4, Y4         // high dwords of IDs 0-7
+	VXORPS       Y5, Y5, Y5
+	VXORPS       Y6, Y6, Y6
+	VXORPS       Y7, Y7, Y7
+	VXORPS       Y8, Y8, Y8
+	MOVQ         SI, AX
+	MOVQ         R12, BX
+	MOVQ         DX, R13
 
 p2psource:
-	CMPQ BX, $0
+	CMPQ R13, $0
 	JLE  p2pstore
-	VBROADCASTSD 16(AX), Y8
-	VSUBPD       Y0, Y8, Y8      // dx = sx - x
-	VBROADCASTSD 24(AX), Y9
-	VSUBPD       Y1, Y9, Y9
-	VBROADCASTSD 32(AX), Y10
-	VSUBPD       Y2, Y10, Y10
-	VMULPD       Y8, Y8, Y11
-	VMULPD       Y9, Y9, Y12
-	VADDPD       Y12, Y11, Y11
-	VMULPD       Y10, Y10, Y12
-	VADDPD       Y12, Y11, Y11
-	VADDPD       Y15, Y11, Y11   // r2
-	VSQRTPD      Y11, Y12        // r
-	VMULPD       Y12, Y11, Y11   // r2·r
-	VBROADCASTSD 8(AX), Y13      // m
-	VDIVPD       Y11, Y13, Y11   // f = m/(r2·r)
-	VDIVPD       Y12, Y13, Y12   // m/r
-	VPBROADCASTQ (AX), Y13
-	VPCMPEQQ     Y3, Y13, Y13    // self-pair lanes
-	VMULPD       Y11, Y8, Y8
-	VADDPD       Y8, Y4, Y8
-	VBLENDVPD    Y13, Y4, Y8, Y4 // ax = self ? ax : ax + dx·f
-	VMULPD       Y11, Y9, Y9
-	VADDPD       Y9, Y5, Y9
-	VBLENDVPD    Y13, Y5, Y9, Y5
-	VMULPD       Y11, Y10, Y10
-	VADDPD       Y10, Y6, Y10
-	VBLENDVPD    Y13, Y6, Y10, Y6
-	VSUBPD       Y12, Y7, Y12
-	VBLENDVPD    Y13, Y7, Y12, Y7 // pot = self ? pot : pot - m/r
-	ADDQ         $144, AX
-	DECQ         BX
+	VBROADCASTSS 0(AX), Y9
+	VSUBPS       Y0, Y9, Y9            // dx = x' of the source - x'
+	VBROADCASTSS 4(AX), Y10
+	VSUBPS       Y1, Y10, Y10
+	VBROADCASTSS 8(AX), Y11
+	VSUBPS       Y2, Y11, Y11
+	VMULPS       Y9, Y9, Y12
+	VMULPS       Y10, Y10, Y13
+	VADDPS       Y13, Y12, Y12
+	VMULPS       Y11, Y11, Y13
+	VADDPS       Y13, Y12, Y12
+	VBROADCASTSS eps2+72(FP), Y13
+	VADDPS       Y13, Y12, Y12         // r2
+	VSQRTPS      Y12, Y13              // r
+	VMULPS       Y13, Y12, Y12         // r2·r
+	VBROADCASTSS 12(AX), Y14           // m
+	VDIVPS       Y12, Y14, Y12         // f = m/(r2·r)
+	VDIVPS       Y13, Y14, Y13         // m/r
+	VSUBPS       Y12, Y12, Y15         // f - f: NaN where f is not finite
+	VCMPPS       $3, Y15, Y15, Y15     // unordered: the non-finite lanes
+	VMULPS       Y12, Y9, Y9
+	VMULPS       Y12, Y10, Y10
+	VMULPS       Y12, Y11, Y11
+	VPBROADCASTD 0(BX), Y12
+	VPCMPEQD     Y3, Y12, Y12
+	VPBROADCASTD 4(BX), Y14
+	VPCMPEQD     Y4, Y14, Y14
+	VPAND        Y14, Y12, Y12         // self-pair lanes
+	VPOR         Y15, Y12, Y12         // skipped lanes
+	VADDPS       Y9, Y5, Y9
+	VBLENDVPS    Y12, Y5, Y9, Y5       // ax = skip ? ax : ax + dx·f
+	VADDPS       Y10, Y6, Y10
+	VBLENDVPS    Y12, Y6, Y10, Y6
+	VADDPS       Y11, Y7, Y11
+	VBLENDVPS    Y12, Y7, Y11, Y7
+	VSUBPS       Y13, Y8, Y13
+	VBLENDVPS    Y12, Y8, Y13, Y8      // pot = skip ? pot : pot - m/r
+	ADDQ         $16, AX
+	ADDQ         $8, BX
+	DECQ         R13
 	JMP          p2psource
 
 p2pstore:
-	VMULPD Y14, Y4, Y4
-	VADDPD (DI)(R8*4), Y4, Y4    // Acc + a·G
-	VMULPD Y14, Y5, Y5
-	VADDPD (DI)(R10*1), Y5, Y5
-	VMULPD Y14, Y6, Y6
-	VADDPD (DI)(R9*2), Y6, Y6
-	VMULPD Y14, Y7, Y7
-	VADDPD (DI)(R11*1), Y7, Y7   // Potential + G·pot
-	CMPQ   CX, $4
-	JLT    p2ptail
-	VMOVUPD Y4, (DI)(R8*4)
-	VMOVUPD Y5, (DI)(R10*1)
-	VMOVUPD Y6, (DI)(R9*2)
-	VMOVUPD Y7, (DI)(R11*1)
-	ADDQ    $32, DI
-	SUBQ    $4, CX
-	JMP     p2pblock
+	VBROADCASTSD grav+80(FP), Y14
+	VCVTPS2PD    X5, Y9
+	VEXTRACTF128 $1, Y5, X5
+	VCVTPS2PD    X5, Y10
+	VMULPD       Y14, Y9, Y9
+	VADDPD       (DI)(R8*4), Y9, Y9    // Acc + a·G, targets 0-3
+	VMULPD       Y14, Y10, Y10
+	VADDPD       32(DI)(R8*4), Y10, Y10 // targets 4-7
+	VCVTPS2PD    X6, Y11
+	VEXTRACTF128 $1, Y6, X6
+	VCVTPS2PD    X6, Y12
+	VMULPD       Y14, Y11, Y11
+	VADDPD       (DI)(R10*1), Y11, Y11
+	VMULPD       Y14, Y12, Y12
+	VADDPD       32(DI)(R10*1), Y12, Y12
+	VCVTPS2PD    X7, Y0
+	VEXTRACTF128 $1, Y7, X7
+	VCVTPS2PD    X7, Y1
+	VMULPD       Y14, Y0, Y0
+	VADDPD       (DI)(R9*2), Y0, Y0
+	VMULPD       Y14, Y1, Y1
+	VADDPD       32(DI)(R9*2), Y1, Y1
+	VCVTPS2PD    X8, Y2
+	VEXTRACTF128 $1, Y8, X8
+	VCVTPS2PD    X8, Y3
+	VMULPD       Y14, Y2, Y2
+	VADDPD       (DI)(R11*1), Y2, Y2   // Potential + G·pot
+	VMULPD       Y14, Y3, Y3
+	VADDPD       32(DI)(R11*1), Y3, Y3
+	CMPQ         CX, $8
+	JLT          p2ptail
+	VMOVUPD      Y9, (DI)(R8*4)
+	VMOVUPD      Y10, 32(DI)(R8*4)
+	VMOVUPD      Y11, (DI)(R10*1)
+	VMOVUPD      Y12, 32(DI)(R10*1)
+	VMOVUPD      Y0, (DI)(R9*2)
+	VMOVUPD      Y1, 32(DI)(R9*2)
+	VMOVUPD      Y2, (DI)(R11*1)
+	VMOVUPD      Y3, 32(DI)(R11*1)
+	ADDQ         $64, DI
+	SUBQ         $8, CX
+	JMP          p2pblock
 
 p2ptail:
-	MOVQ       $4, AX
+	MOVQ       $8, AX
 	SUBQ       CX, AX
 	LEAQ       masks<>(SB), BX
-	VMOVDQU    (BX)(AX*8), Y13
-	VMASKMOVPD Y4, Y13, (DI)(R8*4)
-	VMASKMOVPD Y5, Y13, (DI)(R10*1)
-	VMASKMOVPD Y6, Y13, (DI)(R9*2)
-	VMASKMOVPD Y7, Y13, (DI)(R11*1)
+	VMOVDQU    (BX)(AX*8), Y4
+	VMOVDQU    32(BX)(AX*8), Y13
+	VMASKMOVPD Y9, Y4, (DI)(R8*4)
+	VMASKMOVPD Y10, Y13, 32(DI)(R8*4)
+	VMASKMOVPD Y11, Y4, (DI)(R10*1)
+	VMASKMOVPD Y12, Y13, 32(DI)(R10*1)
+	VMASKMOVPD Y0, Y4, (DI)(R9*2)
+	VMASKMOVPD Y1, Y13, 32(DI)(R9*2)
+	VMASKMOVPD Y2, Y4, (DI)(R11*1)
+	VMASKMOVPD Y3, Y13, 32(DI)(R11*1)
 
 p2pdone:
 	VZEROUPPER
 	RET
 
-// func m2pAVX2(t *float64, stride, n int, cx, cy, cz, gm, eps2 float64)
+// func m2pAVX2(t *float64, stride, n int, cx, cy, cz float64, gm, eps2 float32)
 //
-// Per target, as Node: dx = c - p, r2 = ((dx·dx + dy·dy) + dz·dz) +
-// eps2, r = sqrt(r2), Acc += dx·(gm·(1/(r2·r))), Potential -= gm/r.
-TEXT ·m2pAVX2(SB), NOSPLIT, $0-64
+// Per target, as m2pGo: dx = float32(c - p), the difference in float64;
+// r2 = ((dx·dx + dy·dy) + dz·dz) + eps2, r = sqrt(r2), f = gm/(r2·r) in
+// float32; then Acc += dx·f and Potential -= gm/r in float64.
+TEXT ·m2pAVX2(SB), NOSPLIT, $0-56
 	MOVQ t+0(FP), DI
 	MOVQ stride+8(FP), R8
 	SHLQ $3, R8
@@ -165,54 +241,90 @@ TEXT ·m2pAVX2(SB), NOSPLIT, $0-64
 	VBROADCASTSD cx+24(FP), Y0
 	VBROADCASTSD cy+32(FP), Y1
 	VBROADCASTSD cz+40(FP), Y2
-	VBROADCASTSD gm+48(FP), Y3
-	VBROADCASTSD eps2+56(FP), Y15
-	VBROADCASTSD one<>(SB), Y14
+	VBROADCASTSS gm+48(FP), Y3
+	VBROADCASTSS eps2+52(FP), Y15
 
 m2pblock:
 	CMPQ CX, $0
 	JLE  m2pdone
-	VSUBPD  (DI), Y0, Y4         // dx = cx - x
-	VSUBPD  (DI)(R8*1), Y1, Y5
-	VSUBPD  (DI)(R8*2), Y2, Y6
-	VMULPD  Y4, Y4, Y7
-	VMULPD  Y5, Y5, Y8
-	VADDPD  Y8, Y7, Y7
-	VMULPD  Y6, Y6, Y8
-	VADDPD  Y8, Y7, Y7
-	VADDPD  Y15, Y7, Y7          // r2
-	VSQRTPD Y7, Y8               // r
-	VMULPD  Y8, Y7, Y7           // r2·r
-	VDIVPD  Y7, Y14, Y7          // 1/(r2·r)
-	VMULPD  Y7, Y3, Y7           // gm·(1/(r2·r))
-	VDIVPD  Y8, Y3, Y8           // gm/r
-	VMULPD  Y7, Y4, Y4
-	VADDPD  (DI)(R8*4), Y4, Y4
-	VMULPD  Y7, Y5, Y5
-	VADDPD  (DI)(R10*1), Y5, Y5
-	VMULPD  Y7, Y6, Y6
-	VADDPD  (DI)(R9*2), Y6, Y6
-	VMOVUPD (DI)(R11*1), Y9
-	VSUBPD  Y8, Y9, Y9           // Potential - gm/r
-	CMPQ    CX, $4
-	JLT     m2ptail
-	VMOVUPD Y4, (DI)(R8*4)
-	VMOVUPD Y5, (DI)(R10*1)
-	VMOVUPD Y6, (DI)(R9*2)
-	VMOVUPD Y9, (DI)(R11*1)
-	ADDQ    $32, DI
-	SUBQ    $4, CX
-	JMP     m2pblock
+	VSUBPD       (DI), Y0, Y4          // cx - x, targets 0-3
+	VCVTPD2PSY   Y4, X4
+	VSUBPD       32(DI), Y0, Y7        // targets 4-7
+	VCVTPD2PSY   Y7, X7
+	VINSERTF128  $1, X7, Y4, Y4        // dx
+	VSUBPD       (DI)(R8*1), Y1, Y5
+	VCVTPD2PSY   Y5, X5
+	VSUBPD       32(DI)(R8*1), Y1, Y7
+	VCVTPD2PSY   Y7, X7
+	VINSERTF128  $1, X7, Y5, Y5        // dy
+	VSUBPD       (DI)(R8*2), Y2, Y6
+	VCVTPD2PSY   Y6, X6
+	VSUBPD       32(DI)(R8*2), Y2, Y7
+	VCVTPD2PSY   Y7, X7
+	VINSERTF128  $1, X7, Y6, Y6        // dz
+	VMULPS       Y4, Y4, Y7
+	VMULPS       Y5, Y5, Y8
+	VADDPS       Y8, Y7, Y7
+	VMULPS       Y6, Y6, Y8
+	VADDPS       Y8, Y7, Y7
+	VADDPS       Y15, Y7, Y7           // r2
+	VSQRTPS      Y7, Y8                // r
+	VMULPS       Y8, Y7, Y7            // r2·r
+	VDIVPS       Y7, Y3, Y7            // f = gm/(r2·r)
+	VDIVPS       Y8, Y3, Y8            // gm/r
+	VMULPS       Y7, Y4, Y4
+	VCVTPS2PD    X4, Y9
+	VEXTRACTF128 $1, Y4, X4
+	VCVTPS2PD    X4, Y10
+	VADDPD       (DI)(R8*4), Y9, Y9    // Acc + dx·f, targets 0-3
+	VADDPD       32(DI)(R8*4), Y10, Y10 // targets 4-7
+	VMULPS       Y7, Y5, Y5
+	VCVTPS2PD    X5, Y11
+	VEXTRACTF128 $1, Y5, X5
+	VCVTPS2PD    X5, Y12
+	VADDPD       (DI)(R10*1), Y11, Y11
+	VADDPD       32(DI)(R10*1), Y12, Y12
+	VMULPS       Y7, Y6, Y6
+	VCVTPS2PD    X6, Y13
+	VEXTRACTF128 $1, Y6, X6
+	VCVTPS2PD    X6, Y14
+	VADDPD       (DI)(R9*2), Y13, Y13
+	VADDPD       32(DI)(R9*2), Y14, Y14
+	VCVTPS2PD    X8, Y4
+	VEXTRACTF128 $1, Y8, X8
+	VCVTPS2PD    X8, Y5
+	VMOVUPD      (DI)(R11*1), Y6
+	VSUBPD       Y4, Y6, Y4            // Potential - gm/r
+	VMOVUPD      32(DI)(R11*1), Y6
+	VSUBPD       Y5, Y6, Y5
+	CMPQ         CX, $8
+	JLT          m2ptail
+	VMOVUPD      Y9, (DI)(R8*4)
+	VMOVUPD      Y10, 32(DI)(R8*4)
+	VMOVUPD      Y11, (DI)(R10*1)
+	VMOVUPD      Y12, 32(DI)(R10*1)
+	VMOVUPD      Y13, (DI)(R9*2)
+	VMOVUPD      Y14, 32(DI)(R9*2)
+	VMOVUPD      Y4, (DI)(R11*1)
+	VMOVUPD      Y5, 32(DI)(R11*1)
+	ADDQ         $64, DI
+	SUBQ         $8, CX
+	JMP          m2pblock
 
 m2ptail:
-	MOVQ       $4, AX
+	MOVQ       $8, AX
 	SUBQ       CX, AX
 	LEAQ       masks<>(SB), BX
-	VMOVDQU    (BX)(AX*8), Y13
-	VMASKMOVPD Y4, Y13, (DI)(R8*4)
-	VMASKMOVPD Y5, Y13, (DI)(R10*1)
-	VMASKMOVPD Y6, Y13, (DI)(R9*2)
-	VMASKMOVPD Y9, Y13, (DI)(R11*1)
+	VMOVDQU    (BX)(AX*8), Y6
+	VMOVDQU    32(BX)(AX*8), Y7
+	VMASKMOVPD Y9, Y6, (DI)(R8*4)
+	VMASKMOVPD Y10, Y7, 32(DI)(R8*4)
+	VMASKMOVPD Y11, Y6, (DI)(R10*1)
+	VMASKMOVPD Y12, Y7, 32(DI)(R10*1)
+	VMASKMOVPD Y13, Y6, (DI)(R9*2)
+	VMASKMOVPD Y14, Y7, 32(DI)(R9*2)
+	VMASKMOVPD Y4, Y6, (DI)(R11*1)
+	VMASKMOVPD Y5, Y7, 32(DI)(R11*1)
 
 m2pdone:
 	VZEROUPPER

@@ -13,45 +13,33 @@ import (
 	"paratreet/internal/vec"
 )
 
-// TestKernelParticleLayout pins the particle.Particle layout the p2p
-// assembly reads its sources through.
-func TestKernelParticleLayout(t *testing.T) {
-	var p particle.Particle
-	for _, c := range []struct {
-		name      string
-		got, want uintptr
-	}{
-		{"offset of ID", unsafe.Offsetof(p.ID), 0},
-		{"offset of Mass", unsafe.Offsetof(p.Mass), 8},
-		{"offset of Pos", unsafe.Offsetof(p.Pos), 16},
-		{"offset of Pos.Y in Pos", unsafe.Offsetof(p.Pos.Y), 8},
-		{"offset of Pos.Z in Pos", unsafe.Offsetof(p.Pos.Z), 16},
-		{"size of Particle", unsafe.Sizeof(p), 144},
-	} {
-		if c.got != c.want {
-			t.Errorf("%s is %d, the p2p assembly reads %d", c.name, c.got, c.want)
-		}
-	}
-}
-
 // FuzzPackedKernels holds the kernel bodies to the per-pair calls, bit for
-// bit: p2p against Leaf and m2p against Node, the Go bodies on every host
-// and the assembly too where the CPU has it, on n targets and ns
-// sources (0 to 40 each) with a handful of IDs, with zero softening among
-// the choices. Half the points sit on a coarse lattice, so coincident
+// bit: p2p, through packedKernels a chunk of sources at a time, against
+// Leaf, and m2p against Node, the Go bodies on every host and the
+// assembly too where the CPU has it. It runs n targets (0 to 40; the
+// seeds reach every tail of a block of eight) and ns sources (0 to 140,
+// past two chunks) with a handful of IDs, with zero softening among the
+// choices. Half the points sit on a coarse lattice, so coincident
 // positions, self-pairs and shared IDs are common; the rest lie anywhere
 // in the unit cube, where a distance's three squares sum inexactly, so a
-// body that adds them in another order changes bits. The span starts at
-// a random offset in a slab full of other targets, none of whose bits may
-// change.
+// body that adds them in another order changes bits. The source leaf's
+// box, whose centre is p2p's origin, is drawn at random. The span starts
+// at a random offset in a slab full of other targets, none of whose bits
+// may change.
 func FuzzPackedKernels(f *testing.F) {
 	f.Add(int64(1), uint8(16), uint8(16), uint8(0))
 	f.Add(int64(2), uint8(0), uint8(5), uint8(1))
 	f.Add(int64(3), uint8(7), uint8(0), uint8(11))
 	f.Add(int64(4), uint8(40), uint8(40), uint8(23))
 	f.Add(int64(5), uint8(3), uint8(1), uint8(35))
+	f.Add(int64(6), uint8(9), uint8(64), uint8(2))
+	f.Add(int64(7), uint8(18), uint8(65), uint8(13))
+	f.Add(int64(8), uint8(36), uint8(140), uint8(28))
+	f.Add(int64(9), uint8(13), uint8(129), uint8(4))
+	f.Add(int64(10), uint8(14), uint8(100), uint8(15))
+	f.Add(int64(11), uint8(31), uint8(17), uint8(6))
 	f.Fuzz(func(t *testing.T, seed int64, n8, ns8, mode uint8) {
-		n, ns := int(n8%41), int(ns8%41)
+		n, ns := int(n8%41), int(ns8%141)
 		soft := [3]float64{0, 1e-4, 0.3}[mode%3]
 		grav := [3]float64{1, 6.674e-11, -2}[mode/3%3]
 		off := int(mode / 9 % 4)
@@ -75,7 +63,7 @@ func FuzzPackedKernels(f *testing.F) {
 			return ps
 		}
 		targets, src := gen(n), gen(ns)
-		stride := off + n + lanes + rng.Intn(3)
+		stride := off + n + targetLanes + rng.Intn(3)
 		slab := make([]float64, nCols*stride)
 		c := columns(slab)
 		for j, p := range gen(stride) {
@@ -85,15 +73,18 @@ func FuzzPackedKernels(f *testing.F) {
 			c.put(off+i, &targets[i])
 		}
 		v := New(Params{G: grav, Theta: 0.7, Soft: soft})
+		leaf := &tree.Node[CentroidData]{Particles: src, Box: vec.NewBox(pos(), pos())}
 		leafWant := particle.Clone(targets)
-		v.Leaf(&tree.Node[CentroidData]{Particles: src}, &traverse.Bucket{Particles: leafWant})
+		v.Leaf(leaf, &traverse.Bucket{Particles: leafWant})
 		cm, mass := pos(), float64(rng.Intn(3))
 		node := &tree.Node[CentroidData]{Data: CentroidData{Mass: mass, M1: cm.Scale(mass)}}
 		s := v.terms(node)
 		nodeWant := particle.Clone(leafWant)
 		v.Node(node, &traverse.Bucket{Particles: nodeWant})
 
-		for _, k := range kernelBodies() {
+		defer func(prev bool) { useKernels = prev }(useKernels)
+		for _, body := range kernelBodies() {
+			useKernels = body.asm
 			packed := slices.Clone(slab)
 			check := func(kernel string, before []float64, want []particle.Particle) {
 				t.Helper()
@@ -102,42 +93,88 @@ func FuzzPackedKernels(f *testing.F) {
 					got := particle.Particle{ID: want[i].ID}
 					after.get(off+i, &got)
 					if bits(got) != bits(want[i]) {
-						t.Fatalf("%s %s target %d: body (%v, %v), per-pair (%v, %v)", k.name, kernel, i, got.Acc, got.Potential, want[i].Acc, want[i].Potential)
+						t.Fatalf("%s %s target %d: body (%v, %v), per-pair (%v, %v)", body.name, kernel, i, got.Acc, got.Potential, want[i].Acc, want[i].Potential)
 					}
 					for col := colAX; col < nCols; col++ {
 						before[col*stride+off+i] = after[col][off+i]
 					}
 				}
 				if !slices.Equal(asBits(before), asBits(packed)) {
-					t.Fatalf("%s %s wrote outside its %d targets at offset %d", k.name, kernel, n, off)
+					t.Fatalf("%s %s wrote outside its %d targets at offset %d", body.name, kernel, n, off)
 				}
 			}
+			k := packedKernels{packed: packed, stride: stride, eps2: float32(soft * soft)}
+			r := span{off, off + n}
 			before := slices.Clone(packed)
-			k.p2p(&packed[off], stride, n, unsafe.SliceData(src), ns, soft*soft, grav)
+			var ls leafSlab
+			ls.reset(src, &leaf.Box)
+			k.p2p(&ls, grav, r)
 			check("p2p", before, leafWant)
 
 			before = slices.Clone(packed)
-			k.m2p(&packed[off], stride, n, s.c.X, s.c.Y, s.c.Z, s.gm, soft*soft)
+			k.m2p(&s, r)
 			check("m2p", before, nodeWant)
 		}
 	})
 }
 
-// kernelBody is one set of kernel bodies: the Go bodies, or the dispatch
-// to the assembly where the CPU has it.
+// TestP2PSubULPPair runs two particles 1e-9 apart, in a leaf centred
+// 0.25 away, at Soft 0: their float32 offsets from the centre coincide,
+// so r2 is 0 and f is infinite. Every body skips the pair, as it does a
+// particle and itself, and leaves the accumulators finite, with Leaf's
+// bits.
+func TestP2PSubULPPair(t *testing.T) {
+	src := []particle.Particle{
+		{ID: 1, Mass: 1, Pos: vec.V(0.5, 0.5, 0.5)},
+		{ID: 2, Mass: 1, Pos: vec.V(0.5+1e-9, 0.5, 0.5)},
+	}
+	leaf := &tree.Node[CentroidData]{Particles: src, Box: vec.NewBox(vec.V(0, 0, 0), vec.V(0.5, 0.5, 0.5))}
+	v := New(Params{G: 1, Theta: 0.7, Soft: 0})
+	want := particle.Clone(src)
+	v.Leaf(leaf, &traverse.Bucket{Particles: want})
+	for _, p := range want {
+		if p.Acc != (vec.Vec3{}) || p.Potential != 0 {
+			t.Fatalf("Leaf on particle %d: acc %v, potential %v, want zeros", p.ID, p.Acc, p.Potential)
+		}
+	}
+
+	defer func(prev bool) { useKernels = prev }(useKernels)
+	for _, body := range kernelBodies() {
+		useKernels = body.asm
+		stride := len(src) + targetLanes
+		packed := make([]float64, nCols*stride)
+		c := columns(packed)
+		for i := range src {
+			c.put(i, &src[i])
+		}
+		k := packedKernels{packed: packed, stride: stride}
+		var ls leafSlab
+		ls.reset(src, &leaf.Box)
+		k.p2p(&ls, v.P.G, span{0, len(src)})
+		for i := range want {
+			got := particle.Particle{ID: want[i].ID}
+			c.get(i, &got)
+			if bits(got) != bits(want[i]) {
+				t.Errorf("%s p2p target %d: (%v, %v), Leaf (%v, %v)", body.name, i, got.Acc, got.Potential, want[i].Acc, want[i].Potential)
+			}
+		}
+	}
+}
+
+// kernelBody is one set of kernel bodies: the Go bodies, or the assembly
+// where the CPU has it. asm is the useKernels that runs it.
 type kernelBody struct {
 	name  string
-	p2p   func(t *float64, stride, n int, src *particle.Particle, ns int, eps2, grav float64)
-	m2p   func(t *float64, stride, n int, cx, cy, cz, gm, eps2 float64)
+	asm   bool
 	reach func(boxes *float64, nb int, active *int32, n int, cx, cy, cz, rsq float64, open *uint8)
 }
 
 // kernelBodies returns the Go bodies, and the assembly too where the CPU
 // has it.
 func kernelBodies() []kernelBody {
-	bodies := []kernelBody{{"go", p2pGo, m2pGo, reachGo}}
+	bodies := []kernelBody{{"go", false, reachGo}}
 	if useKernels {
-		bodies = append(bodies, kernelBody{Kernels(), p2p, m2p, reach})
+		bodies = append(bodies, kernelBody{Kernels(), true, reach})
 	}
 	return bodies
 }

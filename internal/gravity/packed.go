@@ -2,16 +2,16 @@ package gravity
 
 import (
 	"math"
-	"unsafe"
 
 	"paratreet/internal/particle"
 	"paratreet/internal/traverse"
 	"paratreet/internal/tree"
+	"paratreet/internal/vec"
 )
 
 // The packed targets: while a traversal runs, a partition's targets live
 // in one slab of nCols columns, each indexed by particle offset
-// (Bucket.Offset + i) and padded by lanes so the kernels' full-width
+// (Bucket.Offset + i) and padded by targetLanes so the kernels' full-width
 // loads stay in bounds. After them come nBucketCols columns indexed by the
 // traversal's bucket index: the bucket's box, and its particle range
 // [Offset, Offset+len) as the low and high 32 bits of one word. The slab
@@ -27,7 +27,12 @@ const (
 	colPot
 	nCols
 
-	lanes = 4 // targets per vector register
+	targetLanes = 8 // targets per vector register in p2p and m2p
+	lanes       = 4 // buckets per vector register in reach
+
+	// chunk is the most sources a target sums in float32 before adding
+	// the sum to its float64 accumulators: one leafSlab.
+	chunk = 64
 )
 
 // The bucket columns: min x/y/z and max x/y/z of the box, in the order
@@ -85,7 +90,7 @@ func (v Visitor[D]) Pack(buckets []*traverse.Bucket) {
 	if t == nil || t.N > math.MaxInt32 {
 		return
 	}
-	nt, nb := nCols*(t.N+lanes), len(buckets)
+	nt, nb := nCols*(t.N+targetLanes), len(buckets)
 	packed := make([]float64, nt+nBucketCols*nb)
 	c, bc := columns(packed[:nt]), packed[nt:]
 	for bi, b := range buckets {
@@ -114,7 +119,7 @@ func (v Visitor[D]) Unpack(buckets []*traverse.Bucket) {
 	if t == nil || t.Packed == nil {
 		return
 	}
-	c := columns(t.Packed[:nCols*(t.N+lanes)])
+	c := columns(t.Packed[:nCols*(t.N+targetLanes)])
 	for _, b := range buckets {
 		for i := range b.Particles {
 			c.get(b.Offset+i, &b.Particles[i])
@@ -127,21 +132,22 @@ func (v Visitor[D]) Unpack(buckets []*traverse.Bucket) {
 // call: consecutive buckets whose particle ranges touch.
 type span struct{ start, end int }
 
-// visitPacked is VisitSource over packed targets. The reach kernel makes
-// each bucket's decision, the per-pair one, a chunk of active at a time;
-// then one pass in list order runs the kernels once per span of buckets
-// that take the same kernel, a bucket joining the span when its range
-// starts where the span ends. Every target still meets the source once
-// per listing, in list order, so its additions happen in the per-pair
-// order. Active indexes the buckets Pack packed: the engine passes the
-// traversal's buckets to both.
+// visitPacked is VisitSource over packed targets; slab is nil for a node
+// that is not a leaf, and otherwise holds the leaf's sources for p2p. The
+// reach kernel makes each bucket's decision, the per-pair one, a chunk of
+// active at a time; then one pass in list order runs the kernels once per
+// span of buckets that take the same kernel, a bucket joining the span
+// when its range starts where the span ends. Every target still meets the
+// source once per listing, in list order, so its additions happen in the
+// per-pair order. Active indexes the buckets Pack packed: the engine
+// passes the traversal's buckets to both.
 //
 //paratreet:hotpath
-func (v Visitor[D]) visitPacked(source *tree.Node[D], t *traverse.Targets, active, opened []int32, leaf bool) []int32 {
+func (v Visitor[D]) visitPacked(source *tree.Node[D], t *traverse.Targets, active, opened []int32, slab *leafSlab) []int32 {
 	s := v.terms(source)
-	stride := t.N + lanes
+	stride := t.N + targetLanes
 	nt := nCols * stride
-	k := packedKernels{packed: t.Packed[:nt], stride: stride, eps2: v.P.Soft * v.P.Soft}
+	k := packedKernels{packed: t.Packed[:nt], stride: stride, eps2: float32(v.P.Soft * v.P.Soft)}
 	bc := t.Packed[nt:]
 	nb := len(bc) / nBucketCols
 	ranges := bc[colRange*nb : (colRange+1)*nb]
@@ -162,9 +168,9 @@ func (v Visitor[D]) visitPacked(source *tree.Node[D], t *traverse.Targets, activ
 				far.end = end
 				continue
 			}
-			if leaf {
+			if slab != nil {
 				if start != near.end {
-					k.p2p(source.Particles, v.P.G, near)
+					k.p2p(slab, v.P.G, near)
 					near.start = start
 				}
 				near.end = end
@@ -173,8 +179,8 @@ func (v Visitor[D]) visitPacked(source *tree.Node[D], t *traverse.Targets, activ
 		}
 	}
 	k.m2p(&s, far)
-	if leaf {
-		k.p2p(source.Particles, v.P.G, near)
+	if slab != nil {
+		k.p2p(slab, v.P.G, near)
 	}
 	return opened
 }
@@ -183,7 +189,7 @@ func (v Visitor[D]) visitPacked(source *tree.Node[D], t *traverse.Targets, activ
 type packedKernels struct {
 	packed []float64
 	stride int
-	eps2   float64
+	eps2   float32
 }
 
 // m2p applies the monopole of s to the targets of r: Node's arithmetic.
@@ -195,13 +201,53 @@ func (k *packedKernels) m2p(s *sourceTerms, r span) {
 	}
 }
 
-// p2p applies the pairwise forces of src to the targets of r: Leaf's
-// arithmetic, including its final Acc += a·G for a source with no
-// particles.
+// p2p applies the pairwise forces of slab's leaf to the targets of r, a
+// chunk of sources at a time: Leaf's arithmetic. A leaf of at most chunk
+// sources is loaded into the slab once, at its first span.
 //
 //paratreet:hotpath
-func (k *packedKernels) p2p(src []particle.Particle, grav float64, r span) {
-	if n := r.end - r.start; n > 0 {
-		p2p(&k.packed[r.start], k.stride, n, unsafe.SliceData(src), len(src), k.eps2, grav)
+func (k *packedKernels) p2p(slab *leafSlab, grav float64, r span) {
+	n := r.end - r.start
+	if n <= 0 {
+		return
+	}
+	for at := 0; at < len(slab.src); at += chunk {
+		slab.load(at)
+		o := &slab.o
+		p2p(&k.packed[r.start], k.stride, n, &slab.xyzm[0], &slab.ids[0], slab.n, o.X, o.Y, o.Z, k.eps2, grav)
+	}
+}
+
+// leafSlab is one chunk of a source leaf's particles as the p2p kernels
+// read them: positions relative to the leaf's origin, its box centre, and
+// masses, in float32, 16 bytes a source, with the IDs beside them. It
+// lives on the stack of the leaf's visit.
+type leafSlab struct {
+	src  []particle.Particle
+	o    vec.Vec3
+	at   int // index in src of the first source held, -1 for none
+	n    int // sources held
+	xyzm [chunk][4]float32
+	ids  [chunk]int64
+}
+
+// reset points the slab at a leaf's sources and box, holding none yet.
+func (s *leafSlab) reset(src []particle.Particle, box *vec.Box) {
+	s.src, s.o, s.at = src, box.Center(), -1
+}
+
+// load fills the slab with the chunk of sources from index at, unless it
+// holds them already.
+//
+//paratreet:hotpath
+func (s *leafSlab) load(at int) {
+	if s.at == at {
+		return
+	}
+	s.at, s.n = at, min(chunk, len(s.src)-at)
+	for j := range s.n {
+		p := &s.src[at+j]
+		s.xyzm[j] = [4]float32{float32(p.Pos.X - s.o.X), float32(p.Pos.Y - s.o.Y), float32(p.Pos.Z - s.o.Z), float32(p.Mass)}
+		s.ids[j] = p.ID
 	}
 }

@@ -119,10 +119,11 @@ type Targets struct {
 	N     int
 	State any
 	// Packed is a visitor's packed copy of the targets for the life of one
-	// traversal: gravity's column slab, the targets by particle offset and
-	// then the buckets' boxes and particle ranges by the traversal's bucket
-	// index, set by its Pack and dropped by its Unpack. It is nil between
-	// traversals.
+	// traversal: gravity's column slab, the targets by particle offset
+	// (each column padded by eight entries, so its kernels' eight-lane
+	// loads stay in bounds) and then the buckets' boxes and particle ranges
+	// by the traversal's bucket index, set by its Pack and dropped by its
+	// Unpack. It is nil between traversals.
 	Packed []float64
 }
 
