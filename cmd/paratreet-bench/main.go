@@ -12,14 +12,14 @@
 //
 // Performance trajectory numbers come from benchmark/, not from here.
 //
-// Observability: -metrics collects per-run snapshots, -trace N adds span
-// tracing, -trace-out exports a Chrome Trace Event file for Perfetto and
-// the paratreet-trace analyzer, and -http serves live pprof/expvar/
-// snapshot endpoints while experiments run.
+// Observability: -metrics collects per-run snapshots and writes them as
+// one JSON array to stdout or -metrics-out, -trace N adds each run's spans
+// to its snapshot (paratreet-trace analyzes that file and renders it for
+// Perfetto), and -http serves live pprof/expvar/snapshot endpoints while
+// experiments run.
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -31,7 +31,7 @@ import (
 
 	"paratreet"
 	"paratreet/internal/experiments"
-	"paratreet/internal/trace"
+	"paratreet/internal/metrics"
 )
 
 // errUsage reports a command line the usage message has already rejected.
@@ -62,7 +62,6 @@ func cli(args []string, stdout, stderr io.Writer) error {
 		useMetrics = fs.Bool("metrics", false, "collect observability snapshots and emit them as JSON")
 		metricsOut = fs.String("metrics-out", "-", "metrics JSON destination: - for stdout, or a file path")
 		traceCap   = fs.Int("trace", 0, "trace-span ring capacity per run (0 = tracing off; implies -metrics)")
-		traceOut   = fs.String("trace-out", "", "write spans as Chrome Trace Event JSON to this file (implies -trace 65536 when -trace is unset); spans are then omitted from the metrics JSON")
 		httpAddr   = fs.String("http", "", "serve live pprof/expvar introspection and /snapshot on this address, e.g. :6060 (implies -metrics)")
 	)
 	var sweep []int
@@ -103,9 +102,6 @@ func cli(args []string, stdout, stderr io.Writer) error {
 		return errUsage
 	}
 
-	if *traceOut != "" && *traceCap == 0 {
-		*traceCap = 65536
-	}
 	var collector *experiments.MetricsCollector
 	if *useMetrics || *traceCap > 0 || *httpAddr != "" {
 		collector = &experiments.MetricsCollector{TraceCapacity: *traceCap}
@@ -148,12 +144,6 @@ func cli(args []string, stdout, stderr io.Writer) error {
 	snaps := collector.Snapshots()
 	warnDroppedSpans(stderr, snaps, *traceCap)
 	writeTails(stderr, snaps)
-	if *traceOut != "" {
-		if err := writeChromeTrace(*traceOut, snaps); err != nil {
-			return err
-		}
-		snaps = stripSpans(snaps)
-	}
 	return emitMetrics(stdout, *metricsOut, snaps)
 }
 
@@ -167,55 +157,21 @@ func run(w io.Writer, name string, opts experiments.Options) error {
 	return err
 }
 
-// emitMetrics writes the collected snapshots as an indented JSON array to
-// stdout (dest "-") or to the named file.
+// emitMetrics writes the collected snapshots as one indented JSON array
+// to stdout (dest "-") or to the named file.
 func emitMetrics(stdout io.Writer, dest string, snaps []*paratreet.MetricsSnapshot) error {
 	if dest == "-" || dest == "" {
-		return writeMetricsJSON(stdout, snaps)
+		return metrics.WriteSnapshots(stdout, snaps)
 	}
-	return create(dest, func(w io.Writer) error { return writeMetricsJSON(w, snaps) })
-}
-
-func writeMetricsJSON(w io.Writer, snaps []*paratreet.MetricsSnapshot) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(snaps)
-}
-
-// writeChromeTrace exports the snapshots' spans as a Chrome Trace Event
-// file for Perfetto / chrome://tracing / paratreet-trace.
-func writeChromeTrace(dest string, snaps []*paratreet.MetricsSnapshot) error {
-	return create(dest, func(w io.Writer) error { return trace.WriteChrome(w, snaps) })
-}
-
-// create writes the file dest with write and closes it, reporting the
-// first error.
-func create(dest string, write func(io.Writer) error) error {
 	f, err := os.Create(dest)
 	if err != nil {
 		return err
 	}
-	if err := write(f); err != nil {
+	if err := metrics.WriteSnapshots(f, snaps); err != nil {
 		f.Close()
 		return err
 	}
 	return f.Close()
-}
-
-// stripSpans shallow-copies the snapshots without their span lists, so
-// the metrics JSON does not duplicate a trace already written by
-// -trace-out (SpansDropped is kept for loss accounting).
-func stripSpans(snaps []*paratreet.MetricsSnapshot) []*paratreet.MetricsSnapshot {
-	out := make([]*paratreet.MetricsSnapshot, len(snaps))
-	for i, s := range snaps {
-		if s == nil {
-			continue
-		}
-		cp := *s
-		cp.Spans = nil
-		out[i] = &cp
-	}
-	return out
 }
 
 // writeTails prints per-run tail quantiles to stderr when -metrics is

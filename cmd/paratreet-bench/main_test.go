@@ -39,7 +39,7 @@ func TestMetricsEmission(t *testing.T) {
 	}
 
 	var jbuf bytes.Buffer
-	if err := writeMetricsJSON(&jbuf, opts.Metrics.Snapshots()); err != nil {
+	if err := metrics.WriteSnapshots(&jbuf, opts.Metrics.Snapshots()); err != nil {
 		t.Fatal(err)
 	}
 	var snaps []*paratreet.MetricsSnapshot
@@ -57,7 +57,7 @@ func TestMetricsEmission(t *testing.T) {
 			t.Errorf("%s: config section incomplete: %+v", s.Label, s.Config)
 		}
 		for _, name := range []string{
-			"cache.hits", "cache.misses", "cache.fetches",
+			"cache.hits", "cache.misses", "rt.node_requests",
 			"traverse.opens", "traverse.prunes", "traverse.visits",
 		} {
 			if s.Counter(name) == 0 {
@@ -90,64 +90,40 @@ func TestMetricsEmission(t *testing.T) {
 }
 
 // TestKNNTracePipeline is the end-to-end acceptance test for the
-// timeline path: run the knn experiment with tracing, export the Chrome
-// trace exactly as -trace-out does, and feed it to the analyzer.
+// timeline path: run the knn experiment with tracing through the command
+// line, and feed the metrics file it writes to the analyzer.
 func TestKNNTracePipeline(t *testing.T) {
-	opts := experiments.Quick()
-	opts.N = 3000
-	opts.Iters = 1
-	opts.Workers = []int{4}
-	opts.Metrics = &experiments.MetricsCollector{TraceCapacity: 65536}
-
+	path := filepath.Join(t.TempDir(), "metrics.json")
 	var out bytes.Buffer
-	if err := run(&out, "knn", opts); err != nil {
+	args := []string{"knn", "-quick", "-n", "3000", "-iters", "1", "-workers", "4", "-trace", "65536", "-metrics-out", path}
+	if err := cli(args, &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "kNN SPH density") {
 		t.Errorf("experiment text output missing: %q", out.String())
 	}
-	snaps := opts.Metrics.Snapshots()
-	if len(snaps) != 1 || !strings.HasPrefix(snaps[0].Label, "knn/w") {
-		t.Fatalf("snapshots = %d with label %q, want 1 labeled knn/w4", len(snaps), snaps[0].Label)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snaps []*metrics.Snapshot
+	if err := json.Unmarshal(data, &snaps); err != nil {
+		t.Fatalf("metrics file is not a snapshot array: %v", err)
+	}
+	if len(snaps) != 1 || snaps[0].Label != "knn/w4" {
+		t.Fatalf("%d snapshots, the first labelled %q; want 1 labelled knn/w4", len(snaps), snaps[0].Label)
 	}
 	if len(snaps[0].Spans) == 0 {
-		t.Fatal("no spans recorded")
-	}
-
-	path := filepath.Join(t.TempDir(), "trace.json")
-	if err := writeChromeTrace(path, snaps); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	tr, err := trace.ReadChrome(f)
-	if err != nil {
-		t.Fatalf("exported trace does not load: %v", err)
+		t.Fatal("no spans in the metrics file")
 	}
 	var report bytes.Buffer
-	if err := trace.WriteReport(&report, tr, trace.ReportOptions{}); err != nil {
-		t.Fatalf("analyzer rejected exported trace: %v", err)
+	if err := trace.WriteReport(&report, trace.FromSnapshots(snaps), trace.ReportOptions{}); err != nil {
+		t.Fatalf("analyzer rejected the metrics file: %v", err)
 	}
-	for _, section := range []string{"== gantt ==", "== phases ==", "== fetch rtt ==", "== critical path =="} {
+	for _, section := range []string{"run 0  knn/w4", "== gantt ==", "== phases ==", "== fetch rtt ==", "== critical path =="} {
 		if !strings.Contains(report.String(), section) {
 			t.Errorf("report missing %s", section)
 		}
-	}
-
-	// The metrics JSON written alongside a -trace-out must not duplicate
-	// the span list.
-	stripped := stripSpans(snaps)
-	if len(stripped[0].Spans) != 0 {
-		t.Error("stripSpans left spans in the metrics snapshot")
-	}
-	if stripped[0].Counter("cache.hits") != snaps[0].Counter("cache.hits") {
-		t.Error("stripSpans dropped counters")
-	}
-	if len(snaps[0].Spans) == 0 {
-		t.Error("stripSpans mutated the original snapshot")
 	}
 }
 

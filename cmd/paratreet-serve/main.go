@@ -41,7 +41,6 @@ import (
 	"paratreet/internal/metrics"
 	"paratreet/internal/particle"
 	"paratreet/internal/serve"
-	"paratreet/internal/trace"
 )
 
 // options collects every daemon flag; run takes it whole so the flag
@@ -58,15 +57,13 @@ type options struct {
 	policy     string
 	bucket     int
 
-	batch       int
-	queueCap    int
-	waves       int
-	timeout     time.Duration
-	faults      string
-	incremental bool
+	batch    int
+	queueCap int
+	waves    int
+	timeout  time.Duration
+	faults   string
 
 	traceCap   int
-	traceOut   string
 	metricsOut string
 
 	healthInterval time.Duration
@@ -107,10 +104,8 @@ func main() {
 	flag.IntVar(&o.waves, "waves", 2, "max concurrently running waves")
 	flag.DurationVar(&o.timeout, "timeout", 2*time.Second, "default per-request deadline")
 	flag.StringVar(&o.faults, "faults", "", "inject delivery faults, e.g. drop=0.02,dup=0.02,jitter=200us,seed=7")
-	flag.BoolVar(&o.incremental, "incremental", false, "patch the resident tree incrementally on refresh when particles moved only slightly")
 	flag.IntVar(&o.traceCap, "trace", 0, "trace-span ring capacity (0 = tracing off)")
-	flag.StringVar(&o.traceOut, "trace-out", "", "write spans as Chrome Trace Event JSON here on shutdown (implies -trace 65536 when -trace is unset)")
-	flag.StringVar(&o.metricsOut, "metrics-out", "", "write the final metrics snapshot as JSON here on shutdown")
+	flag.StringVar(&o.metricsOut, "metrics-out", "", "write the final metrics snapshot (with its spans under -trace) here on shutdown, as a one-element JSON array")
 	flag.DurationVar(&o.healthInterval, "health-interval", time.Second, "runtime-health sampling cadence (0 disables the collector)")
 	flag.DurationVar(&o.sloWindow, "slo-window", 10*time.Second, "SLO rolling evaluation window")
 	flag.DurationVar(&o.sloInterval, "slo-interval", time.Second, "SLO evaluation cadence and window slot width")
@@ -132,14 +127,10 @@ func run(o options) error {
 	if o.queueCap < 0 {
 		return fmt.Errorf("-queue must be >= 0, got %d", o.queueCap)
 	}
-	if o.traceOut != "" && o.traceCap == 0 {
-		o.traceCap = 65536
-	}
 	cfg := paratreet.Config{
 		Procs:          o.procs,
 		WorkersPerProc: o.wpp,
 		BucketSize:     o.bucket,
-		Incremental:    o.incremental,
 		Metrics:        paratreet.NewMetricsRegistry(paratreet.MetricsOptions{TraceCapacity: o.traceCap}),
 	}
 	var err error
@@ -188,18 +179,7 @@ func run(o options) error {
 	srv := serve.NewServer(eng, scfg)
 
 	if o.healthInterval > 0 {
-		bat := srv.Batcher()
-		reg := cfg.Metrics
-		health := metrics.StartHealth(reg, metrics.HealthConfig{
-			Interval: o.healthInterval,
-			// Fold serve saturation into the same tick: queue depth and
-			// in-flight waves move with every pump, but the ticker
-			// guarantees a fresh reading even on an idle batcher.
-			Extra: func() {
-				reg.Gauge(metrics.GServeQueueDepth).Set(int64(bat.QueueDepth()))
-				reg.Gauge(metrics.GServeInflightWaves).Set(int64(bat.InFlight()))
-			},
-		})
+		health := metrics.StartHealth(cfg.Metrics, metrics.HealthConfig{Interval: o.healthInterval})
 		defer health.Stop()
 	}
 
@@ -244,43 +224,26 @@ func run(o options) error {
 		fmt.Fprintf(os.Stderr, "paratreet-serve: serve: %v\n", err)
 	}
 
-	if o.traceOut != "" || o.metricsOut != "" {
+	if o.metricsOut != "" {
 		snap := eng.Snapshot()
-		if o.traceOut != "" {
-			if err := writeTrace(o.traceOut, snap); err != nil {
-				return err
-			}
-			fmt.Printf("paratreet-serve: wrote trace to %s\n", o.traceOut)
+		snap.Label = fmt.Sprintf("serve/%s/n%d", o.dist, o.n)
+		if err := writeMetrics(o.metricsOut, snap); err != nil {
+			return err
 		}
-		if o.metricsOut != "" {
-			if err := writeMetrics(o.metricsOut, snap); err != nil {
-				return err
-			}
-			fmt.Printf("paratreet-serve: wrote metrics to %s\n", o.metricsOut)
-		}
+		fmt.Printf("paratreet-serve: wrote metrics to %s\n", o.metricsOut)
 	}
 	fmt.Println("paratreet-serve: drained, bye")
 	return nil
 }
 
-func writeTrace(dest string, snap *paratreet.MetricsSnapshot) error {
-	f, err := os.Create(dest)
-	if err != nil {
-		return err
-	}
-	if err := trace.WriteChrome(f, []*paratreet.MetricsSnapshot{snap}); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
+// writeMetrics writes snap as the one-element snapshot array that
+// paratreet-bench -metrics-out also writes, so paratreet-trace reads both.
 func writeMetrics(dest string, snap *paratreet.MetricsSnapshot) error {
 	f, err := os.Create(dest)
 	if err != nil {
 		return err
 	}
-	if err := snap.WriteJSON(f); err != nil {
+	if err := metrics.WriteSnapshots(f, []*metrics.Snapshot{snap}); err != nil {
 		f.Close()
 		return err
 	}

@@ -1,10 +1,12 @@
-// Command paratreet-trace analyzes Chrome Trace Event Format JSON
-// produced by paratreet-bench -trace-out (or by trace.WriteChrome):
-// Projections-style timeline reports in the terminal, no browser needed.
+// Command paratreet-trace analyzes the metrics JSON that paratreet-bench
+// and paratreet-serve write with -metrics-out (an array of snapshots;
+// pass -trace N so they carry spans): Projections-style timeline reports
+// in the terminal, no browser needed, and a Chrome Trace Event export for
+// Perfetto.
 //
 // Usage:
 //
-//	paratreet-trace [flags] <command> <trace.json>
+//	paratreet-trace [flags] <command> <metrics.json>
 //
 // Commands:
 //
@@ -14,24 +16,29 @@
 //	spans     top-k longest spans
 //	rtt       fetch round-trip attribution
 //	critpath  critical-path estimate through the event DAG
+//	chrome    write the spans as Chrome Trace Event JSON to stdout
 //	validate  parse and sanity-check the trace, print nothing on success
 //
-// The exit status is nonzero for malformed, empty, or invalid traces, so
-// CI can gate on trace health.
+// The summary names each run's label and the spans its trace ring
+// dropped, so a wrapped trace is not read as a whole one. The exit status
+// is nonzero for malformed, empty, or invalid traces, so CI can gate on
+// trace health.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
+	"paratreet/internal/metrics"
 	"paratreet/internal/trace"
 )
 
 func usage() {
 	fmt.Fprintf(flag.CommandLine.Output(),
-		"usage: paratreet-trace [flags] <report|gantt|phases|spans|rtt|critpath|validate> <trace.json>\n")
+		"usage: paratreet-trace [flags] <report|gantt|phases|spans|rtt|critpath|chrome|validate> <metrics.json>\n")
 	flag.PrintDefaults()
 }
 
@@ -52,15 +59,15 @@ func main() {
 }
 
 func run(w io.Writer, cmd, path string, opts trace.ReportOptions) error {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	t, err := trace.ReadChrome(f)
-	if err != nil {
-		return err
+	var snaps []*metrics.Snapshot
+	if err := json.Unmarshal(data, &snaps); err != nil {
+		return fmt.Errorf("%s: not a metrics snapshot array: %w", path, err)
 	}
+	t := trace.FromSnapshots(snaps)
 	if err := t.Validate(); err != nil {
 		return err
 	}
@@ -82,6 +89,8 @@ func run(w io.Writer, cmd, path string, opts trace.ReportOptions) error {
 	case "critpath":
 		t.AttributeWorkers()
 		return trace.WriteCriticalPath(w, t)
+	case "chrome":
+		return trace.WriteChrome(w, snaps)
 	case "validate":
 		return nil
 	default:

@@ -194,11 +194,8 @@ type Cache[D any] struct {
 // cost one nil check inside Emit.
 type cacheMetrics struct {
 	enabled    bool
-	fetches    *metrics.Counter
-	fills      *metrics.Counter
 	inserts    *metrics.Counter
 	staleFills *metrics.Counter
-	retries    *metrics.Counter
 	fetchRTT   *metrics.Sketch
 	insertNs   *metrics.Sketch
 	tracer     *metrics.Tracer
@@ -287,11 +284,8 @@ func New[D any](proc *rt.Proc, policy Policy, t tree.Type, codec tree.DataCodec[
 	}
 	if reg := proc.Metrics(); reg != nil {
 		c.mx.enabled = true
-		c.mx.fetches = reg.Counter(metrics.CCacheFetches)
-		c.mx.fills = reg.Counter(metrics.CCacheFills)
 		c.mx.inserts = reg.Counter(metrics.CCacheInserts)
 		c.mx.staleFills = reg.Counter(metrics.CCacheStaleFills)
-		c.mx.retries = reg.Counter(metrics.CCacheRetries)
 		c.mx.fetchRTT = reg.Sketch(metrics.HCacheFetchRTT)
 		c.mx.insertNs = reg.Sketch(metrics.HCacheInsert)
 		c.mx.tracer = reg.Tracer()
@@ -375,7 +369,6 @@ func (c *Cache[D]) Request(viewID int, n *tree.Node[D], resume func()) bool {
 		v.pending.Store(n.Key, n)
 		c.proc.Stats().NodeRequests.Add(1)
 		if c.mx.enabled {
-			c.mx.fetches.Inc(c.proc.Rank())
 			now := time.Now()
 			flow := c.mx.tracer.NextFlow()
 			c.mx.tracer.Emit(metrics.EvFetch, "fetch", c.proc.Rank(), -1, flow, now, 0)
@@ -437,7 +430,6 @@ func (c *Cache[D]) HandleRetry(msg RetryMsg) {
 	}
 	c.proc.Stats().Retries.Add(1)
 	if c.mx.enabled {
-		c.mx.retries.Inc(c.proc.Rank())
 		var flow uint64
 		if info, ok := c.mx.peekRequest(id); ok {
 			flow = info.flow
@@ -474,7 +466,6 @@ func (c *Cache[D]) HandleRequest(msg RequestMsg) error {
 // XWrite; the owning worker under PerThread).
 func (c *Cache[D]) HandleFill(msg FillMsg) {
 	c.proc.Stats().Fills.Add(1)
-	c.mx.fills.Inc(c.proc.Rank())
 	insert := func() {
 		start := time.Now()
 		if !c.insert(msg) {

@@ -77,9 +77,9 @@ func RunFig11(opts Options) (*Result, error) {
 // RunKNN runs the ParaTreeT arm of Fig 11 — one up-and-down
 // k-nearest-neighbors SPH density traversal on a cosmological volume —
 // at the sweep's largest worker count. It is the standard workload for
-// timeline capture (-trace/-trace-out): the remote-neighbor traffic of
-// the clustered dataset exercises every event kind the tracer records
-// (tasks, fetch/fill flows, park/resume, message arrows).
+// timeline capture (-trace with -metrics-out): the remote-neighbor
+// traffic of the clustered dataset exercises every event kind the tracer
+// records (tasks, fetch/fill flows, park/resume, message arrows).
 func RunKNN(opts Options) (*Result, error) {
 	start := time.Now()
 	w := opts.largest()
@@ -98,7 +98,7 @@ func RunKNN(opts Options) (*Result, error) {
 		}}},
 	}
 	res.Notes = append(res.Notes,
-		"single-cell run intended for timeline capture; pair with -trace/-trace-out and paratreet-trace")
+		"single-cell run intended for timeline capture; pair with -trace and -metrics-out, and read the file with paratreet-trace")
 	res.Elapsed = time.Since(start)
 	return res, nil
 }

@@ -21,10 +21,6 @@ const (
 type HealthConfig struct {
 	// Interval is the sampling cadence. Default 1s.
 	Interval time.Duration
-	// Extra, when non-nil, runs after each runtime sample so callers can
-	// fold their own saturation gauges (queue depth, in-flight waves)
-	// into the same tick. It runs on the collector goroutine.
-	Extra func()
 }
 
 // HealthCollector samples Go runtime health — live heap, total memory,
@@ -138,9 +134,6 @@ func (h *HealthCollector) SampleOnce() {
 				h.schedP99.Set(p99)
 			}
 		}
-	}
-	if h.cfg.Extra != nil {
-		h.cfg.Extra()
 	}
 }
 

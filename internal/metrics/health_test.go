@@ -15,8 +15,7 @@ func TestHealthSampleOnce(t *testing.T) {
 	// GC cycle flushes it; force one so heap/objects is live.
 	runtime.GC()
 	reg := NewRegistry(Options{})
-	extras := 0
-	h := StartHealth(reg, HealthConfig{Interval: time.Hour, Extra: func() { extras++ }})
+	h := StartHealth(reg, HealthConfig{Interval: time.Hour})
 	defer h.Stop()
 	snap := reg.Snapshot()
 	for _, name := range []string{GGoHeapBytes, GGoMemTotalBytes, GGoGoroutines} {
@@ -30,13 +29,6 @@ func TestHealthSampleOnce(t *testing.T) {
 		if v, ok := snap.Gauges[name]; !ok || v < 0 {
 			t.Errorf("gauge %s = %d (present %v), want >= 0", name, v, ok)
 		}
-	}
-	if extras < 1 {
-		t.Errorf("Extra hook ran %d times, want >= 1", extras)
-	}
-	h.SampleOnce()
-	if extras < 2 {
-		t.Errorf("Extra hook ran %d times after manual sample, want >= 2", extras)
 	}
 }
 
@@ -52,19 +44,16 @@ func TestHealthNilRegistry(t *testing.T) {
 }
 
 // TestHealthTicker checks the collector goroutine samples on its own and
-// Stop halts it cleanly.
+// Stop halts it cleanly: a GC cycle run after the initial sample reaches
+// the GC-cycle gauge only through a tick.
 func TestHealthTicker(t *testing.T) {
 	reg := NewRegistry(Options{})
-	samples := make(chan struct{}, 64)
-	h := StartHealth(reg, HealthConfig{
-		Interval: time.Millisecond,
-		Extra:    func() { samples <- struct{}{} },
-	})
-	// The initial synchronous sample plus at least one tick.
-	for i := 0; i < 2; i++ {
-		select {
-		case <-samples:
-		case <-time.After(5 * time.Second):
+	h := StartHealth(reg, HealthConfig{Interval: time.Millisecond})
+	cycles := reg.Gauge(GGoGCCycles)
+	before := cycles.Value()
+	runtime.GC()
+	for deadline := time.Now().Add(5 * time.Second); cycles.Value() <= before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
 			t.Fatal("collector never ticked")
 		}
 	}

@@ -44,19 +44,15 @@ const (
 	// CCacheMisses counts traversal visits to placeholders whose data had
 	// to be fetched (or waited on) before the frame could proceed.
 	CCacheMisses = "cache.misses"
-	// CCacheFetches counts unique fetch round-trips issued (one per node
-	// per view).
-	CCacheFetches = "cache.fetches"
-	// CCacheFills counts fill messages received.
-	CCacheFills = "cache.fills"
+	// Fetches, fills and fetch retries are counted once, by rt.Stats, and
+	// appear in a snapshot as rt.node_requests, rt.fills and rt.retries.
+
 	// CCacheInserts counts fills wired and published into a view tree.
 	CCacheInserts = "cache.inserts"
 	// CCacheStaleFills counts fill messages discarded because the subtree
 	// was already wired: duplicated fills (fault injection) or fills racing
 	// a retry's second copy. Idempotent insertion makes them harmless.
 	CCacheStaleFills = "cache.stale_fills"
-	// CCacheRetries counts fetch re-sends after a fill deadline expired.
-	CCacheRetries = "cache.retries"
 
 	// CCoreBuilds counts World.BuildIteration calls that completed.
 	CCoreBuilds = "core.builds"

@@ -70,6 +70,14 @@ func (s *Snapshot) WriteJSON(w io.Writer) error {
 	return enc.Encode(s)
 }
 
+// WriteSnapshots writes snaps as one indented JSON array: the file that
+// -metrics-out writes and paratreet-trace reads.
+func WriteSnapshots(w io.Writer, snaps []*Snapshot) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(snaps)
+}
+
 // sortedKeys returns m's keys in ascending order.
 func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))

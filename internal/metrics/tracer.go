@@ -72,17 +72,6 @@ func (k EventKind) String() string {
 	return "unknown"
 }
 
-// KindFromString maps a wire name back to its EventKind; ok is false for
-// unknown names.
-func KindFromString(s string) (EventKind, bool) {
-	for k, name := range eventKindNames {
-		if name == s {
-			return EventKind(k), true
-		}
-	}
-	return 0, false
-}
-
 // MarshalJSON writes the kind as its wire name.
 func (k EventKind) MarshalJSON() ([]byte, error) {
 	return json.Marshal(k.String())
@@ -94,12 +83,13 @@ func (k *EventKind) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &s); err != nil {
 		return err
 	}
-	kind, ok := KindFromString(s)
-	if !ok {
-		return fmt.Errorf("metrics: unknown event kind %q", s)
+	for kind, name := range eventKindNames {
+		if name == s {
+			*k = EventKind(kind)
+			return nil
+		}
 	}
-	*k = kind
-	return nil
+	return fmt.Errorf("metrics: unknown event kind %q", s)
 }
 
 // Span is one timestamped, typed slice of execution recorded by the

@@ -152,8 +152,7 @@ func (b *Batcher[Req, Resp]) Draining() bool {
 	return b.draining
 }
 
-// QueueDepth reports the current pending-queue length (saturation
-// sampling).
+// QueueDepth reports the current pending-queue length.
 func (b *Batcher[Req, Resp]) QueueDepth() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()

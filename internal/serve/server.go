@@ -24,8 +24,10 @@ type ServerConfig struct {
 	// carries no timeout_ms of its own. Default 2s.
 	DefaultTimeout time.Duration
 	// SLO, when it names an objective (MaxErrorRate or MaxP99 nonzero),
-	// runs a watchdog whose breaches flip /readyz to 503. The watchdog's
-	// Registry defaults to the batcher's.
+	// runs a watchdog whose breaches flip /readyz to 503; with none, no
+	// watchdog is built and requests are not recorded for it. The SLO
+	// Registry, which also holds the serve.ready gauge, defaults to the
+	// batcher's.
 	SLO SLOConfig
 }
 
@@ -40,7 +42,8 @@ type Server struct {
 	bat            *Batcher[Query, Answer]
 	mux            *http.ServeMux
 	defaultTimeout time.Duration
-	watchdog       *Watchdog
+	watchdog       *Watchdog // nil without an objective
+	ready          *metrics.Gauge
 	reqSeq         atomic.Int64
 	draining       atomic.Bool
 }
@@ -62,9 +65,13 @@ func NewServer(eng *Engine, cfg ServerConfig) *Server {
 		bat:            NewBatcher[Query, Answer](cfg.Batch, eng.RunBatch),
 		mux:            http.NewServeMux(),
 		defaultTimeout: cfg.DefaultTimeout,
-		watchdog:       NewWatchdog(cfg.SLO),
+		ready:          cfg.SLO.Registry.Gauge(metrics.GServeReady),
 	}
-	s.watchdog.Start()
+	s.ready.Set(1)
+	if cfg.SLO.active() {
+		s.watchdog = NewWatchdog(cfg.SLO)
+		s.watchdog.Start()
+	}
 	s.mux.HandleFunc("/query/knn", s.handleQuery(KNN))
 	s.mux.HandleFunc("/query/range", s.handleQuery(Range))
 	s.mux.HandleFunc("/query/probe", s.handleQuery(Probe))
@@ -81,7 +88,8 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Batcher exposes the underlying batcher (tests, custom drivers).
 func (s *Server) Batcher() *Batcher[Query, Answer] { return s.bat }
 
-// Watchdog exposes the SLO watchdog (tests, the daemon's fault hooks).
+// Watchdog exposes the SLO watchdog (tests, the daemon's fault hooks);
+// nil when the server has no objective.
 func (s *Server) Watchdog() *Watchdog { return s.watchdog }
 
 // BeginDrain flips /readyz to 503 without stopping intake: the
@@ -89,7 +97,7 @@ func (s *Server) Watchdog() *Watchdog { return s.watchdog }
 // window to steer traffic away while in-flight requests still complete.
 func (s *Server) BeginDrain() {
 	s.draining.Store(true)
-	s.watchdog.cfg.Registry.Gauge(metrics.GServeReady).Set(0)
+	s.ready.Set(0)
 }
 
 // Drain gracefully stops query intake and completes every queued and
@@ -200,10 +208,11 @@ func (s *Server) handleQuery(kind QueryKind) http.HandlerFunc {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		id := s.reqSeq.Add(1)
 		start := time.Now()
 		ans, tm, err := s.bat.Submit(q, start.Add(timeout))
-		s.watchdog.Record(id, time.Since(start), err != nil)
+		if s.watchdog != nil {
+			s.watchdog.Record(s.reqSeq.Add(1), time.Since(start), err != nil)
+		}
 		if err != nil {
 			writeError(w, statusOf(err), err)
 			return

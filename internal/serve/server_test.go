@@ -248,6 +248,8 @@ func TestServerRequestLimits(t *testing.T) {
 	defer eng.Close()
 	srv := serve.NewServer(eng, serve.ServerConfig{
 		Batch: serve.BatchConfig{MaxBatch: 8},
+		// An objective that never breaches, so that a watchdog counts.
+		SLO: serve.SLOConfig{Window: time.Hour, Interval: time.Hour, MaxP99: time.Hour},
 	})
 	defer srv.Drain()
 	ts := httptest.NewServer(srv.Handler())

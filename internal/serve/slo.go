@@ -139,13 +139,8 @@ func NewWatchdog(cfg SLOConfig) *Watchdog {
 	return w
 }
 
-// Start launches the evaluation ticker; no-op when no objective is
-// configured (recording still feeds /stats either way).
+// Start launches the evaluation ticker.
 func (w *Watchdog) Start() {
-	if !w.cfg.active() {
-		close(w.done)
-		return
-	}
 	go func() {
 		defer close(w.done)
 		t := time.NewTicker(w.cfg.Interval)
@@ -162,8 +157,11 @@ func (w *Watchdog) Start() {
 }
 
 // Stop halts the evaluation ticker. Safe to call more than once and on a
-// watchdog that never started.
+// nil watchdog; Start must have run.
 func (w *Watchdog) Stop() {
+	if w == nil {
+		return
+	}
 	w.stopOnce.Do(func() { close(w.stop) })
 	<-w.done
 }
@@ -173,9 +171,6 @@ func (w *Watchdog) Stop() {
 // never reach the batcher and are not errors of the service). id is the
 // request's correlation id, carried into breach records.
 func (w *Watchdog) Record(id int64, latency time.Duration, failed bool) {
-	if w == nil {
-		return
-	}
 	w.advance(w.now())
 	w.mu.Lock()
 	s := &w.slots[w.cur]
@@ -260,18 +255,14 @@ func (w *Watchdog) Evaluate() SLOStatus {
 }
 
 // Status returns the last evaluated status without re-evaluating (the
-// /readyz fast path).
+// /readyz fast path); a nil watchdog is never breached.
 func (w *Watchdog) Status() SLOStatus {
+	if w == nil {
+		return SLOStatus{}
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.status
-}
-
-// Breached reports whether the service is currently out of objective.
-func (w *Watchdog) Breached() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.breached
 }
 
 // sloRecord is the one-line JSON breach/recovery log schema.

@@ -197,16 +197,20 @@ func TestWatchdogWindowRoll(t *testing.T) {
 	}
 }
 
-// TestWatchdogNilAndInactive checks the disabled paths: nil watchdog
-// records are no-ops, and an objective-less config never starts a
-// ticker but still aggregates for /stats.
+// TestWatchdogNilAndInactive checks the disabled paths: a server with no
+// objective builds no watchdog, so Status and Stop on the nil watchdog
+// are no-ops; a watchdog built without an objective never breaches, and
+// Stop is idempotent.
 func TestWatchdogNilAndInactive(t *testing.T) {
 	var nilW *Watchdog
-	nilW.Record(1, time.Second, true) // must not panic
+	if st := nilW.Status(); st.Breached || st.Requests != 0 {
+		t.Fatalf("nil watchdog status %+v", st)
+	}
+	nilW.Stop()
 
 	w := NewWatchdog(SLOConfig{Log: &bytes.Buffer{}})
-	w.Start() // inactive: no goroutine
-	w.Record(1, time.Millisecond, false)
+	w.Start()
+	w.Record(1, time.Millisecond, true)
 	if st := w.Evaluate(); st.Breached || st.Requests != 1 {
 		t.Fatalf("inactive watchdog: %+v", st)
 	}

@@ -116,6 +116,42 @@ func TestReadyzDrainMidRequest(t *testing.T) {
 	}
 }
 
+// TestReadinessWithoutObjective checks a server with no SLO objective:
+// it builds no watchdog, serves, answers /readyz 200 with serve.ready at
+// 1, and reads 0 from BeginDrain on.
+func TestReadinessWithoutObjective(t *testing.T) {
+	eng, err := serve.NewEngine(testConfig(paratreet.DecompSFC, paratreet.CacheWaitFree), testParticles(600))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	srv := serve.NewServer(eng, serve.ServerConfig{Batch: serve.BatchConfig{MaxBatch: 4}})
+	defer srv.Drain()
+	if w := srv.Watchdog(); w != nil {
+		t.Fatal("a server with no objective built a watchdog")
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	ready := eng.Registry().Gauge(metrics.GServeReady)
+	if resp, body := postJSON(t, ts.URL+"/query/knn", `{"pos":[0.5,0.5,0.5],"k":3}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("query: %d %s", resp.StatusCode, body)
+	}
+	if resp, body := getJSON(t, ts.URL+"/readyz"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("/readyz: %d %s, want 200", resp.StatusCode, body)
+	}
+	if v := ready.Value(); v != 1 {
+		t.Fatalf("serve.ready %d while serving, want 1", v)
+	}
+	srv.BeginDrain()
+	if v := ready.Value(); v != 0 {
+		t.Fatalf("serve.ready %d after BeginDrain, want 0", v)
+	}
+	if resp, _ := getJSON(t, ts.URL+"/readyz"); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("/readyz after BeginDrain: %d, want 503", resp.StatusCode)
+	}
+}
+
 // TestReadyzSLOBreach proves an SLO breach (not drain) also drops
 // readiness, and the body carries the reason.
 func TestReadyzSLOBreach(t *testing.T) {

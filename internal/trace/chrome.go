@@ -3,10 +3,8 @@ package trace
 import (
 	"bufio"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 
 	"paratreet/internal/metrics"
@@ -43,11 +41,6 @@ type chromeEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// chromeFile is the top-level JSON object.
-type chromeFile struct {
-	TraceEvents []chromeEvent `json:"traceEvents"`
-}
-
 func eventPid(run, proc int) int { return run*pidBase + proc + 1 }
 func eventTid(worker int) int    { return worker + 1 }
 func usec(ns int64) float64      { return float64(ns) / 1e3 }
@@ -57,10 +50,7 @@ func usec(ns int64) float64      { return float64(ns) / 1e3 }
 // sorted by pid/tid, spans in recorded order, flow arrows sorted by flow
 // id.
 func WriteChrome(w io.Writer, snaps []*metrics.Snapshot) error {
-	return writeChromeTrace(w, FromSnapshots(snaps))
-}
-
-func writeChromeTrace(w io.Writer, t *Trace) error {
+	t := FromSnapshots(snaps)
 	var events []chromeEvent
 
 	// Metadata: name every process and thread row that appears.
@@ -209,55 +199,4 @@ func writeChromeTrace(w io.Writer, t *Trace) error {
 		return err
 	}
 	return bw.Flush()
-}
-
-// ReadChrome parses Chrome Trace Event Format JSON produced by
-// WriteChrome back into a Trace. Metadata and flow-arrow records are
-// skipped (span records carry the flow id in args); records whose
-// category is not a known event kind are ignored, so traces annotated by
-// other tools still load.
-func ReadChrome(r io.Reader) (*Trace, error) {
-	var f chromeFile
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&f); err != nil {
-		return nil, fmt.Errorf("trace: parsing chrome trace: %w", err)
-	}
-	if len(f.TraceEvents) == 0 {
-		return nil, errors.New("trace: chrome trace has no events")
-	}
-	t := &Trace{}
-	maxRun := -1
-	for _, ce := range f.TraceEvents {
-		if ce.Ph != "X" && ce.Ph != "i" {
-			continue
-		}
-		kind, ok := metrics.KindFromString(ce.Cat)
-		if !ok {
-			continue
-		}
-		run := ce.Pid / pidBase
-		e := Event{Run: run}
-		e.Name = ce.Name
-		e.Kind = kind
-		e.Proc = ce.Pid%pidBase - 1
-		e.Worker = ce.Tid - 1
-		e.StartNs = int64(math.Round(ce.Ts * 1e3))
-		if ce.Dur != nil {
-			e.DurNs = int64(math.Round(*ce.Dur * 1e3))
-		}
-		if fv, ok := ce.Args["flow"]; ok {
-			if fl, ok := fv.(float64); ok {
-				e.Flow = uint64(fl)
-			}
-		}
-		if run > maxRun {
-			maxRun = run
-		}
-		t.Events = append(t.Events, e)
-	}
-	if len(t.Events) == 0 {
-		return nil, errors.New("trace: chrome trace has no span events")
-	}
-	t.Labels = make([]string, maxRun+1)
-	return t, nil
 }

@@ -6,7 +6,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"paratreet/internal/metrics"
@@ -138,42 +137,5 @@ func TestChromeFieldShape(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("fetch event missing from export")
-	}
-}
-
-// TestChromeRoundTrip checks ReadChrome inverts WriteChrome on the span
-// records: kinds, tracks, flows, and ns timestamps all survive.
-func TestChromeRoundTrip(t *testing.T) {
-	snaps := fixtureSnapshots()
-	var buf bytes.Buffer
-	if err := WriteChrome(&buf, snaps); err != nil {
-		t.Fatal(err)
-	}
-	tr, err := ReadChrome(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := snaps[0].Spans
-	if len(tr.Events) != len(want) {
-		t.Fatalf("round-trip events = %d, want %d", len(tr.Events), len(want))
-	}
-	for i, e := range tr.Events {
-		w := want[i]
-		if e.Run != 0 || e.Kind != w.Kind || e.Proc != w.Proc || e.Worker != w.Worker ||
-			e.Flow != w.Flow || e.StartNs != w.StartNs || e.DurNs != w.DurNs || e.Name != w.Name {
-			t.Fatalf("event %d round-tripped to %+v, want %+v", i, e, w)
-		}
-	}
-}
-
-func TestReadChromeRejectsMalformed(t *testing.T) {
-	if _, err := ReadChrome(strings.NewReader("{not json")); err == nil {
-		t.Fatal("malformed JSON accepted")
-	}
-	if _, err := ReadChrome(strings.NewReader(`{"traceEvents":[]}`)); err == nil {
-		t.Fatal("empty trace accepted")
-	}
-	if _, err := ReadChrome(strings.NewReader(`{"traceEvents":[{"ph":"M","name":"process_name","pid":1}]}`)); err == nil {
-		t.Fatal("metadata-only trace accepted")
 	}
 }

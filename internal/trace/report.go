@@ -62,7 +62,8 @@ func WriteReport(w io.Writer, t *Trace, opts ReportOptions) error {
 
 func ms(ns int64) float64 { return float64(ns) / 1e6 }
 
-// WriteSummary prints event counts by kind and the trace time range.
+// WriteSummary prints the trace time range, the spans the rings dropped,
+// each run's label, and event counts by kind.
 func WriteSummary(w io.Writer, t *Trace) error {
 	lo, hi := t.timeRange()
 	if _, err := fmt.Fprintf(w, "== summary ==\nruns %d  events %d  span %.3f ms",
@@ -76,6 +77,14 @@ func WriteSummary(w io.Writer, t *Trace) error {
 	}
 	if _, err := fmt.Fprintln(w); err != nil {
 		return err
+	}
+	for run, label := range t.Labels {
+		if label == "" {
+			continue
+		}
+		if _, err := fmt.Fprintf(w, "  run %d  %s\n", run, label); err != nil {
+			return err
+		}
 	}
 	var counts [metrics.NumEventKinds]int
 	for _, e := range t.Events {

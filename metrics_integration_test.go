@@ -90,8 +90,7 @@ func TestMetricsRegressionTinyRun(t *testing.T) {
 		"traverse.resumes": 0,
 		"cache.hits":       0,
 		"cache.misses":     0,
-		"cache.fetches":    0,
-		"cache.fills":      0,
+		"rt.fills":         0,
 		"cache.inserts":    0,
 		// One build with nothing resident: every subtree built, every leaf dirty.
 		"core.builds": 1, "core.subtrees_built": int64(len(sim.World().Subtrees)), "core.subtrees_patched": 0, "core.leaves_dirty": leaves, "core.leaves_reused": 0,
@@ -137,27 +136,23 @@ func TestMetricsInvariantsDistributed(t *testing.T) {
 	snap := sim.MetricsSnapshot()
 	c := snap.Counter
 
-	for _, name := range []string{"traverse.visits", "traverse.opens", "traverse.prunes", "cache.hits", "cache.misses", "cache.fetches"} {
+	for _, name := range []string{"traverse.visits", "traverse.opens", "traverse.prunes", "cache.hits", "cache.misses", "rt.node_requests"} {
 		if c(name) == 0 {
 			t.Errorf("%s = 0, expected nonzero on a 2-process run", name)
 		}
 	}
 	// Every fetch is answered and inserted exactly once.
-	if c("cache.fills") != c("cache.fetches") || c("cache.inserts") != c("cache.fills") {
-		t.Errorf("fetch/fill/insert mismatch: fetches=%d fills=%d inserts=%d",
-			c("cache.fetches"), c("cache.fills"), c("cache.inserts"))
-	}
-	if c("cache.fetches") != c("rt.node_requests") || c("cache.fills") != c("rt.fills") {
-		t.Errorf("cache counters disagree with rt stats: fetches=%d node_requests=%d fills=%d rt.fills=%d",
-			c("cache.fetches"), c("rt.node_requests"), c("cache.fills"), c("rt.fills"))
+	if c("rt.fills") != c("rt.node_requests") || c("cache.inserts") != c("rt.fills") {
+		t.Errorf("fetch/fill/insert mismatch: node_requests=%d fills=%d inserts=%d",
+			c("rt.node_requests"), c("rt.fills"), c("cache.inserts"))
 	}
 	// Every parked frame is resumed after quiescence; a park is either a
 	// unique fetch or a coalesced duplicate.
 	if c("traverse.parks") != c("traverse.resumes") {
 		t.Errorf("parks=%d != resumes=%d after quiescence", c("traverse.parks"), c("traverse.resumes"))
 	}
-	if want := c("cache.fetches") + c("rt.duplicate_requests"); c("traverse.parks") != want {
-		t.Errorf("parks=%d != fetches+duplicates=%d", c("traverse.parks"), want)
+	if want := c("rt.node_requests") + c("rt.duplicate_requests"); c("traverse.parks") != want {
+		t.Errorf("parks=%d != node_requests+duplicates=%d", c("traverse.parks"), want)
 	}
 	// Misses exceed parks only by frames that lost the race with a fill.
 	if c("cache.misses") < c("traverse.parks") {
@@ -171,7 +166,7 @@ func TestMetricsInvariantsDistributed(t *testing.T) {
 	// One sketch sample per event: fetch RTT per fetch, insert time per
 	// insert, task time per task run.
 	for name, want := range map[string]string{
-		metrics.HCacheFetchRTT: "cache.fetches",
+		metrics.HCacheFetchRTT: "rt.node_requests",
 		metrics.HCacheInsert:   "cache.inserts",
 		metrics.HRTTask:        "rt.tasks_run",
 	} {

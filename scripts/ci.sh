@@ -150,15 +150,16 @@ go test -race -short -run 'TestPackerLifecycle' ./internal/traverse/
 go test -race -short -run 'TestEngineStatsDuringRefresh|TestWavesRaceDeltaRefresh|TestEngineAnswersIndependentOfBatch|TestKNNWaveCostIndependentOfBatch' ./internal/serve/
 
 echo "==> trace pipeline"
-# End-to-end timeline check: a quick traced kNN run must produce a Chrome
-# trace the analyzer accepts (paratreet-trace exits nonzero on malformed
-# or empty traces), with every report section rendered.
+# End-to-end timeline check: a quick traced kNN run writes its spans into
+# the metrics file, which the analyzer must accept (paratreet-trace exits
+# nonzero on malformed or empty traces) with every report section
+# rendered, and render for Perfetto.
 tracedir="$(mktemp -d)"
 trap 'rm -rf "$tracedir"' EXIT
-go run ./cmd/paratreet-bench knn -quick -trace 65536 \
-	-trace-out "$tracedir/trace.json" -metrics-out "$tracedir/metrics.json" > /dev/null
-go run ./cmd/paratreet-trace validate "$tracedir/trace.json"
-report="$(go run ./cmd/paratreet-trace report "$tracedir/trace.json")"
+go build -o "$tracedir/paratreet-trace" ./cmd/paratreet-trace
+go run ./cmd/paratreet-bench knn -quick -trace 65536 -metrics-out "$tracedir/m.json" > /dev/null
+"$tracedir/paratreet-trace" validate "$tracedir/m.json"
+report="$("$tracedir/paratreet-trace" report "$tracedir/m.json")"
 for section in summary gantt phases spans "fetch rtt" "latency quantiles" "critical path"; do
 	case "$report" in
 	*"$section"*) ;;
@@ -168,14 +169,30 @@ for section in summary gantt phases spans "fetch rtt" "latency quantiles" "criti
 		;;
 	esac
 done
+case "$("$tracedir/paratreet-trace" chrome "$tracedir/m.json")" in
+*'"traceEvents"'*) ;;
+*)
+	echo "paratreet-trace chrome wrote no traceEvents" >&2
+	exit 1
+	;;
+esac
+# A ring too small for the run wraps: the summary must say it dropped spans.
+go run ./cmd/paratreet-bench knn -quick -trace 256 -metrics-out "$tracedir/small.json" > /dev/null 2>&1
+case "$("$tracedir/paratreet-trace" report "$tracedir/small.json")" in
+*dropped*) ;;
+*)
+	echo "wrapped trace ring not reported as dropped" >&2
+	exit 1
+	;;
+esac
 
 echo "==> faulted trace pipeline"
 # Same pipeline under injected faults: the trace must record the drop and
-# retry instants, proving the fault events flow into the exporter.
+# retry instants, proving the fault events flow into the analyzer.
 go run ./cmd/paratreet-bench knn -quick -faults drop=0.05,dup=0.05,seed=7 \
-	-trace-out "$tracedir/faulted.json" -metrics-out "$tracedir/faulted-metrics.json" > /dev/null
-go run ./cmd/paratreet-trace validate "$tracedir/faulted.json"
-faulted="$(go run ./cmd/paratreet-trace report "$tracedir/faulted.json")"
+	-trace 65536 -metrics-out "$tracedir/faulted.json" > /dev/null
+"$tracedir/paratreet-trace" validate "$tracedir/faulted.json"
+faulted="$("$tracedir/paratreet-trace" report "$tracedir/faulted.json")"
 for kind in drop retry; do
 	case "$faulted" in
 	*"$kind"*) ;;

@@ -3,9 +3,11 @@
 // range queries over HTTP, scrapes /metrics and checks the Prometheus
 // exposition is well formed, verifies the /healthz vs /readyz split
 // through a graceful SIGTERM drain (readiness drops to 503 during the
-// -drain-grace window, exit 0 with the drain banner), and finally runs
-// a second daemon under an impossible SLO to prove the watchdog flips
-// readiness and counts breaches. Run from the repository root:
+// -drain-grace window, exit 0 with the drain banner), checks that
+// paratreet-trace reads the traced snapshot the daemon writes on
+// shutdown, and finally runs a second daemon under an impossible SLO to
+// prove the watchdog flips readiness and counts breaches. Run from the
+// repository root:
 //
 //	go run ./scripts
 package main
@@ -41,12 +43,12 @@ func run() error {
 	}
 	defer os.RemoveAll(dir)
 	bin := filepath.Join(dir, "paratreet-serve")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/paratreet-serve")
+	build := exec.Command("go", "build", "-o", dir+string(filepath.Separator), "./cmd/paratreet-serve", "./cmd/paratreet-trace")
 	build.Stderr = os.Stderr
 	if err := build.Run(); err != nil {
 		return fmt.Errorf("build: %w", err)
 	}
-	if err := smokeQueryAndDrain(bin); err != nil {
+	if err := smokeQueryAndDrain(bin, dir); err != nil {
 		return err
 	}
 	return smokeSLOBreach(bin)
@@ -98,8 +100,9 @@ func get(base, path string) (int, string, error) {
 	return resp.StatusCode, buf.String(), nil
 }
 
-func smokeQueryAndDrain(bin string) error {
-	daemon, base, sc, err := startDaemon(bin, "-drain-grace", "2s")
+func smokeQueryAndDrain(bin, dir string) error {
+	metricsOut := filepath.Join(dir, "m.json")
+	daemon, base, sc, err := startDaemon(bin, "-drain-grace", "2s", "-trace", "4096", "-metrics-out", metricsOut)
 	if err != nil {
 		return err
 	}
@@ -221,6 +224,18 @@ func smokeQueryAndDrain(bin string) error {
 	}
 	if !strings.Contains(tail, "drained") {
 		return fmt.Errorf("drain banner missing from shutdown output:\n%s", tail)
+	}
+
+	// The snapshot written on shutdown is the file paratreet-trace reads,
+	// the daemon's run label and its wave spans included.
+	report, err := exec.Command(filepath.Join(dir, "paratreet-trace"), "report", metricsOut).CombinedOutput()
+	if err != nil {
+		return fmt.Errorf("paratreet-trace report on the daemon's -metrics-out: %w\n%s", err, report)
+	}
+	for _, want := range []string{"run 0  serve/", "batch"} {
+		if !strings.Contains(string(report), want) {
+			return fmt.Errorf("paratreet-trace report of the daemon's snapshot lacks %q:\n%s", want, report)
+		}
 	}
 	return nil
 }
