@@ -1,29 +1,10 @@
 package gravity
 
+import "paratreet/internal/cpu"
+
 // useKernels selects the assembly over the Go bodies for every kernel
-// call. It is set once, from CPUID: AVX2, with the operating system
-// saving the YMM registers.
-var useKernels = haveAVX2()
-
-func haveAVX2() bool {
-	maxID, _, _, _ := cpuid(0, 0)
-	if maxID < 7 {
-		return false
-	}
-	const osxsave, avx = 1 << 27, 1 << 28
-	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 || ecx&avx == 0 {
-		return false
-	}
-	if xcr0, _ := xgetbv(); xcr0&6 != 6 { // XMM and YMM state enabled
-		return false
-	}
-	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&(1<<5) != 0
-}
-
-func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-
-func xgetbv() (eax, edx uint32)
+// call: set once, from the CPUID probe the kNN kernels share.
+var useKernels = cpu.AVX2
 
 // The kernel calls: each runs its AVX2 body where useKernels is set.
 func p2p(t *float64, stride, n int, src *[4]float32, ids *int64, ns int, ox, oy, oz float64, eps2 float32, grav float64) {

@@ -9,6 +9,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
+	"unsafe"
 
 	"paratreet/internal/particle"
 	"paratreet/internal/traverse"
@@ -122,48 +124,99 @@ func (h *heap) push(n Neighbor) {
 	h.items[i] = n
 }
 
-// siftDown replaces the root with n and restores the heap order.
+// siftDown replaces the root with n and restores the heap order. Where a
+// node has two children, the farther is picked by a borrow, not a branch
+// (precedes): which child is farther is a coin toss the predictor loses.
 //
 //paratreet:hotpath
 func (h *heap) siftDown(n Neighbor) {
 	items := h.items
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		big, far := i, &n
-		if l < len(items) && closer(far, &items[l]) {
-			big, far = l, &items[l]
-		}
-		if r < len(items) && closer(far, &items[r]) {
-			big = r
-		}
-		if big == i {
+		l := 2*i + 1
+		if l+1 >= len(items) { // one child or none
+			if l < len(items) && closer(&n, &items[l]) {
+				items[i] = items[l]
+				i = l
+			}
 			break
 		}
-		items[i] = items[big]
-		i = big
+		far := l + int(precedes(&items[l], &items[l+1]))
+		if !closer(&n, &items[far]) {
+			break
+		}
+		items[i] = items[far]
+		i = far
 	}
 	items[i] = n
+}
+
+// precedes is closer(a, b) as 1 or 0, without a branch: the borrow out of
+// the 128-bit subtraction key(a) − key(b), where key is the DistSq bits
+// over the ID with its sign bit flipped. For a DistSq that is neither
+// negative nor NaN — none in a heap is — its bits order as its value
+// does, and the flipped ID orders as the signed ID, so the key orders as
+// closer does. On equal keys it is 0: the left child stays, as it does
+// in the textbook sift.
+//
+//paratreet:hotpath
+func precedes(a, b *Neighbor) uint64 {
+	const sign = 1 << 63
+	_, borrow := bits.Sub64(uint64(a.ID)^sign, uint64(b.ID)^sign, 0)
+	_, borrow = bits.Sub64(math.Float64bits(a.DistSq), math.Float64bits(b.DistSq), borrow)
+	return borrow
 }
 
 // State is the per-bucket search state: one heap per target particle,
 // plus the bucket-level pruning bound derived from them. reach is the
 // distance from the bucket box's center to its farthest corner, fixed at
 // Attach; limSq is (sqrt(maxBound)+reach)², +Inf while some heap is not
-// full. Only leafInteract mutates the heaps, and it refreshes limSq after
-// any push, so both stay valid until the next Leaf or Attach.
+// full. cols is the bucket's block of target columns in its arena
+// (see arena): the kernels' view of the targets. Only leafInteract
+// mutates the heaps, and it writes each changed bound to its column and
+// refreshes limSq after any push, so all three stay valid until the next
+// Leaf or Attach.
+//
+// A State stays in the 48-byte size class: Attach allocates one per
+// bucket every step.
 type State struct {
 	Heaps []heap
+	cols  *float64
 	reach float64
 	limSq float64
 }
 
-// arena is the heap storage of one run of target particles: particle i of
-// the run owns heaps[i] and the stride entries from items[i*stride].
+// The target columns of a bucket of n particles: nCols runs of n float64s,
+// one after the other, indexed by the particle's place in the bucket. The
+// ID column holds each int64 ID's bits; the bound column each heap's
+// bound, +Inf until the heap is full.
+const (
+	colX = iota
+	colY
+	colZ
+	colID
+	colBound
+	nCols
+)
+
+// columns returns the bucket's block of target columns.
+//
+//paratreet:hotpath
+func (s *State) columns() []float64 {
+	return unsafe.Slice(s.cols, nCols*len(s.Heaps))
+}
+
+// arena is the search storage of one run of target particles: particle i
+// of the run owns heaps[i], the stride entries from items[i*stride], and
+// the nCols slots from cols[nCols*i], where the bucket that starts at
+// particle i keeps its block of target columns. cols ends in lanes−1
+// padding entries, so a kernel's four-lane loads of the last block stay in
+// the slab.
 type arena struct {
 	stride int
 	heaps  []heap
 	items  []Neighbor
+	cols   []float64
 }
 
 // fit makes room for n particles at k neighbours each. It regrows when n
@@ -177,21 +230,23 @@ func (a *arena) fit(n, k int) {
 	a.stride = k
 	a.heaps = make([]heap, n)
 	a.items = make([]Neighbor, n*k)
+	a.cols = make([]float64, nCols*n+lanes-1)
 }
 
 // Attach initializes kNN state on every bucket, each heap empty with
-// capacity k so the search kernel never touches the allocator; call before
-// launching the traversal.
+// capacity k so the search kernel never touches the allocator, and each
+// bucket's target columns written from its particles: call before
+// launching the traversal, after the last move of a target.
 //
 // When every bucket belongs to one Partition (they share a non-nil
-// Targets), the heaps come from an arena the Partition keeps across steps
-// in Targets.State: a bucket's heaps are those of particles [Offset,
-// Offset+n) of the partition's run, so each step carves the same storage
-// again and the only allocation left is the call's State headers. Being
-// indexed by particle, not by call order, two calls on disjoint subsets of
-// one partition never overlap. Any other bucket set (per-query buckets)
-// gets a one-off arena. Either way, a State stays valid until the next
-// Attach over the same particles.
+// Targets), the heaps and columns come from an arena the Partition keeps
+// across steps in Targets.State: a bucket's are those of particles
+// [Offset, Offset+n) of the partition's run, so each step carves the same
+// storage again and the only allocation left is the call's State headers.
+// Being indexed by particle, not by call order, two calls on disjoint
+// subsets of one partition never overlap. Any other bucket set (per-query
+// buckets) gets a one-off arena. Either way, a State stays valid until the
+// next Attach over the same particles.
 //
 // Attach panics when k < 1: a search for no neighbours has no bound to
 // prune by.
@@ -217,6 +272,7 @@ func Attach(buckets []*traverse.Bucket, k int) {
 	}
 	states := make([]State, len(buckets))
 	off := 0
+	inf := math.Inf(1)
 	for i, b := range buckets {
 		n := len(b.Particles)
 		if t != nil {
@@ -224,10 +280,16 @@ func Attach(buckets []*traverse.Bucket, k int) {
 		}
 		st := &states[i]
 		st.Heaps = a.heaps[off : off+n : off+n]
+		st.cols = &a.cols[nCols*off]
+		c := st.columns()
 		for j := range st.Heaps {
 			// Capped at k: a heap never grows into its neighbour's entries.
 			lo := (off + j) * a.stride
 			st.Heaps[j] = heap{k: k, items: a.items[lo : lo : lo+k]}
+			p := &b.Particles[j]
+			c[colX*n+j], c[colY*n+j], c[colZ*n+j] = p.Pos.X, p.Pos.Y, p.Pos.Z
+			c[colID*n+j] = math.Float64frombits(uint64(p.ID))
+			c[colBound*n+j] = inf
 		}
 		st.reach = math.Sqrt(b.Box.FarDistSq(b.Box.Center()))
 		st.refresh()
@@ -236,14 +298,15 @@ func Attach(buckets []*traverse.Bucket, k int) {
 	}
 }
 
-// refresh recomputes limSq from the heaps: no point inside the bucket box
-// can be within the loosest per-particle bound of a source box when
-// dist(source, center) > sqrt(maxBound) + reach, maxBound being the largest
-// search radius (squared) over the bucket's particles.
+// refresh recomputes limSq from the bound column: no point inside the
+// bucket box can be within the loosest per-particle bound of a source box
+// when dist(source, center) > sqrt(maxBound) + reach, maxBound being the
+// largest search radius (squared) over the bucket's particles.
 func (s *State) refresh() {
+	n := len(s.Heaps)
 	maxBound := 0.0
-	for i := range s.Heaps {
-		if b := s.Heaps[i].bound(); b > maxBound {
+	for _, b := range s.columns()[colBound*n:] {
+		if b > maxBound {
 			if math.IsInf(b, 1) {
 				s.limSq = b
 				return
@@ -258,7 +321,8 @@ func (s *State) refresh() {
 // openByBounds is the Open decision shared by Visitor and GenericVisitor:
 // descend when the source box is no farther from some target particle than
 // that particle's current k-th neighbor (a particle exactly at the bound
-// may hold a smaller ID).
+// may hold a smaller ID). After the bucket-level test, the open kernel
+// makes the per-particle one over the bucket's columns.
 //
 //paratreet:hotpath
 func openByBounds(source vec.Box, target *traverse.Bucket) bool {
@@ -268,37 +332,48 @@ func openByBounds(source vec.Box, target *traverse.Bucket) bool {
 	if source.DistSq(target.Box.Center()) > st.limSq {
 		return false
 	}
-	for i := range target.Particles {
-		if source.DistSq(target.Particles[i].Pos) <= st.Heaps[i].bound() {
-			return true
-		}
-	}
-	return false
+	n := len(st.Heaps)
+	return n != 0 && open(st.cols, n, &source)
 }
 
 // leafInteract tries every source particle against every target heap, the
-// exact interaction shared by Visitor and GenericVisitor. A target's bound
-// only changes when its heap takes a candidate, so it is reloaded then and
-// otherwise held in a local; the bucket's limit is refreshed once at the
-// end, and only when some heap changed.
+// exact interaction shared by Visitor and GenericVisitor. The filter
+// kernel tests one source against up to chunk targets at a time, and the
+// survivors are pushed in target order: each target meets the sources in
+// their order, as in a loop over targets then sources, so every heap takes
+// the same candidates in the same order. A target's bound only changes
+// when its heap takes a candidate, so its column is rewritten then; the
+// bucket's limit is refreshed once at the end, and only when some source
+// survived.
 //
 //paratreet:hotpath
 func leafInteract(source []particle.Particle, target *traverse.Bucket, excludeSelf bool) {
 	st := target.State.(*State)
+	n := len(st.Heaps)
+	if n == 0 {
+		return
+	}
+	c := st.columns()
+	bounds := c[colBound*n:]
+	self := uint64(0)
+	if excludeSelf {
+		self = ^self
+	}
+	var d2 [chunk]float64
 	pushed := false
-	for i := range target.Particles {
-		p := &target.Particles[i]
-		h := &st.Heaps[i]
-		bound := h.bound()
+	for lo := 0; lo < n; lo += chunk {
+		m := min(chunk, n-lo)
 		for j := range source {
 			s := &source[j]
-			if excludeSelf && s.ID == p.ID {
-				continue
-			}
-			if d2 := s.Pos.DistSq(p.Pos); d2 <= bound {
-				h.push(Neighbor{DistSq: d2, ID: s.ID, Pos: s.Pos, Mass: s.Mass})
-				bound = h.bound()
+			survivors := filter(&c[lo], n, m, s.Pos.X, s.Pos.Y, s.Pos.Z, s.ID, self, &d2)
+			if survivors != 0 {
 				pushed = true
+			}
+			for ; survivors != 0; survivors &= survivors - 1 {
+				i := bits.TrailingZeros64(survivors)
+				h := &st.Heaps[lo+i]
+				h.push(Neighbor{DistSq: d2[i], ID: s.ID, Pos: s.Pos, Mass: s.Mass})
+				bounds[lo+i] = h.bound()
 			}
 		}
 	}

@@ -43,9 +43,13 @@ type Server struct {
 	mux            *http.ServeMux
 	defaultTimeout time.Duration
 	watchdog       *Watchdog // nil without an objective
-	ready          *metrics.Gauge
-	reqSeq         atomic.Int64
-	draining       atomic.Bool
+	// ready is serve.ready, which refreshReady alone writes; readyMu
+	// orders its writes, so the last one reads the last drain and SLO
+	// states.
+	ready    *metrics.Gauge
+	readyMu  sync.Mutex
+	reqSeq   atomic.Int64
+	draining atomic.Bool
 }
 
 // NewServer wires a server over eng. The batcher records into the
@@ -67,11 +71,11 @@ func NewServer(eng *Engine, cfg ServerConfig) *Server {
 		defaultTimeout: cfg.DefaultTimeout,
 		ready:          cfg.SLO.Registry.Gauge(metrics.GServeReady),
 	}
-	s.ready.Set(1)
 	if cfg.SLO.active() {
-		s.watchdog = NewWatchdog(cfg.SLO)
+		s.watchdog = newWatchdog(cfg.SLO, func(bool) { s.refreshReady() })
 		s.watchdog.Start()
 	}
+	s.refreshReady()
 	s.mux.HandleFunc("/query/knn", s.handleQuery(KNN))
 	s.mux.HandleFunc("/query/range", s.handleQuery(Range))
 	s.mux.HandleFunc("/query/probe", s.handleQuery(Probe))
@@ -97,7 +101,22 @@ func (s *Server) Watchdog() *Watchdog { return s.watchdog }
 // window to steer traffic away while in-flight requests still complete.
 func (s *Server) BeginDrain() {
 	s.draining.Store(true)
-	s.ready.Set(0)
+	s.refreshReady()
+}
+
+// isReady reports what /readyz answers: not draining, and not out of SLO.
+func (s *Server) isReady() bool {
+	return !s.draining.Load() && !s.bat.Draining() && !s.watchdog.Status().Breached
+}
+
+// refreshReady sets serve.ready from isReady. It is the gauge's one
+// writer in a server, called after each change of either condition (drain
+// begun, an SLO transition), so the gauge never reads 1 while /readyz
+// answers 503.
+func (s *Server) refreshReady() {
+	s.readyMu.Lock()
+	defer s.readyMu.Unlock()
+	s.ready.Set(gaugeBool(s.isReady()))
 }
 
 // Drain gracefully stops query intake and completes every queued and
@@ -326,19 +345,21 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 // handleReady reports readiness: 200 while the server should receive
 // traffic, 503 once drain has begun (BeginDrain or batcher Drain) or
-// while the SLO watchdog reports a breach. The body says which.
+// while the SLO watchdog reports a breach. The body says which; a server
+// with no objective has no SLO window, so its body has no "slo".
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	draining := s.draining.Load() || s.bat.Draining()
-	st := s.watchdog.Status()
 	out := struct {
-		Ready    bool      `json:"ready"`
-		Draining bool      `json:"draining"`
-		SLO      SLOStatus `json:"slo"`
-	}{
-		Ready:    !draining && !st.Breached,
-		Draining: draining,
-		SLO:      st,
+		Ready    bool       `json:"ready"`
+		Draining bool       `json:"draining"`
+		SLO      *SLOStatus `json:"slo,omitempty"`
+	}{Draining: draining}
+	breached := false
+	if s.watchdog != nil {
+		st := s.watchdog.Status()
+		out.SLO, breached = &st, st.Breached
 	}
+	out.Ready = !draining && !breached
 	w.Header().Set("Content-Type", "application/json")
 	if !out.Ready {
 		w.WriteHeader(http.StatusServiceUnavailable)

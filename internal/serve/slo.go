@@ -102,8 +102,10 @@ type Watchdog struct {
 	scratch   *metrics.Sketch
 
 	breaches *metrics.Counter
-	readyG   *metrics.Gauge
 	tracer   *metrics.Tracer
+	// onTransition runs after each breach (true) or recovery (false):
+	// it keeps the serve.ready gauge, set by whoever owns it.
+	onTransition func(breached bool)
 
 	now      func() time.Time // test hook; time.Now outside tests
 	stopOnce sync.Once
@@ -111,9 +113,19 @@ type Watchdog struct {
 	done     chan struct{}
 }
 
-// NewWatchdog constructs a watchdog; Start launches its evaluation
+// NewWatchdog constructs a watchdog that owns the serve.ready gauge: 1,
+// and 0 from a breach to its recovery. Start launches its evaluation
 // ticker (tests drive Evaluate directly instead).
 func NewWatchdog(cfg SLOConfig) *Watchdog {
+	ready := cfg.Registry.Gauge(metrics.GServeReady)
+	ready.Set(1)
+	return newWatchdog(cfg, func(breached bool) { ready.Set(gaugeBool(!breached)) })
+}
+
+// newWatchdog constructs a watchdog that calls onTransition after each
+// breach and recovery; a Server passes its own readiness, which weighs
+// drain too.
+func newWatchdog(cfg SLOConfig, onTransition func(breached bool)) *Watchdog {
 	cfg = cfg.withDefaults()
 	n := int((cfg.Window + cfg.Interval - 1) / cfg.Interval)
 	if n < 1 {
@@ -129,13 +141,13 @@ func NewWatchdog(cfg SLOConfig) *Watchdog {
 		curStart: time.Now(),
 		scratch:  metrics.NewSketch(),
 		breaches: cfg.Registry.Counter(metrics.CServeSLOBreaches),
-		readyG:   cfg.Registry.Gauge(metrics.GServeReady),
 		tracer:   cfg.Registry.Tracer(),
 		now:      time.Now,
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
+
+		onTransition: onTransition,
 	}
-	w.readyG.Set(1)
 	return w
 }
 
@@ -242,14 +254,13 @@ func (w *Watchdog) Evaluate() SLOStatus {
 	if transition {
 		if st.Breached {
 			w.breaches.Inc(0)
-			w.readyG.Set(0)
 			w.tracer.Emit(metrics.EvSLO, fmt.Sprintf("breach%v", st.Reasons), -1, -1, 0, now, 0)
 			w.logRecord("slo_breach", now, st, lastID)
 		} else {
-			w.readyG.Set(1)
 			w.tracer.Emit(metrics.EvSLO, "recover", -1, -1, 0, now, 0)
 			w.logRecord("slo_recover", now, st, lastID)
 		}
+		w.onTransition(st.Breached)
 	}
 	return st
 }
@@ -301,4 +312,12 @@ func (w *Watchdog) logRecord(event string, now time.Time, st SLOStatus, lastID i
 	}
 	b = append(b, '\n')
 	_, _ = w.cfg.Log.Write(b)
+}
+
+// gaugeBool is a condition as a gauge reads it: 1 or 0.
+func gaugeBool(ok bool) int64 {
+	if ok {
+		return 1
+	}
+	return 0
 }

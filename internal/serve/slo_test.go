@@ -3,11 +3,16 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"paratreet"
 	"paratreet/internal/metrics"
+	"paratreet/internal/particle"
+	"paratreet/internal/vec"
 )
 
 // sloClock is a manual clock for driving the watchdog deterministically.
@@ -216,4 +221,54 @@ func TestWatchdogNilAndInactive(t *testing.T) {
 	}
 	w.Stop()
 	w.Stop() // idempotent
+}
+
+// TestReadyGaugeDrainOutlastsRecovery: in a server, serve.ready has one
+// writer, which sets it to not draining and not breached. A server that
+// breaches its objective, begins to drain, and then recovers must keep
+// the gauge at 0 through the drain's grace window, as /readyz keeps
+// answering 503; a recovery used to set it back to 1.
+func TestReadyGaugeDrainOutlastsRecovery(t *testing.T) {
+	reg := metrics.NewRegistry(metrics.Options{})
+	eng, err := NewEngine(paratreet.Config{
+		Procs: 1, WorkersPerProc: 1, Tree: paratreet.TreeOct, BucketSize: 8, Metrics: reg,
+	}, particle.NewUniform(200, 1, vec.UnitBox()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	// One slot an hour long: the ticker never evaluates during the test,
+	// and the fake clock rolls the window at will.
+	srv := NewServer(eng, ServerConfig{SLO: SLOConfig{
+		Window: time.Hour, Interval: time.Hour, MaxP99: time.Millisecond, MinSamples: 1, Log: &bytes.Buffer{},
+	}})
+	defer srv.Drain()
+	clk := newSLOClock()
+	w := withClock(srv.Watchdog(), clk)
+	ready := reg.Gauge(metrics.GServeReady)
+	readyz := func() int {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/readyz", nil))
+		return rec.Code
+	}
+	if v, code := ready.Value(), readyz(); v != 1 || code != http.StatusOK {
+		t.Fatalf("serving: serve.ready %d, /readyz %d; want 1 and 200", v, code)
+	}
+
+	w.Record(1, time.Second, false)
+	if st := w.Evaluate(); !st.Breached {
+		t.Fatalf("a 1 s request against a 1 ms p99 objective did not breach: %+v", st)
+	}
+	if v := ready.Value(); v != 0 {
+		t.Fatalf("breached: serve.ready %d, want 0", v)
+	}
+	srv.BeginDrain()
+	clk.advance(3 * time.Hour)
+	w.Record(2, time.Microsecond, false)
+	if st := w.Evaluate(); st.Breached {
+		t.Fatalf("a fresh window of one fast request still breached: %+v", st)
+	}
+	if v, code := ready.Value(), readyz(); v != 0 || code != http.StatusServiceUnavailable {
+		t.Fatalf("recovered while draining: serve.ready %d, /readyz %d; want 0 and 503", v, code)
+	}
 }

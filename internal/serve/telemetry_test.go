@@ -289,3 +289,39 @@ func TestStatsQuantiles(t *testing.T) {
 		t.Fatalf("gauges missing max waves: %v", stats.Gauges)
 	}
 }
+
+// TestReadyzOmitsSLOWithoutObjective: a server with no objective keeps no
+// SLO window, so its /readyz body has no "slo" object — an all-zero one
+// would read as a window that saw no request — while a server with an
+// objective reports its window.
+func TestReadyzOmitsSLOWithoutObjective(t *testing.T) {
+	eng, err := serve.NewEngine(testConfig(paratreet.DecompSFC, paratreet.CacheWaitFree), testParticles(600))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	for _, c := range []struct {
+		name string
+		slo  serve.SLOConfig
+		want bool
+	}{
+		{"no objective", serve.SLOConfig{}, false},
+		{"p99 objective", serve.SLOConfig{MaxP99: time.Hour}, true},
+	} {
+		srv := serve.NewServer(eng, serve.ServerConfig{Batch: serve.BatchConfig{MaxBatch: 4}, SLO: c.slo})
+		ts := httptest.NewServer(srv.Handler())
+		if resp, body := postJSON(t, ts.URL+"/query/knn", `{"pos":[0.5,0.5,0.5],"k":3}`); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: query: %d %s", c.name, resp.StatusCode, body)
+		}
+		resp, body := getJSON(t, ts.URL+"/readyz")
+		var out map[string]json.RawMessage
+		if err := json.Unmarshal(body, &out); err != nil {
+			t.Fatalf("%s: /readyz body %s: %v", c.name, body, err)
+		}
+		if _, has := out["slo"]; resp.StatusCode != http.StatusOK || has != c.want {
+			t.Fatalf("%s: /readyz %d %s; want 200 with \"slo\" %v", c.name, resp.StatusCode, body, c.want)
+		}
+		ts.Close()
+		srv.Drain()
+	}
+}

@@ -101,33 +101,35 @@ func (b Box) Intersects(o Box) bool {
 }
 
 // DistSq returns the squared distance from p to the closest point of the box
-// (0 when p is inside).
+// (0 when p is inside): ((gx·gx + gy·gy) + gz·gz) over the per-axis gaps
+// of gap. It has no branch, as it runs once per (node, particle) pair of
+// every neighbour search, where the sides of a box a particle falls on
+// are a coin toss.
 func (b Box) DistSq(p Vec3) float64 {
-	// One dimension after the other, no loop: this runs once per (node,
-	// particle) pair of every neighbour search.
-	var d2 float64
-	if p.X < b.Min.X {
-		d := b.Min.X - p.X
-		d2 += d * d
-	} else if p.X > b.Max.X {
-		d := p.X - b.Max.X
-		d2 += d * d
+	x, y, z := gap(p.X, b.Min.X, b.Max.X), gap(p.Y, b.Min.Y, b.Max.Y), gap(p.Z, b.Min.Z, b.Max.Z)
+	// The conversions round each product, so no compiler fuses a
+	// multiply-add: the kNN kernels take the same three roundings.
+	return float64(x*x) + float64(y*y) + float64(z*z)
+}
+
+// gap is the distance from v to the interval [lo, hi] on one axis:
+// lo−v below it, v−hi above it, and 0 inside it. Its rule for the inputs
+// that are neither is that of the comparisons: below wins when v is below
+// lo and above hi both (an empty box, whose Min is +Inf and Max −Inf), and
+// a NaN fails both tests, so a NaN v or bound gives 0. It selects bits
+// rather than floats, so it compiles to conditional moves: a float select
+// would compile to jumps, and max(lo−v, v−hi, 0) would return NaN where
+// the subtraction of two like infinities makes one.
+func gap(v, lo, hi float64) float64 {
+	above, below := math.Float64bits(v-hi), math.Float64bits(lo-v)
+	g := uint64(0)
+	if v > hi {
+		g = above
 	}
-	if p.Y < b.Min.Y {
-		d := b.Min.Y - p.Y
-		d2 += d * d
-	} else if p.Y > b.Max.Y {
-		d := p.Y - b.Max.Y
-		d2 += d * d
+	if v < lo {
+		g = below
 	}
-	if p.Z < b.Min.Z {
-		d := b.Min.Z - p.Z
-		d2 += d * d
-	} else if p.Z > b.Max.Z {
-		d := p.Z - b.Max.Z
-		d2 += d * d
-	}
-	return d2
+	return math.Float64frombits(g)
 }
 
 // BoxDistSq returns the squared minimum distance between two boxes
@@ -168,8 +170,8 @@ func (b Box) IntersectsSphere(c Vec3, rsq float64) bool {
 // SphereReaches is IntersectsSphere on a box read in place, for loops that
 // test one sphere against many stored boxes (an opening criterion against a
 // frame's buckets): there, copying each box through IntersectsSphere and
-// DistSq costs as much as the compare. Same operations in the same order as
-// DistSq, so the same decision.
+// DistSq costs as much as the compare. Same values as DistSq, so the same
+// decision.
 func SphereReaches(b *Box, c Vec3, rsq float64) bool {
 	if b.Min.X > b.Max.X || b.Min.Y > b.Max.Y || b.Min.Z > b.Max.Z {
 		return false

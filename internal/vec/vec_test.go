@@ -391,3 +391,81 @@ func TestStrings(t *testing.T) {
 		t.Error("empty Box string")
 	}
 }
+
+// branchyDistSq is Box.DistSq as it was written before it lost its
+// branches, one axis after the other: the reference FuzzBoxDistSq holds
+// the branch-free body to. The conversions keep each product rounded, as
+// the amd64 compiler always did, so no host fuses a multiply-add here.
+func branchyDistSq(b Box, p Vec3) float64 {
+	var d2 float64
+	if p.X < b.Min.X {
+		d := b.Min.X - p.X
+		d2 += float64(d * d)
+	} else if p.X > b.Max.X {
+		d := p.X - b.Max.X
+		d2 += float64(d * d)
+	}
+	if p.Y < b.Min.Y {
+		d := b.Min.Y - p.Y
+		d2 += float64(d * d)
+	} else if p.Y > b.Max.Y {
+		d := p.Y - b.Max.Y
+		d2 += float64(d * d)
+	}
+	if p.Z < b.Min.Z {
+		d := b.Min.Z - p.Z
+		d2 += float64(d * d)
+	} else if p.Z > b.Max.Z {
+		d := p.Z - b.Max.Z
+		d2 += float64(d * d)
+	}
+	return d2
+}
+
+// FuzzBoxDistSq holds Box.DistSq to the branchy reference, bit for bit.
+// Coordinates come from a few values — signed zeros, NaN, ±Inf, tiny and
+// huge among them — or anywhere in [-1, 2), so points sit on faces,
+// corners and outside on every side, and boxes include EmptyBox, point
+// boxes, boxes empty on one axis (Min > Max) and boxes with infinite or
+// NaN corners.
+func FuzzBoxDistSq(f *testing.F) {
+	for seed := int64(1); seed <= 6; seed++ {
+		f.Add(seed, uint8(seed*37))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, mode uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		inf, nan := math.Inf(1), math.NaN()
+		values := []float64{0, math.Copysign(0, -1), 0.5, 1, -1, 1e-160, 1e200, -1e200, nan, inf, -inf}
+		coord := func() float64 {
+			if rng.Intn(4) < int(mode%4) {
+				return values[rng.Intn(len(values))]
+			}
+			return rng.Float64()*3 - 1
+		}
+		point := func() Vec3 { return Vec3{coord(), coord(), coord()} }
+		for i := 0; i < 64; i++ {
+			var b Box
+			switch rng.Intn(5) {
+			case 0:
+				b = EmptyBox()
+			case 1:
+				p := point()
+				b = Box{Min: p, Max: p}
+			case 2:
+				b = Box{Min: point(), Max: point()}
+			default:
+				b = NewBox(point(), point())
+			}
+			p := point()
+			if rng.Intn(3) == 0 {
+				corner := [2]Vec3{b.Min, b.Max}
+				p = Vec3{corner[rng.Intn(2)].X, corner[rng.Intn(2)].Y, p.Z}
+			}
+			got, want := b.DistSq(p), branchyDistSq(b, p)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("box %v point %v: DistSq %v (%#x), branchy reference %v (%#x)",
+					b, p, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	})
+}

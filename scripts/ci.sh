@@ -14,7 +14,7 @@ go vet ./...
 
 echo "==> arm64 cross-build and vet"
 # No assembly exists for arm64, so this type-checks the portable gravity
-# kernel bodies, and everything else, where only they can run.
+# and kNN kernel bodies, and everything else, where only they can run.
 # Two commands, not one && list: set -e does not stop on the left side of
 # an && that fails.
 GOARCH=arm64 go build ./...
@@ -66,6 +66,22 @@ echo "==> fuzz the kNN heap"
 # heap must keep the entry order of the swap-based reference, ordered by
 # (distance, ID), and end with the k smallest distances offered.
 go test -run '^$' -fuzz FuzzHeap -fuzztime 10s ./internal/knn/
+
+echo "==> fuzz the kNN kernels"
+# The leaf filter and the open test, Go bodies on every host and the AVX2
+# assembly too where it runs, against the per-pair tests: survivor bit for
+# survivor bit (ID exclusion included, each survivor's distance to the
+# bit), and the open decision over a block and per target. 0-40 targets
+# (every tail of a four-lane block) with NaN, ±Inf and ±0 coordinates,
+# bounds of +Inf, 0, NaN and exact distances, EmptyBox and point boxes,
+# and junk in every column entry and padding slot the call must not read.
+go test -run '^$' -fuzz FuzzKNNKernels -fuzztime 10s ./internal/knn/
+
+echo "==> fuzz the box distance"
+# Box.DistSq has no branches; it must return the bits of the branchy body
+# it replaced (kept in the test) on every point and box: EmptyBox, point
+# boxes, boxes empty on one axis, NaN and ±Inf corners and coordinates.
+go test -run '^$' -fuzz FuzzBoxDistSq -fuzztime 10s ./internal/vec/
 
 echo "==> fuzz the packed gravity kernels"
 # The P2P and M2P kernel bodies against the per-pair calls (Leaf, Node),
@@ -125,6 +141,12 @@ echo "==> incremental differential gate"
 # refused at Attach (TestAttachRejectsNonPositiveK); on a lattice, where
 # candidates tie at the k-th distance, every list equals brute force's
 # entry for entry at one to four processes (TestKNNTiesMatchBruteForce).
+# The kernels' target columns follow the heaps: the filter leaves every
+# heap as the per-pair loop does, over buckets of one target and of two
+# and three filter chunks, and each bucket's columns hold its particles
+# and bounds after (TestColumnsTrackHeaps); the branch-free sift orders
+# negative IDs as closer does (TestSiftSignedIDs); State stays in the
+# 48-byte size class (TestStateSizeClass).
 # The serve pass covers the refresh seam: concurrent waves racing a delta
 # Refresh must answer from exactly one tree state, and the stats
 # endpoints must stay race-free mid-refresh. It also covers batching: a
@@ -133,7 +155,7 @@ echo "==> incremental differential gate"
 # and a batch of kNN queries makes exactly the decisions its queries make
 # alone (TestKNNWaveCostIndependentOfBatch).
 go test -race -short -run 'TestIncremental|TestIncrementalCoverChange|TestDegenerateInputsOneAnswer' .
-go test -race -short -run 'TestAttachReuse|TestAttachDisjointSubsets|TestSourceMajorMatchesPerPair|TestAttachRejectsNonPositiveK|TestKNNTiesMatchBruteForce' ./internal/knn/
+go test -race -short -run 'TestAttachReuse|TestAttachDisjointSubsets|TestSourceMajorMatchesPerPair|TestAttachRejectsNonPositiveK|TestKNNTiesMatchBruteForce|TestColumnsTrackHeaps|TestSiftSignedIDs|TestStateSizeClass' ./internal/knn/
 # Gravity's packed targets: Pack, one VisitSource per node over active
 # lists with runs, gaps and repeats, then Unpack must leave the bits the
 # per-pair calls leave and open what Open opens (TestPackedMatchesPerPair),
