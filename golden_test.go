@@ -16,15 +16,17 @@ import (
 // Golden single-process checksums. On one process nothing parks, so every
 // bucket meets its sources in an order fixed by the tree alone: the bits of
 // every acceleration and the order of every neighbour heap are a function
-// of the walk. The kNN constant dates from before the traversal core was
-// rebuilt around the source-major call; the gravity ones were recorded
-// when the gravity kernels moved to float32 interactions with float64
+// of the walk. The kNN constant was recorded when the up-and-down seeds
+// began to push each path node's siblings nearest-last (so walked first):
+// the neighbour sets did not change, only the order candidates arrive in,
+// and with it the heap layout. The gravity ones were recorded when the
+// gravity kernels moved to float32 interactions with float64
 // accumulators. A change that reorders a bucket's visits, or the
 // arithmetic of a kernel, moves them.
 const (
 	goldenGravityTransposed = 0x37858946863358bb
 	goldenGravityPerBucket  = 0xd8fb08c65a6a5e5b
-	goldenKNNHeapOrder      = 0x431a710206c601ad
+	goldenKNNHeapOrder      = 0x59a07f5451454561
 )
 
 func goldenConfig(style paratreet.TraversalStyle) paratreet.Config {

@@ -335,7 +335,7 @@ func (t *Traversal[D]) eval(f frame[D, []int32]) {
 		switch len(remain) {
 		case 0:
 		case 1:
-			t.pushChildrenNearFirst(n, remain)
+			t.pushChildrenNearFirst(n, -1, remain)
 		default:
 			for i := 0; i < n.NumChildren(); i++ {
 				if c := n.Child(i); c != nil {
@@ -361,16 +361,18 @@ func (t *Traversal[D]) visitSource(n *tree.Node[D], active []int32, leaf bool) [
 	return opened
 }
 
-// pushChildrenNearFirst pushes a single-bucket frame's children ordered
-// far-to-near from the bucket, so the LIFO stack explores the nearest
-// child first. For visitors with shrinking pruning criteria (k-nearest
-// neighbors, ball searches) this is essential: near leaves fill the heaps
-// early and distant subtrees — including remote placeholders, whose
-// extent is unknown and which are explored last, often after the radius
-// has shrunk enough to prune them without a fetch — never open.
+// pushChildrenNearFirst pushes a single-bucket frame's children, all but
+// the one at index skip (−1 skips none), ordered far-to-near from the
+// bucket, so the LIFO stack explores the nearest child first. For
+// visitors with shrinking pruning criteria (k-nearest neighbors, ball
+// searches) this is essential: near leaves fill the heaps early and
+// distant subtrees — including remote placeholders, whose extent is
+// unknown and which are explored last, often after the radius has shrunk
+// enough to prune them without a fetch — never open. The up-and-down
+// seeds push each path node's off-path children through it too.
 //
 //paratreet:hotpath
-func (t *Traversal[D]) pushChildrenNearFirst(n *tree.Node[D], remain []int32) {
+func (t *Traversal[D]) pushChildrenNearFirst(n *tree.Node[D], skip int, remain []int32) {
 	b := t.buckets[remain[0]]
 	center := b.Box.Center()
 	type child struct {
@@ -382,7 +384,7 @@ func (t *Traversal[D]) pushChildrenNearFirst(n *tree.Node[D], remain []int32) {
 	count := 0
 	for i := 0; i < n.NumChildren(); i++ {
 		c := n.Child(i)
-		if c == nil {
+		if c == nil || i == skip {
 			continue
 		}
 		d := math.Inf(1) // unknown boxes (placeholders) explored last

@@ -15,7 +15,8 @@ import (
 //
 // It is the per-bucket Traversal with different seeds: per bucket, one
 // frame per off-path subtree, pushed root-side first so the LIFO stack
-// processes leaf-adjacent subtrees earliest, and finally a frame for the
+// processes leaf-adjacent subtrees earliest (and, at each level, far-to-
+// near, so the nearest sibling first), and finally a frame for the
 // bucket's own home leaf. Like every per-bucket seed, a bucket's path is
 // pushed only when the scheduler has finished the buckets before it.
 //
@@ -27,7 +28,9 @@ func NewUpDown[D any, V Visitor[D]](proc *rt.Proc, c *cache.Cache[D], viewID int
 }
 
 // seedPath pushes the off-path sibling frames along the root-to-leaf path
-// of the key of the bucket in active, ending with the bucket's own leaf.
+// of the key of the bucket in active, ending with the bucket's own leaf;
+// each path node's siblings go far-to-near, as a single-bucket frame's
+// children do, so the nearest of them is walked first.
 // Path nodes that are remote are pushed as ordinary frames (the engine
 // pauses there and, once fetched, Open/descend handles the rest). A bucket
 // without a key gets the root frame alone.
@@ -50,14 +53,7 @@ func (t *Traversal[D]) seedPath(node *tree.Node[D], active []int32) {
 		}
 		d := level - node.Level - 1
 		pathIdx := int(key>>(uint(d)*logB)) & (1<<logB - 1)
-		for i := 0; i < node.NumChildren(); i++ {
-			if i == pathIdx {
-				continue
-			}
-			if c := node.Child(i); c != nil {
-				t.push(frame[D, []int32]{node: c, parent: node, childIdx: i, work: active})
-			}
-		}
+		t.pushChildrenNearFirst(node, pathIdx, active)
 		node = node.Child(pathIdx)
 	}
 }
